@@ -13,7 +13,8 @@ Subcommands:
 Each run reads one JSON config, writes ``<prefix>.report.json`` and, for the
 sampling commands, ``<prefix>.samples.csv``.  Exit code 0 means every
 certified check passed, 1 means a check ran but exceeded its certified
-bound, 2 means the configuration or preconditions were invalid.
+bound or an iterative solve hit its iteration cap, 2 means the
+configuration or preconditions were invalid.
 """
 
 from __future__ import annotations
@@ -49,7 +50,11 @@ from .operators import (
     make_matrix_operator,
     operator_from_descriptor,
 )
-from .perturbations import perturbation_from_descriptor, sine_perturbation
+from .perturbations import (
+    IterationLimitError,
+    perturbation_from_descriptor,
+    sine_perturbation,
+)
 from .sampling import sample_pairs, sample_points
 from .vectors import DenseVector, SparseVector
 
@@ -101,13 +106,7 @@ def _cmd_gh_check(config: dict, prefix: str, rng) -> int:
     descriptor = _require(config, "operator")
     if descriptor.get("kind") != "shift":
         raise ConfigError("gh-check needs a shift operator descriptor")
-    core = {int(k): float(v) for k, v in descriptor.get("core", {}).items()}
-    spec = WeightSpec(
-        left_tail=float(descriptor["left_tail"]),
-        right_tail=float(descriptor["right_tail"]),
-        core=core,
-    )
-    report = check_shift_criterion(spec)
+    report = check_shift_criterion(WeightSpec.from_descriptor(descriptor))
     _write_report(
         prefix,
         {
@@ -343,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
             config["seed"] = args.seed
         prefix = args.out or config.get("output", DEFAULTS["output"])
         return run(args.command, config, prefix)
+    except IterationLimitError as exc:
+        print(f"ghlin {args.command}: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, KeyError, RuntimeError) as exc:
         print(f"ghlin {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,10 @@ which converge geometrically thanks to the splitting decay constants
 (c, t, d).  Truncating both series at K + 1 terms leaves a certified tail of
 c * d * |source|_inf * t^(K+1) * (1 + t) / (1 - t).
 
+The series itself is summed in one place, the operator's ``orbit_sum``,
+which steps with the restricted maps A_M = T P_M and A_N = T^{-1} P_N; this
+module only builds orbits and projected source terms from public vectors.
+
 The forward conjugacy H = I + h with H o T = (T + beta) o H solves the
 self-referential equation h = solution-of(beta o (I + h)) with R = T, handled
 by depth-bounded contraction unrolling.  The backward conjugacy
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 from .operators import CertificationError, GHOperator, admissible_eps, _require_constants
@@ -103,24 +108,6 @@ def truncation_terms(op: GHOperator, source_sup: float, policy: SeriesPolicy) ->
     return terms
 
 
-def _sum_forward_powers(op: GHOperator, terms: Sequence) -> object:
-    # sum_k T^k terms[k] on raw backend values, innermost first
-    acc = terms[-1]
-    apply_raw, add = op._apply_raw, op._add_raw
-    for v in reversed(terms[:-1]):
-        acc = add(v, apply_raw(acc))
-    return acc
-
-
-def _sum_inverse_powers(op: GHOperator, terms: Sequence) -> object:
-    # sum_k T^{-(k+1)} terms[k] on raw backend values, innermost first
-    acc = terms[-1]
-    invert_raw, add = op._apply_inverse_raw, op._add_raw
-    for w in reversed(terms[:-1]):
-        acc = add(w, invert_raw(acc))
-    return invert_raw(acc)
-
-
 def intertwining_solution(
     op: GHOperator,
     r_apply: Callable[[StateVector], StateVector],
@@ -135,7 +122,8 @@ def intertwining_solution(
 
     ``source_sup`` must certify the sup norm of the source; it drives the
     truncation depth unless ``terms`` overrides it.  The result norm is at
-    most c*d*(1+t)/(1-t) * source_sup plus the policy tolerance.
+    most c*d*(1+t)/(1-t) * source_sup plus the policy tolerance.  ``r_invert``
+    is called K + 1 times in orbit order, on x, R^{-1} x, ..., R^{-K} x.
     """
     if terms is None:
         terms = truncation_terms(op, source_sup, policy)
@@ -144,13 +132,12 @@ def intertwining_solution(
     for _ in range(terms + 1):
         pt = r_invert(pt)
         pts_back.append(pt)
-    m_terms = [op._project_M_raw(op._unwrap(source(p))) for p in pts_back]
     pts_fwd = [x]
     for _ in range(terms):
         pts_fwd.append(r_apply(pts_fwd[-1]))
-    n_terms = [op._project_N_raw(op._unwrap(source(p))) for p in pts_fwd]
-    return op._wrap(
-        op._sub_raw(_sum_forward_powers(op, m_terms), _sum_inverse_powers(op, n_terms))
+    return op.orbit_sum(
+        [op.project_M(source(p)) for p in pts_back],
+        [op.project_N(source(p)) for p in pts_fwd],
     )
 
 
@@ -186,9 +173,8 @@ class ConjugacyMap:
     displacement values and the exact ones (for the backward map, on
     evaluation points within ``eval_radius`` in the ambient norm).
 
-    Evaluation is pure; the memo caches displacement values keyed by
-    quantized coordinates, and concurrent writers would insert identical
-    values.
+    Evaluation is pure; the memo caches displacement values keyed by the
+    exact coordinates, and concurrent writers would insert identical values.
     """
 
     def __init__(
@@ -238,9 +224,8 @@ class ConjugacyMap:
         if self.depth == 0 or self.beta.is_zero:
             return zero_like(x)
         op, beta, terms = self.op, self.beta, self.terms
-        wrap, unwrap, add = op._wrap, op._unwrap, op._add_raw
-        orbit = _OrbitCache(op._apply_raw, op._apply_inverse_raw, unwrap(x))
-        level: dict[tuple[int, int], object] = {}
+        orbit = _OrbitCache(op.apply, op.apply_inverse, x)
+        level: dict[tuple[int, int], StateVector] = {}
         # projected source terms P_M beta(u), P_N beta(u) at u = orbit + lower
         # displacement, shared by every series window touching that point
         sources: dict[tuple[int, int], tuple] = {}
@@ -251,46 +236,41 @@ class ConjugacyMap:
             if got is None:
                 u = orbit.point(j)
                 if depth_below > 0:
-                    u = add(u, displacement_at(depth_below, j))
-                bu = unwrap(beta(wrap(u)))
-                got = (op._project_M_raw(bu), op._project_N_raw(bu))
+                    u = u + displacement_at(depth_below, j)
+                bu = beta(u)
+                got = (op.project_M(bu), op.project_N(bu))
                 sources[key] = got
             return got
 
-        def displacement_at(depth: int, m: int):
+        def displacement_at(depth: int, m: int) -> StateVector:
             key = (depth, m)
             got = level.get(key)
-            if got is not None:
-                return got
-            below = depth - 1
-            m_terms = [source(below, m - k - 1)[0] for k in range(terms + 1)]
-            n_terms = [source(below, m + k)[1] for k in range(terms + 1)]
-            val = op._sub_raw(
-                _sum_forward_powers(op, m_terms), _sum_inverse_powers(op, n_terms)
-            )
-            level[key] = val
-            return val
+            if got is None:
+                below = depth - 1
+                got = op.orbit_sum(
+                    [source(below, m - k - 1)[0] for k in range(terms + 1)],
+                    [source(below, m + k)[1] for k in range(terms + 1)],
+                )
+                level[key] = got
+            return got
 
-        return wrap(displacement_at(self.depth, 0))
+        return displacement_at(self.depth, 0)
 
     # -- backward: direct series along the perturbed orbit ----------------
 
     def _backward_value(self, x: StateVector) -> StateVector:
         if self.beta.is_zero:
             return zero_like(x)
-        op, beta, terms = self.op, self.beta, self.terms
-        pts_back = []
-        pt = x
-        for j in range(terms + 1):
-            pt = solve_perturbed_inverse(op, beta, pt, self._inverse_tols[j])
-            pts_back.append(pt)
-        m_terms = [op._project_M_raw(op._unwrap(beta(p))) for p in pts_back]
-        pts_fwd = [x]
-        for _ in range(terms):
-            pts_fwd.append(perturbed_apply(op, beta, pts_fwd[-1]))
-        n_terms = [op._project_N_raw(op._unwrap(beta(p))) for p in pts_fwd]
-        return op._wrap(
-            op._sub_raw(_sum_inverse_powers(op, n_terms), _sum_forward_powers(op, m_terms))
+        op, beta = self.op, self.beta
+        inverse_tols = iter(self._inverse_tols)  # one per backward orbit step
+
+        def r_invert(p: StateVector) -> StateVector:
+            return solve_perturbed_inverse(op, beta, p, next(inverse_tols))
+
+        # the source is -beta; negating the series of beta is exact
+        return -intertwining_solution(
+            op, partial(perturbed_apply, op, beta), r_invert, beta, beta.sup_bound,
+            x, self.policy, self.terms,
         )
 
     def report(self) -> dict:
@@ -401,16 +381,12 @@ def solve_inverse_conjugacy(
         point_errors.append(err)
         radius = op.norm_Tinv * (radius + beta.sup_bound) + err
     # A point error e enters a series term through beta, whose certified
-    # moduli give |beta(u) - beta(v)| <= min(Lip * e, 2 * eps_eff * e^theta,
-    # 2 * sup) for every theta in (0, 1] with eps_eff = max(sup, Lip); the
-    # small exponents keep the bound summable when t * Lip(S^{-1}) >= 1.
-    eps_eff = max(beta.sup_bound, beta.lip_bound)
-    thetas = [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125]
+    # modulus of continuity is |beta(u) - beta(v)| <= min(Lip * e, 2 * sup).
+    # The 2 * sup cap keeps the sum bounded when t * Lip(S^{-1}) >= 1, and no
+    # Holder modulus 2 * max(sup, Lip) * e^theta, theta in (0, 1], is smaller.
 
     def beta_gap(e: float) -> float:
-        options = [beta.lip_bound * e, 2.0 * beta.sup_bound]
-        options += [2.0 * eps_eff * e**theta for theta in thetas]
-        return min(options)
+        return min(beta.lip_bound * e, 2.0 * beta.sup_bound)
 
     orbit_err = sum(
         k.c * k.d * (k.t**j) * beta_gap(point_errors[j]) for j in range(terms + 1)

@@ -16,6 +16,11 @@ Both carry certified decay constants (c, t, d): ``|T^n y| <= c t^n |y|`` on
 M and ``|T^{-n} z| <= c t^n |z|`` on N, with d the larger projection norm.
 The constants are certified on a finite window and extended to all powers by
 submultiplicativity of operator norms.
+
+``orbit_sum`` is the only orbit-series primitive: it sums already projected
+terms by Horner's rule on the backend's native values, stepping only with
+the restricted maps A_M = T P_M and A_N = T^{-1} P_N, so partial sums never
+leave their side of the splitting.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .vectors import (
     SparseVector,
     StateVector,
 )
-from .vectors import _dense_raw, _sparse_raw  # internal fast constructors
+from .vectors import _add_coords, _dense_raw, _sparse_raw  # internal fast paths
 
 __all__ = [
     "CertificationError",
@@ -113,6 +118,14 @@ class WeightSpec:
             "core": {str(i): v for i, v in sorted(self.core.items())},
         }
 
+    @staticmethod
+    def from_descriptor(obj: dict) -> "WeightSpec":
+        return WeightSpec(
+            left_tail=float(obj["left_tail"]),
+            right_tail=float(obj["right_tail"]),
+            core={int(k): float(v) for k, v in obj.get("core", {}).items()},
+        )
+
 
 @dataclass(frozen=True)
 class CriterionReport:
@@ -158,8 +171,10 @@ class ShiftOperator:
     def __init__(self, weights: WeightSpec, norm_kind: NormKind = SUP_NORM):
         self.weights = weights
         self.norm_kind = norm_kind
-        self.norm_T = self._sup_abs_weight()
-        self.norm_Tinv = 1.0 / self._inf_abs_weight()
+        magnitudes = [abs(weights.left_tail), abs(weights.right_tail)]
+        magnitudes += [abs(v) for v in weights.core.values()]
+        self.norm_T = max(magnitudes)
+        self.norm_Tinv = 1.0 / min(magnitudes)
         self.norm_T_on_M = self._power_norm_on_M(1)
         self.norm_Tinv_on_N = self._power_norm_on_N_inverse(1)
         self.norm_P_M = 1.0
@@ -188,65 +203,26 @@ class ShiftOperator:
     def project_N(self, x: SparseVector) -> SparseVector:
         return _sparse_raw({i: v for i, v in x.items() if i >= 1})
 
-    # -- raw dict kernels for the series hot loops -----------------------
+    def orbit_sum(
+        self, m_terms: list[SparseVector], n_terms: list[SparseVector]
+    ) -> SparseVector:
+        """sum_k T^k m_k - sum_k T^{-(k+1)} n_k for m_k in M and n_k in N.
 
-    @staticmethod
-    def _unwrap(v: SparseVector) -> dict:
-        return v._coords
-
-    @staticmethod
-    def _wrap(coords: dict) -> SparseVector:
-        return _sparse_raw(coords)
-
-    def _apply_raw(self, coords: dict) -> dict:
+        T moves support {<= 0} into itself and T^{-1} moves {>= 1} into
+        itself, so on these terms A_M and A_N are T and T^{-1} exactly.
+        """
         w = self.weights.weight
-        return {i - 1: p for i, v in coords.items() if (p := w(i) * v) != 0.0}
-
-    def _apply_inverse_raw(self, coords: dict) -> dict:
-        w = self.weights.weight
-        return {i + 1: p for i, v in coords.items() if (p := v / w(i + 1)) != 0.0}
-
-    @staticmethod
-    def _project_M_raw(coords: dict) -> dict:
-        return {i: v for i, v in coords.items() if i <= 0}
-
-    @staticmethod
-    def _project_N_raw(coords: dict) -> dict:
-        return {i: v for i, v in coords.items() if i >= 1}
-
-    @staticmethod
-    def _add_raw(a: dict, b: dict) -> dict:
-        out = dict(a)
-        for i, v in b.items():
-            s = out.get(i, 0.0) + v
-            if s == 0.0:
-                out.pop(i, None)
-            else:
-                out[i] = s
-        return out
-
-    @staticmethod
-    def _sub_raw(a: dict, b: dict) -> dict:
-        out = dict(a)
-        for i, v in b.items():
-            s = out.get(i, 0.0) - v
-            if s == 0.0:
-                out.pop(i, None)
-            else:
-                out[i] = s
-        return out
+        acc_m: dict[int, float] = {}
+        for m in reversed(m_terms):
+            step = {i - 1: p for i, v in acc_m.items() if (p := w(i) * v) != 0.0}
+            acc_m = _add_coords(m._coords, step, 1.0)
+        acc_n: dict[int, float] = {}
+        for n in reversed(n_terms):
+            acc = _add_coords(n._coords, acc_n, 1.0)
+            acc_n = {i + 1: p for i, v in acc.items() if (p := v / w(i + 1)) != 0.0}
+        return _sparse_raw(_add_coords(acc_m, acc_n, -1.0))
 
     # -- exact norms ----------------------------------------------------
-
-    def _sup_abs_weight(self) -> float:
-        vals = [abs(self.weights.left_tail), abs(self.weights.right_tail)]
-        vals += [abs(v) for v in self.weights.core.values()]
-        return max(vals)
-
-    def _inf_abs_weight(self) -> float:
-        vals = [abs(self.weights.left_tail), abs(self.weights.right_tail)]
-        vals += [abs(v) for v in self.weights.core.values()]
-        return min(vals)
 
     def _power_norm_on_M(self, n: int) -> float:
         """Exact norm of the n-th power restricted to M (support <= 0).
@@ -310,6 +286,8 @@ class MatrixOperator:
         self.matrix_inv = matrix_inv
         self.proj_M_matrix = proj_M
         self.proj_N_matrix = np.eye(matrix.shape[0]) - proj_M
+        self.a_M = matrix @ proj_M
+        self.a_N = matrix_inv @ self.proj_N_matrix
         self.eigenvalues = eigenvalues
         self.norm_kind = norm_kind
         self.m_dim = int(round(np.trace(proj_M)))
@@ -319,8 +297,8 @@ class MatrixOperator:
         self._ord = _matrix_norm_order(norm_kind)
         self.norm_T = self._induced(matrix)
         self.norm_Tinv = self._induced(matrix_inv)
-        self.norm_T_on_M = self._induced(matrix @ proj_M)
-        self.norm_Tinv_on_N = self._induced(matrix_inv @ self.proj_N_matrix)
+        self.norm_T_on_M = self._induced(self.a_M)
+        self.norm_Tinv_on_N = self._induced(self.a_N)
         self.norm_P_M = self._induced(proj_M)
         self.norm_P_N = self._induced(self.proj_N_matrix)
         self.constants: _Constants | None = None
@@ -348,43 +326,27 @@ class MatrixOperator:
     def project_N(self, x: DenseVector) -> DenseVector:
         return _dense_raw(self.proj_N_matrix @ x.array)
 
-    # -- raw array kernels for the series hot loops -----------------------
+    def orbit_sum(
+        self, m_terms: list[DenseVector], n_terms: list[DenseVector]
+    ) -> DenseVector:
+        """sum_k T^k m_k - sum_k T^{-(k+1)} n_k for m_k in M and n_k in N.
 
-    @staticmethod
-    def _unwrap(v: DenseVector) -> np.ndarray:
-        return v.array
-
-    @staticmethod
-    def _wrap(arr: np.ndarray) -> DenseVector:
-        return _dense_raw(arr)
-
-    def _apply_raw(self, arr: np.ndarray) -> np.ndarray:
-        return self.matrix @ arr
-
-    def _apply_inverse_raw(self, arr: np.ndarray) -> np.ndarray:
-        return self.matrix_inv @ arr
-
-    def _project_M_raw(self, arr: np.ndarray) -> np.ndarray:
-        return self.proj_M_matrix @ arr
-
-    def _project_N_raw(self, arr: np.ndarray) -> np.ndarray:
-        return self.proj_N_matrix @ arr
-
-    @staticmethod
-    def _add_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a + b
-
-    @staticmethod
-    def _sub_raw(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return a - b
+        Stepping with A_M and A_N instead of T and T^{-1} keeps rounding in
+        a partial sum from leaking into the other side, where the powers of
+        T would amplify it.
+        """
+        acc_m = acc_n = np.zeros(self.dim)
+        for m in reversed(m_terms):
+            acc_m = m.array + self.a_M @ acc_m
+        for n in reversed(n_terms):
+            acc_n = self.a_N @ (n.array + acc_n)
+        return _dense_raw(acc_m - acc_n)
 
     def _power_norm_on_M(self, n: int) -> float:
-        return self._induced(np.linalg.matrix_power(self.matrix @ self.proj_M_matrix, n))
+        return self._induced(np.linalg.matrix_power(self.a_M, n))
 
     def _power_norm_on_N_inverse(self, n: int) -> float:
-        return self._induced(
-            np.linalg.matrix_power(self.matrix_inv @ self.proj_N_matrix, n)
-        )
+        return self._induced(np.linalg.matrix_power(self.a_N, n))
 
     def stable_spectral_radii(self) -> tuple[float, float]:
         mods = np.abs(self.eigenvalues)
@@ -518,23 +480,25 @@ def estimate_constants(
         raise CertificationError(
             f"t={t} does not dominate the stable spectral radii ({rho_m}, {rho_n})"
         )
+    n_max, c = _decay_window(op, t, n_cap)
+    d = max(op.norm_P_M, op.norm_P_N)
+    op.constants = _Constants(c=c, t=t, d=d, n_max=n_max)
+    return c, t, d
+
+
+def _decay_window(op: GHOperator, t: float, n_cap: int = 10_000) -> tuple[int, float]:
+    """First n with |A_M^n| <= t^n and |A_N^n| <= t^n, and c = max ratio up to it."""
     c = 1.0
-    n_max = 0
     for n in range(1, n_cap + 1):
         tn = t**n
         ratio_m = op._power_norm_on_M(n) / tn
         ratio_n = op._power_norm_on_N_inverse(n) / tn
         c = max(c, ratio_m, ratio_n)
         if ratio_m <= 1.0 and ratio_n <= 1.0:
-            n_max = n
-            break
-    else:
-        raise CertificationError(
-            f"constants not certifiable at this t: no power window within {n_cap} steps"
-        )
-    d = max(op.norm_P_M, op.norm_P_N)
-    op.constants = _Constants(c=c, t=t, d=d, n_max=n_max)
-    return c, t, d
+            return n, c
+    raise CertificationError(
+        f"constants not certifiable at this t={t}: no power window within {n_cap} steps"
+    )
 
 
 def _require_constants(op: GHOperator) -> _Constants:
@@ -609,15 +573,8 @@ def adapted_norm(op: GHOperator, t: float | None = None) -> AdaptedNorm:
     rho = max(op.stable_spectral_radii())
     if not (rho <= t < 1.0):
         raise CertificationError(f"t={t} must separate the spectral radius {rho} from 1")
-    c = 1.0
-    for n in range(1, 10_000 + 1):
-        tn = t**n
-        rm = op._power_norm_on_M(n) / tn
-        rn = op._power_norm_on_N_inverse(n) / tn
-        c = max(c, rm, rn)
-        if rm <= 1.0 and rn <= 1.0:
-            return AdaptedNorm(op, t, n, c)
-    raise CertificationError(f"constants not certifiable at this t={t}")
+    n, c = _decay_window(op, t)
+    return AdaptedNorm(op, t, n, c)
 
 
 def operator_from_descriptor(obj: dict, norm_kind: NormKind | None = None) -> GHOperator:
@@ -634,13 +591,7 @@ def operator_from_descriptor(obj: dict, norm_kind: NormKind | None = None) -> GH
     t = obj.get("t")
     kind = obj.get("kind")
     if kind == "shift":
-        core = {int(k): float(v) for k, v in obj.get("core", {}).items()}
-        spec = WeightSpec(
-            left_tail=float(obj["left_tail"]),
-            right_tail=float(obj["right_tail"]),
-            core=core,
-        )
-        return make_shift(spec, norm_kind, t)
+        return make_shift(WeightSpec.from_descriptor(obj), norm_kind, t)
     if kind == "matrix":
         return make_matrix_operator(obj["rows"], norm_kind, t)
     raise ValueError(f"unknown operator kind {kind!r}")

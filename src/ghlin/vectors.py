@@ -108,26 +108,12 @@ class SparseVector:
     def __add__(self, other: "SparseVector") -> "SparseVector":
         if not isinstance(other, SparseVector):
             return NotImplemented
-        out = dict(self._coords)
-        for i, v in other._coords.items():
-            s = out.get(i, 0.0) + v
-            if s == 0.0:
-                out.pop(i, None)
-            else:
-                out[i] = s
-        return _sparse_raw(out)
+        return _sparse_raw(_add_coords(self._coords, other._coords, 1.0))
 
     def __sub__(self, other: "SparseVector") -> "SparseVector":
         if not isinstance(other, SparseVector):
             return NotImplemented
-        out = dict(self._coords)
-        for i, v in other._coords.items():
-            s = out.get(i, 0.0) - v
-            if s == 0.0:
-                out.pop(i, None)
-            else:
-                out[i] = s
-        return _sparse_raw(out)
+        return _sparse_raw(_add_coords(self._coords, other._coords, -1.0))
 
     def __mul__(self, a: float) -> "SparseVector":
         if a == 0.0:
@@ -140,12 +126,22 @@ class SparseVector:
         return _sparse_raw({i: -v for i, v in self._coords.items()})
 
     def memo_key(self) -> tuple:
-        """Hashable key with coordinates quantized at 1e-15 relative granularity."""
+        """Hashable key on the exact coordinates: distinct points never share one."""
         if self._key is None:
-            self._key = tuple(
-                sorted((i, f"{v:.15e}") for i, v in self._coords.items())
-            )
+            self._key = tuple(sorted(self._coords.items()))
         return self._key
+
+
+def _add_coords(a: dict[int, float], b: dict[int, float], scale: float) -> dict[int, float]:
+    # a + scale * b on coordinate dicts, dropping entries that cancel to zero
+    out = dict(a)
+    for i, v in b.items():
+        s = out.get(i, 0.0) + scale * v
+        if s == 0.0:
+            out.pop(i, None)
+        else:
+            out[i] = s
+    return out
 
 
 def _sparse_raw(coords: dict[int, float]) -> SparseVector:
@@ -206,10 +202,10 @@ class DenseVector:
     def __neg__(self) -> "DenseVector":
         return _dense_raw(-self.array)
 
-    def memo_key(self) -> tuple:
-        """Hashable key with coordinates quantized at 1e-15 relative granularity."""
+    def memo_key(self) -> bytes:
+        """Hashable key on the exact coordinate bits: distinct points never share one."""
         if self._key is None:
-            self._key = tuple(f"{v:.15e}" for v in self.array)
+            self._key = self.array.tobytes()
         return self._key
 
 
@@ -248,14 +244,7 @@ def axpy(a: float, x: StateVector, y: StateVector) -> StateVector:
     if isinstance(x, SparseVector) and isinstance(y, SparseVector):
         if a == 0.0:
             return _sparse_raw(dict(y.items()))
-        out = {i: v for i, v in y.items()}
-        for i, v in x.items():
-            s = out.get(i, 0.0) + a * v
-            if s == 0.0:
-                out.pop(i, None)
-            else:
-                out[i] = s
-        return _sparse_raw(out)
+        return _sparse_raw(_add_coords(y._coords, x._coords, a))
     if isinstance(x, DenseVector) and isinstance(y, DenseVector):
         _check_dims(x, y)
         return _dense_raw(a * x.array + y.array)

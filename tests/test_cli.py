@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from ghlin import IterationLimitError, cli
 from ghlin.cli import main
 
 
@@ -129,6 +130,17 @@ def test_missing_required_key(tmp_path, capsys):
     code = main(["conjugate", "--config", cfg, "--out", str(tmp_path / "run")])
     assert code == 2
     assert "operator" in capsys.readouterr().err
+
+
+def test_iteration_limit_exits_with_check_failure(tmp_path, capsys, monkeypatch):
+    def stalled(config, prefix, rng):
+        raise IterationLimitError("perturbed inverse did not converge")
+
+    monkeypatch.setitem(cli._COMMANDS, "constants", stalled)
+    cfg = write_config(tmp_path, "c.json", {"operator": SHIFT})
+    code = main(["constants", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 1
+    assert "did not converge" in capsys.readouterr().err
 
 
 def test_linearize_quadratic_problem(tmp_path):

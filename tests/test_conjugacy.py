@@ -16,6 +16,7 @@ from ghlin import (
     make_matrix_operator,
     make_shift,
     norm,
+    saturating_perturbation,
     sine_perturbation,
     solve_conjugacy,
     solve_inverse_conjugacy,
@@ -228,6 +229,28 @@ def test_verify_conjugacy_matrix_instance(rng):
     cert = make_holder_certificate(op, beta, 0.25, eps_eff, 0.999)
     inverse = verify_inverse_pair(fwd, bwd, points, holder=cert)
     assert inverse.passed
+
+
+def test_verify_conjugacy_non_normal_matrix(rng):
+    # Schur-split 6x6 instance with a large M-N coupling: Horner steps must
+    # stay in M and N, or rounding leaks across and T^k amplifies it
+    op = make_matrix_operator(
+        [
+            [0.5, 0.8, 0.0, 0.0, 0.1, 0.0],
+            [0.0, 0.6, 0.7, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.4, 0.0, 0.0, 0.2],
+            [0.0, 0.0, 0.0, 2.5, 0.9, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 3.0, 0.8],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 2.2],
+        ]
+    )
+    beta = saturating_perturbation(0.002, 1.0)
+    policy = SeriesPolicy(tol=1e-6)
+    fwd = solve_conjugacy(op, beta, 0.2, policy, picard_tol=1e-4)
+    bwd = solve_inverse_conjugacy(op, beta, policy)
+    points = [DenseVector(rng.uniform(-1, 1, 6)) for _ in range(2)]
+    assert verify_conjugacy(fwd, points).passed
+    assert verify_conjugacy(bwd, points).passed
 
 
 def test_verify_inverse_requires_shared_instance(rng):

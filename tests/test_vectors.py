@@ -1,5 +1,7 @@
 """State vector arithmetic, norms and serialization."""
 
+import math
+
 import pytest
 
 from ghlin import (
@@ -103,6 +105,14 @@ def test_dense_vectors_are_read_only():
     v = DenseVector([1.0, 2.0])
     with pytest.raises(ValueError):
         v.array[0] = 3.0
+
+
+def test_memo_keys_separate_neighbouring_floats():
+    near = math.nextafter(0.1, 1.0)
+    assert SparseVector({0: 0.1}).memo_key() != SparseVector({0: near}).memo_key()
+    assert DenseVector([0.1]).memo_key() != DenseVector([near]).memo_key()
+    assert SparseVector({0: 0.1}).memo_key() == SparseVector({0: 0.1}).memo_key()
+    assert DenseVector([0.1]).memo_key() == DenseVector([0.1]).memo_key()
 
 
 def test_sparse_json_round_trip():
