@@ -13,8 +13,10 @@ Subcommands:
 Each run reads one JSON config, writes ``<prefix>.report.json`` and, for the
 sampling commands, ``<prefix>.samples.csv``.  Exit code 0 means every
 certified check passed, 1 means a check ran but exceeded its certified
-bound or an iterative solve hit its iteration cap, 2 means the
-configuration or preconditions were invalid.
+bound or could not be certified (its ``status`` is ``"uncertified"`` and its
+bound is written as null), or an iterative solve hit its iteration cap, 2
+means the configuration or preconditions were invalid.  Reports are strict
+JSON: a non-finite number is never written.
 """
 
 from __future__ import annotations
@@ -86,9 +88,9 @@ def _load_config(path: str) -> dict:
 def _write_report(prefix: str, payload: dict) -> None:
     payload = dict(payload)
     payload["generated_at"] = datetime.now(timezone.utc).isoformat()
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(f"{prefix}.report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_samples(prefix: str, rows: list[tuple]) -> None:

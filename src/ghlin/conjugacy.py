@@ -14,16 +14,23 @@ which converge geometrically thanks to the splitting decay constants
 (c, t, d).  Truncating both series at K + 1 terms leaves a certified tail of
 c * d * |source|_inf * t^(K+1) * (1 + t) / (1 - t).
 
-The series itself is summed in one place, the operator's ``orbit_sum``,
-which steps with the restricted maps A_M = T P_M and A_N = T^{-1} P_N; this
-module only builds orbits and projected source terms from public vectors.
+The series is summed in one place, the operator's ``orbit_sweep``: given
+source values on a run of orbit indices, it returns the series at every
+index with K + 1 sources on both sides, in one pass per side.  A single
+value (``intertwining_solution``) is its width-1 call.
 
 The forward conjugacy H = I + h with H o T = (T + beta) o H solves the
-self-referential equation h = solution-of(beta o (I + h)) with R = T, handled
-by depth-bounded contraction unrolling.  The backward conjugacy
-H' = I + h' with H' o (T + beta) = T o H' is the direct series with
-R = T + beta and source = -beta.  Both displacements land in the subspace
-M + T^{-1}(N) term by term.
+self-referential equation h = solution-of(beta o (I + h)) with R = T.  It is
+computed by Picard iteration on the orbit lattice of the evaluation point x:
+level l holds h_l on a range of orbit indices and is one sweep over the
+sources beta(T^j x + h_{l-1}(j)).  The top level needs index 0 only, and
+each level below needs K + 1 more indices on the left and K more on the
+right.  A value inside a level's range sums more than K + 1 terms of each
+series, but every value holds at least the K + 1 nearest ones, so what it
+omits is part of the (K + 1)-term tail and the truncation certificate still
+bounds it.  The backward conjugacy H' = I + h' with H' o (T + beta) = T o H'
+is the direct series with R = T + beta and source = -beta.  Both
+displacements land in the subspace M + T^{-1}(N) term by term.
 
 Every map carries a certified worst-case evaluation error; verification
 routines compare observed identity residuals against bounds derived from it.
@@ -64,6 +71,8 @@ __all__ = [
 
 FORWARD = "forward"
 BACKWARD = "backward"
+CERTIFIED = "certified"
+UNCERTIFIED = "uncertified"
 
 
 @dataclass(frozen=True)
@@ -127,42 +136,19 @@ def intertwining_solution(
     """
     if terms is None:
         terms = truncation_terms(op, source_sup, policy)
-    pts_back = []
-    pt = x
-    for _ in range(terms + 1):
-        pt = r_invert(pt)
-        pts_back.append(pt)
-    pts_fwd = [x]
-    for _ in range(terms):
-        pts_fwd.append(r_apply(pts_fwd[-1]))
-    return op.orbit_sum(
-        [op.project_M(source(p)) for p in pts_back],
-        [op.project_N(source(p)) for p in pts_fwd],
-    )
+    orbit = _orbit(r_apply, r_invert, x, terms + 1, terms)
+    return op.orbit_sweep([source(p) for p in orbit], terms)[0]
 
 
-class _OrbitCache:
-    """Lazily extended two-sided orbit {R^m x} of a single base point."""
-
-    __slots__ = ("_fwd", "_bwd", "_apply", "_invert")
-
-    def __init__(self, apply_fn, invert_fn, base: StateVector):
-        self._fwd = [base]
-        self._bwd: list = []
-        self._apply = apply_fn
-        self._invert = invert_fn
-
-    def point(self, m: int) -> StateVector:
-        if m >= 0:
-            fwd = self._fwd
-            while len(fwd) <= m:
-                fwd.append(self._apply(fwd[-1]))
-            return fwd[m]
-        bwd = self._bwd
-        j = -m - 1
-        while len(bwd) <= j:
-            bwd.append(self._invert(bwd[-1] if bwd else self._fwd[0]))
-        return bwd[j]
+def _orbit(r_apply, r_invert, x: StateVector, back: int, ahead: int) -> list[StateVector]:
+    """[R^{-back} x, ..., x, ..., R^{ahead} x], inverting outward from x first."""
+    orbit = [x]
+    for _ in range(back):
+        orbit.append(r_invert(orbit[-1]))
+    orbit.reverse()
+    for _ in range(ahead):
+        orbit.append(r_apply(orbit[-1]))
+    return orbit
 
 
 class ConjugacyMap:
@@ -170,8 +156,8 @@ class ConjugacyMap:
 
     Forward direction: H o T = S o H; backward: H o S = T o H, where
     S = T + beta.  ``certified_error`` bounds the distance between returned
-    displacement values and the exact ones (for the backward map, on
-    evaluation points within ``eval_radius`` in the ambient norm).
+    displacement values and the exact ones, on evaluation points within
+    ``eval_radius`` in the ambient norm (``None``: everywhere).
 
     Evaluation is pure; the memo caches displacement values keyed by the
     exact coordinates, and concurrent writers would insert identical values.
@@ -189,6 +175,7 @@ class ConjugacyMap:
         picard_tol: float | None = None,
         certified_error: float = 0.0,
         inverse_tols: list[float] | None = None,
+        eval_radius: float | None = None,
     ):
         self.op = op
         self.beta = beta
@@ -200,6 +187,7 @@ class ConjugacyMap:
         self.picard_tol = picard_tol
         self.certified_error = certified_error
         self._inverse_tols = inverse_tols or []
+        self.eval_radius = eval_radius
         self.memo: dict = {}
 
     def displacement(self, x: StateVector) -> StateVector:
@@ -218,43 +206,28 @@ class ConjugacyMap:
     def __call__(self, x: StateVector) -> StateVector:
         return x + self.displacement(x)
 
-    # -- forward: depth-bounded unrolling of the self-referential solve ---
+    def covers(self, x: StateVector) -> bool:
+        """Whether ``certified_error`` is quoted at x."""
+        return self.eval_radius is None or norm(x, self.op.norm_kind) <= self.eval_radius
+
+    # -- forward: one two-sided sweep per Picard level ------------------
 
     def _forward_value(self, x: StateVector) -> StateVector:
         if self.depth == 0 or self.beta.is_zero:
             return zero_like(x)
-        op, beta, terms = self.op, self.beta, self.terms
-        orbit = _OrbitCache(op.apply, op.apply_inverse, x)
-        level: dict[tuple[int, int], StateVector] = {}
-        # projected source terms P_M beta(u), P_N beta(u) at u = orbit + lower
-        # displacement, shared by every series window touching that point
-        sources: dict[tuple[int, int], tuple] = {}
-
-        def source(depth_below: int, j: int) -> tuple:
-            key = (depth_below, j)
-            got = sources.get(key)
-            if got is None:
-                u = orbit.point(j)
-                if depth_below > 0:
-                    u = u + displacement_at(depth_below, j)
-                bu = beta(u)
-                got = (op.project_M(bu), op.project_N(bu))
-                sources[key] = got
-            return got
-
-        def displacement_at(depth: int, m: int) -> StateVector:
-            key = (depth, m)
-            got = level.get(key)
-            if got is None:
-                below = depth - 1
-                got = op.orbit_sum(
-                    [source(below, m - k - 1)[0] for k in range(terms + 1)],
-                    [source(below, m + k)[1] for k in range(terms + 1)],
-                )
-                level[key] = got
-            return got
-
-        return displacement_at(self.depth, 0)
+        op, beta, k = self.op, self.beta, self.terms
+        # Ranges are planned top-down: the top level needs index 0, and a
+        # level on [lo, hi] reads sources on [lo - K - 1, hi + K], the range
+        # of the level below.  So level l covers [-(depth - l)(K + 1),
+        # (depth - l) K], and the bare orbit is level 0.
+        orbit = _orbit(op.apply, op.apply_inverse, x, self.depth * (k + 1), self.depth * k)
+        values = None  # h_{l-1} on the source range of level l
+        for level in range(1, self.depth + 1):
+            points = orbit[(level - 1) * (k + 1) : len(orbit) - (level - 1) * k]
+            if values is not None:  # u_j = T^j x + h_{l-1}(j)
+                points = [p + h for p, h in zip(points, values)]
+            values = op.orbit_sweep([beta(u) for u in points], k)
+        return values[0]
 
     # -- backward: direct series along the perturbed orbit ----------------
 
@@ -280,6 +253,7 @@ class ConjugacyMap:
             "depth": self.depth,
             "contraction": self.contraction,
             "certified_error": self.certified_error,
+            "eval_radius": self.eval_radius,
         }
 
 
@@ -399,6 +373,7 @@ def solve_inverse_conjugacy(
         terms=terms,
         certified_error=policy.tol + orbit_err,
         inverse_tols=inverse_tols,
+        eval_radius=eval_radius,
     )
 
 
@@ -416,26 +391,39 @@ def eval_H_prime(cmap: ConjugacyMap, x: StateVector) -> StateVector:
     return cmap(x)
 
 
+def _status(bound: float, covered: bool) -> str:
+    # a bound certifies a check only if it is finite and quoted at every
+    # point the check evaluated
+    return CERTIFIED if math.isfinite(bound) and covered else UNCERTIFIED
+
+
 @dataclass
 class VerificationReport:
-    """Observed identity residuals against the map's own certified bound."""
+    """Observed identity residuals against the map's own certified bound.
+
+    ``status`` is ``"uncertified"`` when the bound is not finite or a map was
+    evaluated outside its ``eval_radius``; such a check never passes, and
+    its bound is written as null.
+    """
 
     kind: str
     n_samples: int
     max_residual: float
     certified_bound: float
+    status: str = CERTIFIED
     per_point: list[float] = field(repr=False, default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.certified_bound
+        return self.status == CERTIFIED and self.max_residual <= self.certified_bound
 
     def to_dict(self) -> dict:
         return {
             "kind": self.kind,
             "n_samples": self.n_samples,
             "max_residual": self.max_residual,
-            "certified_bound": self.certified_bound,
+            "certified_bound": self.certified_bound if self.status == CERTIFIED else None,
+            "status": self.status,
             "passed": self.passed,
         }
 
@@ -450,36 +438,46 @@ def verify_conjugacy(cmap: ConjugacyMap, samples: Sequence[StateVector]) -> Veri
     op, beta = cmap.op, cmap.beta
     err = cmap.certified_error
     residuals = []
+    evaluated = []  # every point the map was evaluated at
     if cmap.direction == FORWARD:
         bound = err * (1.0 + op.norm_T + beta.lip_bound)
         for x in samples:
-            lhs = cmap(op.apply(x))
+            tx = op.apply(x)
+            lhs = cmap(tx)
             hx = cmap(x)
             rhs = op.apply(hx) + beta(hx)
             residuals.append(norm(lhs - rhs, op.norm_kind))
+            evaluated += (tx, x)
     else:
         bound = err * (1.0 + op.norm_T)
         for x in samples:
-            lhs = cmap(perturbed_apply(op, beta, x))
+            sx = perturbed_apply(op, beta, x)
+            lhs = cmap(sx)
             rhs = op.apply(cmap(x))
             residuals.append(norm(lhs - rhs, op.norm_kind))
+            evaluated += (sx, x)
     return VerificationReport(
         kind=cmap.direction,
         n_samples=len(residuals),
         max_residual=max(residuals, default=0.0),
         certified_bound=bound,
+        status=_status(bound, all(cmap.covers(p) for p in evaluated)),
         per_point=residuals,
     )
 
 
 @dataclass
 class InversePairReport:
-    """Residuals of H_back o H_fwd = I and H_fwd o H_back = I over samples."""
+    """Residuals of H_back o H_fwd = I and H_fwd o H_back = I over samples.
+
+    ``status`` has the meaning of ``VerificationReport.status``.
+    """
 
     n_samples: int
     max_residual_left: float
     max_residual_right: float
     certified_bound: float
+    status: str = CERTIFIED
     per_point: list[tuple[float, float]] = field(repr=False, default_factory=list)
 
     @property
@@ -488,14 +486,15 @@ class InversePairReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.certified_bound
+        return self.status == CERTIFIED and self.max_residual <= self.certified_bound
 
     def to_dict(self) -> dict:
         return {
             "n_samples": self.n_samples,
             "max_residual_left": self.max_residual_left,
             "max_residual_right": self.max_residual_right,
-            "certified_bound": self.certified_bound,
+            "certified_bound": self.certified_bound if self.status == CERTIFIED else None,
+            "status": self.status,
             "passed": self.passed,
         }
 
@@ -515,8 +514,8 @@ def verify_inverse_pair(
     backward map to the residual vector gives the self-consistent
     inequality r <= C r^theta + (L + 2 E_b), whose positive fixed point is
     the certified bound.  With a zero perturbation the bound is exactly 0;
-    without a certificate the bound is reported as infinity (observed
-    residuals only).
+    without a certificate the bound is infinity and the check is
+    uncertified (observed residuals only).
     """
     if fwd.direction != FORWARD or bwd.direction != BACKWARD:
         raise ValueError("verify_inverse_pair needs a (forward, backward) pair")
@@ -541,15 +540,20 @@ def verify_inverse_pair(
     else:
         bound = math.inf
     pairs = []
+    evaluated = []  # (map, point) for every evaluation
     for x in samples:
-        left = norm(bwd(fwd(x)) - x, fwd.op.norm_kind)
-        right = norm(fwd(bwd(x)) - x, fwd.op.norm_kind)
+        fx = fwd(x)
+        left = norm(bwd(fx) - x, fwd.op.norm_kind)
+        bx = bwd(x)
+        right = norm(fwd(bx) - x, fwd.op.norm_kind)
         pairs.append((left, right))
+        evaluated += ((fwd, x), (bwd, fx), (bwd, x), (fwd, bx))
     return InversePairReport(
         n_samples=len(pairs),
         max_residual_left=max((p[0] for p in pairs), default=0.0),
         max_residual_right=max((p[1] for p in pairs), default=0.0),
         certified_bound=bound,
+        status=_status(bound, all(m.covers(p) for m, p in evaluated)),
         per_point=pairs,
     )
 

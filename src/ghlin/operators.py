@@ -17,10 +17,14 @@ M and ``|T^{-n} z| <= c t^n |z|`` on N, with d the larger projection norm.
 The constants are certified on a finite window and extended to all powers by
 submultiplicativity of operator norms.
 
-``orbit_sum`` is the only orbit-series primitive: it sums already projected
-terms by Horner's rule on the backend's native values, stepping only with
-the restricted maps A_M = T P_M and A_N = T^{-1} P_N, so partial sums never
-leave their side of the splitting.
+``orbit_sweep`` is the only orbit-series primitive.  Given source values on
+a run of consecutive orbit indices, it sums the two-sided series at every
+index that has K + 1 sources on each side, in one pass per side: the M
+side left to right, S <- P_M s_j + A_M S, and the N side right to left,
+R <- A_N (P_N s_j + R).  Stepping only with the restricted maps
+A_M = T P_M and A_N = T^{-1} P_N keeps partial sums on their side of the
+splitting.  Each value holds at least the K + 1 nearest terms of both
+series, so its omitted tail lies inside the (K + 1)-term tail.
 """
 
 from __future__ import annotations
@@ -203,24 +207,33 @@ class ShiftOperator:
     def project_N(self, x: SparseVector) -> SparseVector:
         return _sparse_raw({i: v for i, v in x.items() if i >= 1})
 
-    def orbit_sum(
-        self, m_terms: list[SparseVector], n_terms: list[SparseVector]
-    ) -> SparseVector:
-        """sum_k T^k m_k - sum_k T^{-(k+1)} n_k for m_k in M and n_k in N.
+    def orbit_sweep(self, sources: list[SparseVector], terms: int) -> list[SparseVector]:
+        """Two-sided orbit series at each index with terms + 1 sources per side.
 
-        T moves support {<= 0} into itself and T^{-1} moves {>= 1} into
-        itself, so on these terms A_M and A_N are T and T^{-1} exactly.
+        ``sources`` are s_a, ..., s_b in orbit order; the value at index m,
+        a + K + 1 <= m <= b - K, is
+        sum_k T^k P_M s_{m-k-1} - sum_k T^{-(k+1)} P_N s_{m+k} over every
+        source in range.  T moves support {<= 0} into itself and T^{-1}
+        moves {>= 1} into itself, so on these terms A_M and A_N are T and
+        T^{-1} exactly.
         """
         w = self.weights.weight
-        acc_m: dict[int, float] = {}
-        for m in reversed(m_terms):
-            step = {i - 1: p for i, v in acc_m.items() if (p := w(i) * v) != 0.0}
-            acc_m = _add_coords(m._coords, step, 1.0)
-        acc_n: dict[int, float] = {}
-        for n in reversed(n_terms):
-            acc = _add_coords(n._coords, acc_n, 1.0)
-            acc_n = {i + 1: p for i, v in acc.items() if (p := v / w(i + 1)) != 0.0}
-        return _sparse_raw(_add_coords(acc_m, acc_n, -1.0))
+        acc: dict[int, float] = {}
+        sums_m = []  # S_M(m) for m = a + 1, ..., b - K
+        for s in sources[: len(sources) - terms - 1]:
+            step = {i - 1: p for i, v in acc.items() if (p := w(i) * v) != 0.0}
+            acc = _add_coords(self.project_M(s)._coords, step, 1.0)
+            sums_m.append(acc)
+        acc = {}
+        sums_n = []  # S_N(m) for m = b, ..., a + K + 1
+        for s in reversed(sources[terms + 1 :]):
+            step = _add_coords(self.project_N(s)._coords, acc, 1.0)
+            acc = {i + 1: p for i, v in step.items() if (p := v / w(i + 1)) != 0.0}
+            sums_n.append(acc)
+        return [
+            _sparse_raw(_add_coords(s_m, s_n, -1.0))
+            for s_m, s_n in zip(sums_m[terms:], reversed(sums_n))
+        ]
 
     # -- exact norms ----------------------------------------------------
 
@@ -326,21 +339,24 @@ class MatrixOperator:
     def project_N(self, x: DenseVector) -> DenseVector:
         return _dense_raw(self.proj_N_matrix @ x.array)
 
-    def orbit_sum(
-        self, m_terms: list[DenseVector], n_terms: list[DenseVector]
-    ) -> DenseVector:
-        """sum_k T^k m_k - sum_k T^{-(k+1)} n_k for m_k in M and n_k in N.
+    def orbit_sweep(self, sources: list[DenseVector], terms: int) -> list[DenseVector]:
+        """Two-sided orbit series at each index with terms + 1 sources per side.
 
-        Stepping with A_M and A_N instead of T and T^{-1} keeps rounding in
-        a partial sum from leaking into the other side, where the powers of
-        T would amplify it.
+        Same contract as ``ShiftOperator.orbit_sweep``.  Stepping with A_M
+        and A_N instead of T and T^{-1} keeps rounding in a partial sum from
+        leaking into the other side, where the powers of T would amplify it.
         """
-        acc_m = acc_n = np.zeros(self.dim)
-        for m in reversed(m_terms):
-            acc_m = m.array + self.a_M @ acc_m
-        for n in reversed(n_terms):
-            acc_n = self.a_N @ (n.array + acc_n)
-        return _dense_raw(acc_m - acc_n)
+        acc = np.zeros(self.dim)
+        sums_m = []  # S_M(m) for m = a + 1, ..., b - K
+        for s in sources[: len(sources) - terms - 1]:
+            acc = self.proj_M_matrix @ s.array + self.a_M @ acc
+            sums_m.append(acc)
+        acc = np.zeros(self.dim)
+        sums_n = []  # S_N(m) for m = b, ..., a + K + 1
+        for s in reversed(sources[terms + 1 :]):
+            acc = self.a_N @ (self.proj_N_matrix @ s.array + acc)
+            sums_n.append(acc)
+        return [_dense_raw(s_m - s_n) for s_m, s_n in zip(sums_m[terms:], reversed(sums_n))]
 
     def _power_norm_on_M(self, n: int) -> float:
         return self._induced(np.linalg.matrix_power(self.a_M, n))

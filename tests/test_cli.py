@@ -117,6 +117,36 @@ def test_conjugate_rejects_oversized_perturbation(tmp_path, capsys):
     assert "gamma*(1-t)/(c*d*(1+t))" in err
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+def test_conjugate_uncertified_inverse_pair_exits_1(tmp_path):
+    # no Holder certificate exists at t = 0.6, so the inverse-pair bound is
+    # infinite: that check is uncertified and cannot pass
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            "operator": {"kind": "matrix", "rows": [[0.5, 4.0], [0.0, 3.0]], "t": 0.6},
+            "perturbation": {"kind": "sine", "amplitude": 0.005, "frequency": 1.0, "window": [0, 1]},
+            "gamma": 0.2,
+            "samples": 5,
+            "seed": 3,
+        },
+    )
+    code = main(["conjugate", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 1
+    with open(tmp_path / "run.report.json") as fh:
+        report = json.load(fh, parse_constant=_reject_constant)
+    inverse = report["inverse"]
+    assert inverse["status"] == "uncertified" and inverse["passed"] is False
+    assert inverse["certified_bound"] is None
+    assert report["forward"]["status"] == "certified"
+    assert report["passed"] is False
+    assert all(row[2] == "inf" for row in read_samples(tmp_path, "run")[1:])
+
+
 def test_malformed_config_reports_line(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "operator": {\n}')

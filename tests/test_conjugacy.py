@@ -1,9 +1,13 @@
 """Series solves, conjugacy maps, verification and error certification."""
 
+import functools
+import math
+
 import pytest
 
 from ghlin import (
     DenseVector,
+    Perturbation,
     SeriesPolicy,
     SparseVector,
     WeightSpec,
@@ -24,6 +28,7 @@ from ghlin import (
     truncation_terms,
     verify_conjugacy,
     verify_inverse_pair,
+    zero_like,
     zero_perturbation,
 )
 from ghlin.linearize import make_holder_certificate
@@ -253,6 +258,22 @@ def test_verify_conjugacy_non_normal_matrix(rng):
     assert verify_conjugacy(bwd, points).passed
 
 
+def test_backward_check_beyond_eval_radius_is_uncertified():
+    op = diag_half_three()
+    beta = sine_perturbation(0.02, 1.0, window=[0, 1])
+    policy = SeriesPolicy(tol=1e-6)
+    bwd = solve_inverse_conjugacy(op, beta, policy)
+    fwd = solve_conjugacy(op, beta, 0.2, policy, picard_tol=1e-5)
+    assert bwd.report()["eval_radius"] == bwd.eval_radius == 4.0
+    assert fwd.report()["eval_radius"] is None
+    inside = verify_conjugacy(bwd, [DenseVector([0.5, 0.5])])
+    assert inside.status == "certified" and inside.passed
+    # (T + beta) x stays inside the radius, but x itself does not
+    far = verify_conjugacy(bwd, [DenseVector([0.0, 2.0 * bwd.eval_radius])])
+    assert far.status == "uncertified" and not far.passed
+    assert far.to_dict()["certified_bound"] is None
+
+
 def test_verify_inverse_requires_shared_instance(rng):
     op = diag_half_three()
     beta = sine_perturbation(0.02, 1.0, window=[0])
@@ -389,3 +410,107 @@ def test_direction_guards():
         eval_H(bwd, DenseVector([0.0]))
     with pytest.raises(ValueError):
         eval_H_prime(fwd, DenseVector([0.0]))
+
+
+# -- the level sweep against the windowed tree ----------------------------------
+
+
+def tree_displacement(fwd, x):
+    """Forward displacement as the memoised window tree, from public calls only.
+
+    Every lattice site (level, m) sums exactly K + 1 terms per side by
+    Horner's rule, stepping with T P_M and T^{-1} P_N; the level sweep sums
+    at least K + 1.
+    """
+    op, beta, terms = fwd.op, fwd.beta, fwd.terms
+
+    @functools.cache
+    def point(j):  # T^j x
+        if j == 0:
+            return x
+        return op.apply(point(j - 1)) if j > 0 else op.apply_inverse(point(j + 1))
+
+    @functools.cache
+    def source(level, j):  # beta(T^j x + h_level(j))
+        return beta(point(j) if level == 0 else point(j) + value(level, j))
+
+    @functools.cache
+    def value(level, m):
+        acc_m = acc_n = zero_like(x)
+        for k in reversed(range(terms + 1)):
+            acc_m = op.project_M(source(level - 1, m - k - 1)) + op.apply(op.project_M(acc_m))
+            acc_n = op.apply_inverse(op.project_N(op.project_N(source(level - 1, m + k)) + acc_n))
+        return acc_m - acc_n
+
+    return value(fwd.depth, 0)
+
+
+def _shift_sweep_instance(beta):
+    op = make_shift(WeightSpec(0.5, 2.0), t=0.55)
+    return solve_conjugacy(op, beta, 0.2, SeriesPolicy(tol=1e-5), picard_tol=5e-4)
+
+
+def mean_sine_perturbation(amplitude, frequency, window):
+    """x -> a*sin(omega * mean of x over the window) on every window coordinate.
+
+    Sup a and Lipschitz constant a*omega in the sup norm.  Unlike the
+    coordinatewise sine it mixes coordinates: a change of its input far left
+    of 0 moves its output at the indices near 0 too.
+    """
+    idx = list(window)
+
+    def func(x):
+        v = amplitude * math.sin(frequency * sum(x[i] for i in idx) / len(idx))
+        return SparseVector({i: v for i in idx})
+
+    return Perturbation(
+        func=func,
+        sup_bound=amplitude,
+        lip_bound=amplitude * frequency,
+        support_window=(idx[0], idx[-1]),
+    )
+
+
+def test_sweep_matches_tree_bitwise_when_extra_terms_miss_beta(rng):
+    # README config: the sweep's extra terms land at indices <= -K - 1,
+    # outside beta's window [-1, 1], so beta never sees them
+    fwd = _shift_sweep_instance(sine_perturbation(0.05, 1.0, window=range(-1, 2)))
+    assert fwd.terms == 16 and fwd.depth == 4
+    for _ in range(3):
+        x = random_sparse(rng)
+        assert fwd.displacement(x) == tree_displacement(fwd, x)
+
+
+def test_sweep_matches_tree_within_certified_error_on_matrix(rng):
+    # the 6x6 instance of test_verify_conjugacy_non_normal_matrix; both
+    # values lie within certified_error of the exact displacement
+    op = make_matrix_operator(
+        [
+            [0.5, 0.8, 0.0, 0.0, 0.1, 0.0],
+            [0.0, 0.6, 0.7, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.4, 0.0, 0.0, 0.2],
+            [0.0, 0.0, 0.0, 2.5, 0.9, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 3.0, 0.8],
+            [0.0, 0.0, 0.0, 0.0, 0.0, 2.2],
+        ]
+    )
+    beta = saturating_perturbation(0.002, 1.0)
+    fwd = solve_conjugacy(op, beta, 0.2, SeriesPolicy(tol=1e-6), picard_tol=1e-4)
+    for _ in range(2):
+        x = DenseVector(rng.uniform(-1, 1, 6))
+        gap = norm(fwd.displacement(x) - tree_displacement(fwd, x))
+        assert gap <= 2.0 * fwd.certified_error
+
+
+def test_sweep_matches_tree_within_certified_error_when_beta_sees_extra_terms(rng):
+    # beta's window reaches below -K - 1, so the extra terms change its input.
+    # A coordinatewise beta would keep that change at indices <= -K - 1, which
+    # the top level never reads; this one spreads it over the whole window.
+    fwd = _shift_sweep_instance(mean_sine_perturbation(0.05, 1.0, range(-20, 6)))
+    assert -20 < -fwd.terms - 1
+    gaps = []
+    for _ in range(3):
+        x = random_sparse(rng)
+        gaps.append(norm(fwd.displacement(x) - tree_displacement(fwd, x)))
+    assert max(gaps) <= 2.0 * fwd.certified_error
+    assert max(gaps) > 0.0
