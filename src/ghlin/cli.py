@@ -254,10 +254,13 @@ def _cmd_linearize(config: dict, prefix: str, rng) -> int:
         rows.append((i, res, bound, membership))
     _write_samples(prefix, rows)
     max_residual = max(residuals, default=0.0)
-    passed = max_residual <= bound
+    covered = all(result.covers(u + problem.fixed_point) for u in offsets)
+    passed = covered and max_residual <= bound
     payload = {
         "command": "linearize",
         **result.report(),
+        "certified_residual_bound": bound if covered else None,
+        "status": "certified" if covered else "uncertified",
         "residual_stats": {
             "n_samples": n,
             "max": max_residual,

@@ -16,21 +16,23 @@ c * d * |source|_inf * t^(K+1) * (1 + t) / (1 - t).
 
 The series is summed in one place, the operator's ``orbit_sweep``: given
 source values on a run of orbit indices, it returns the series at every
-index with K + 1 sources on both sides, in one pass per side.  A single
-value (``intertwining_solution``) is its width-1 call.
+index with K + 1 sources on both sides, in one pass per side.
 
-The forward conjugacy H = I + h with H o T = (T + beta) o H solves the
-self-referential equation h = solution-of(beta o (I + h)) with R = T.  It is
-computed by Picard iteration on the orbit lattice of the evaluation point x:
-level l holds h_l on a range of orbit indices and is one sweep over the
-sources beta(T^j x + h_{l-1}(j)).  The top level needs index 0 only, and
-each level below needs K + 1 more indices on the left and K more on the
-right.  A value inside a level's range sums more than K + 1 terms of each
-series, but every value holds at least the K + 1 nearest ones, so what it
-omits is part of the (K + 1)-term tail and the truncation certificate still
-bounds it.  The backward conjugacy H' = I + h' with H' o (T + beta) = T o H'
-is the direct series with R = T + beta and source = -beta.  Both
-displacements land in the subspace M + T^{-1}(N) term by term.
+Every value comes from one Picard orbit lattice for the self-referential
+equation phi = solution-of(source o (I + phi)) on the orbit of the
+evaluation point x under R: level l holds phi_l on a range of orbit indices
+and is one sweep over the sources source(R^j x + phi_{l-1}(j)), with
+phi_0 = 0.  The top level needs index 0 only, and each level below needs
+K + 1 more indices on the left and K more on the right.  A value inside a
+level's range sums more than K + 1 terms of each series, but every value
+holds at least the K + 1 nearest ones, so what it omits is part of the
+(K + 1)-term tail and the truncation certificate still bounds it.  A single
+series value (``intertwining_solution``) is the depth-1 lattice.  The
+forward conjugacy H = I + h with H o T = (T + beta) o H is the depth-d
+lattice with R = T and source beta; the backward conjugacy H' = I + h' with
+H' o (T + beta) = T o H' is minus the depth-1 lattice with R = T + beta and
+source beta.  Both displacements land in the subspace M + T^{-1}(N) term by
+term.
 
 Every map carries a certified worst-case evaluation error; verification
 routines compare observed identity residuals against bounds derived from it.
@@ -73,6 +75,10 @@ FORWARD = "forward"
 BACKWARD = "backward"
 CERTIFIED = "certified"
 UNCERTIFIED = "uncertified"
+
+#: residual target of each inverse solve on the backward orbit, relative to
+#: the norm bound (at least 1) of the point being inverted
+INVERSE_TOL_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -136,28 +142,39 @@ def intertwining_solution(
     """
     if terms is None:
         terms = truncation_terms(op, source_sup, policy)
-    orbit = _orbit(r_apply, r_invert, x, terms + 1, terms)
-    return op.orbit_sweep([source(p) for p in orbit], terms)[0]
+    return _picard_lattice(op, r_apply, r_invert, source, x, terms, 1)
 
 
-def _orbit(r_apply, r_invert, x: StateVector, back: int, ahead: int) -> list[StateVector]:
-    """[R^{-back} x, ..., x, ..., R^{ahead} x], inverting outward from x first."""
+def _picard_lattice(op, r_apply, r_invert, source, x: StateVector, terms: int, depth: int):
+    """Depth-``depth`` Picard iterate of phi = solution-of(source o (I + phi)) at x.
+
+    Level l covers orbit indices [-(depth - l)(K + 1), (depth - l) K]; the
+    bare orbit, inverted outward from x first, is level 0.
+    """
     orbit = [x]
-    for _ in range(back):
+    for _ in range(depth * (terms + 1)):
         orbit.append(r_invert(orbit[-1]))
     orbit.reverse()
-    for _ in range(ahead):
+    for _ in range(depth * terms):
         orbit.append(r_apply(orbit[-1]))
-    return orbit
+    values = None  # phi_{l-1} on the source range of level l
+    for level in range(1, depth + 1):
+        points = orbit[(level - 1) * (terms + 1) : len(orbit) - (level - 1) * terms]
+        if values is not None:
+            points = [p + h for p, h in zip(points, values)]
+        values = op.orbit_sweep([source(u) for u in points], terms)
+    return values[0]
 
 
 class ConjugacyMap:
     """Lazy evaluator for a conjugacy H = I + displacement with error control.
 
     Forward direction: H o T = S o H; backward: H o S = T o H, where
-    S = T + beta.  ``certified_error`` bounds the distance between returned
-    displacement values and the exact ones, on evaluation points within
-    ``eval_radius`` in the ambient norm (``None``: everywhere).
+    S = T + beta and the j-th backward step of the orbit of S is an inverse
+    solve to residual ``inverse_tols[j]``.  ``certified_error`` bounds the
+    distance between returned displacement values and the exact ones, on
+    evaluation points within ``eval_radius`` in the ambient norm (``None``:
+    everywhere).
 
     Evaluation is pure; the memo caches displacement values keyed by the
     exact coordinates, and concurrent writers would insert identical values.
@@ -168,11 +185,9 @@ class ConjugacyMap:
         op: GHOperator,
         beta: Perturbation,
         direction: str,
-        policy: SeriesPolicy,
         terms: int,
         depth: int = 0,
         contraction: float = 0.0,
-        picard_tol: float | None = None,
         certified_error: float = 0.0,
         inverse_tols: list[float] | None = None,
         eval_radius: float | None = None,
@@ -180,11 +195,9 @@ class ConjugacyMap:
         self.op = op
         self.beta = beta
         self.direction = direction
-        self.policy = policy
         self.terms = terms
         self.depth = depth
         self.contraction = contraction
-        self.picard_tol = picard_tol
         self.certified_error = certified_error
         self._inverse_tols = inverse_tols or []
         self.eval_radius = eval_radius
@@ -195,11 +208,7 @@ class ConjugacyMap:
         key = x.memo_key()
         got = self.memo.get(key)
         if got is None:
-            got = (
-                self._forward_value(x)
-                if self.direction == FORWARD
-                else self._backward_value(x)
-            )
+            got = self._value(x)
             self.memo.setdefault(key, got)
         return got
 
@@ -210,40 +219,22 @@ class ConjugacyMap:
         """Whether ``certified_error`` is quoted at x."""
         return self.eval_radius is None or norm(x, self.op.norm_kind) <= self.eval_radius
 
-    # -- forward: one two-sided sweep per Picard level ------------------
-
-    def _forward_value(self, x: StateVector) -> StateVector:
-        if self.depth == 0 or self.beta.is_zero:
-            return zero_like(x)
-        op, beta, k = self.op, self.beta, self.terms
-        # Ranges are planned top-down: the top level needs index 0, and a
-        # level on [lo, hi] reads sources on [lo - K - 1, hi + K], the range
-        # of the level below.  So level l covers [-(depth - l)(K + 1),
-        # (depth - l) K], and the bare orbit is level 0.
-        orbit = _orbit(op.apply, op.apply_inverse, x, self.depth * (k + 1), self.depth * k)
-        values = None  # h_{l-1} on the source range of level l
-        for level in range(1, self.depth + 1):
-            points = orbit[(level - 1) * (k + 1) : len(orbit) - (level - 1) * k]
-            if values is not None:  # u_j = T^j x + h_{l-1}(j)
-                points = [p + h for p, h in zip(points, values)]
-            values = op.orbit_sweep([beta(u) for u in points], k)
-        return values[0]
-
-    # -- backward: direct series along the perturbed orbit ----------------
-
-    def _backward_value(self, x: StateVector) -> StateVector:
-        if self.beta.is_zero:
-            return zero_like(x)
+    def _value(self, x: StateVector) -> StateVector:
         op, beta = self.op, self.beta
-        inverse_tols = iter(self._inverse_tols)  # one per backward orbit step
+        if self.depth == 0 or beta.is_zero:
+            return zero_like(x)
+        if self.direction == FORWARD:  # source beta on the orbit of T
+            return _picard_lattice(
+                op, op.apply, op.apply_inverse, beta, x, self.terms, self.depth
+            )
+        inverse_tols = iter(self._inverse_tols)
 
         def r_invert(p: StateVector) -> StateVector:
             return solve_perturbed_inverse(op, beta, p, next(inverse_tols))
 
-        # the source is -beta; negating the series of beta is exact
-        return -intertwining_solution(
-            op, partial(perturbed_apply, op, beta), r_invert, beta, beta.sup_bound,
-            x, self.policy, self.terms,
+        # source -beta on the orbit of T + beta; negating the value is exact
+        return -_picard_lattice(
+            op, partial(perturbed_apply, op, beta), r_invert, beta, x, self.terms, self.depth
         )
 
     def report(self) -> dict:
@@ -309,11 +300,9 @@ def solve_conjugacy(
         op=op,
         beta=beta,
         direction=FORWARD,
-        policy=policy,
         terms=terms,
         depth=depth,
         contraction=q,
-        picard_tol=picard_tol,
         certified_error=picard_err + series_err,
     )
 
@@ -322,19 +311,18 @@ def solve_inverse_conjugacy(
     op: GHOperator,
     beta: Perturbation,
     policy: SeriesPolicy,
-    inverse_tol_rel: float = 1e-12,
-    eval_radius: float = 4.0,
 ) -> ConjugacyMap:
     """Backward conjugacy H = I + h with H o (T + beta) = T o H.
 
     This is the direct, non-self-referential series along the perturbed
-    orbit: forward points are exact applications of T + beta, backward
-    points come from the certified perturbed-inverse solver.  The certified
-    error is the truncation tolerance plus the accumulated inverse-solve
-    residuals propagated through the series, quoted for evaluation points
-    within ``eval_radius`` (the default covers images of the unit ball
-    under T + beta and under the forward conjugacy whenever |T| + 1 stays
-    below it).
+    orbit (one lattice level): forward points are exact applications of
+    T + beta, backward points come from the certified perturbed-inverse
+    solver.  The certified error is the truncation tolerance plus the
+    accumulated inverse-solve residuals propagated through the series,
+    quoted for evaluation points within eval_radius = max(2, |T| + sup beta).
+    That radius holds the image of the unit ball under T + beta and under
+    any forward conjugacy with |h| < 1 (``solve_conjugacy`` keeps
+    |h| <= gamma < 1).
     """
     if beta.lip_bound * op.norm_Tinv >= 1.0:
         raise ContractionError(
@@ -344,12 +332,12 @@ def solve_inverse_conjugacy(
     k = _require_constants(op)
     terms = truncation_terms(op, beta.sup_bound, policy)
     lip_inv = op.norm_Tinv / (1.0 - op.norm_Tinv * beta.lip_bound)
-    radius = eval_radius
+    radius = eval_radius = max(2.0, op.norm_T + beta.sup_bound)
     inverse_tols = []
     point_errors = []  # error of the j-th backward orbit point
     err = 0.0
     for _ in range(terms + 1):
-        tol_j = inverse_tol_rel * max(1.0, radius)
+        tol_j = INVERSE_TOL_REL * max(1.0, radius)
         inverse_tols.append(tol_j)
         err = lip_inv * (err + tol_j)
         point_errors.append(err)
@@ -369,8 +357,8 @@ def solve_inverse_conjugacy(
         op=op,
         beta=beta,
         direction=BACKWARD,
-        policy=policy,
         terms=terms,
+        depth=1,
         certified_error=policy.tol + orbit_err,
         inverse_tols=inverse_tols,
         eval_radius=eval_radius,
@@ -432,30 +420,24 @@ def verify_conjugacy(cmap: ConjugacyMap, samples: Sequence[StateVector]) -> Veri
     """Residuals of the conjugacy identity over the samples.
 
     Forward maps check H(T x) - (T + beta)(H(x)); backward maps check
-    H((T + beta) x) - T(H(x)).  The certified bound follows from the map's
-    evaluation error pushed through the outer Lipschitz factors.
+    H((T + beta) x) - T(H(x)).  With E the map's certified error, the bound
+    is E * (1 + Lip(outer)): Lip(T + beta) = |T| + Lip(beta), Lip(T) = |T|.
     """
     op, beta = cmap.op, cmap.beta
-    err = cmap.certified_error
+    s_apply = partial(perturbed_apply, op, beta)
+    if cmap.direction == FORWARD:  # H o T = S o H with S = T + beta
+        inner, outer, outer_beta_lip = op.apply, s_apply, beta.lip_bound
+    else:  # H o S = T o H
+        inner, outer, outer_beta_lip = s_apply, op.apply, 0.0
+    bound = cmap.certified_error * (1.0 + op.norm_T + outer_beta_lip)
     residuals = []
     evaluated = []  # every point the map was evaluated at
-    if cmap.direction == FORWARD:
-        bound = err * (1.0 + op.norm_T + beta.lip_bound)
-        for x in samples:
-            tx = op.apply(x)
-            lhs = cmap(tx)
-            hx = cmap(x)
-            rhs = op.apply(hx) + beta(hx)
-            residuals.append(norm(lhs - rhs, op.norm_kind))
-            evaluated += (tx, x)
-    else:
-        bound = err * (1.0 + op.norm_T)
-        for x in samples:
-            sx = perturbed_apply(op, beta, x)
-            lhs = cmap(sx)
-            rhs = op.apply(cmap(x))
-            residuals.append(norm(lhs - rhs, op.norm_kind))
-            evaluated += (sx, x)
+    for x in samples:
+        rx = inner(x)
+        lhs = cmap(rx)
+        rhs = outer(cmap(x))
+        residuals.append(norm(lhs - rhs, op.norm_kind))
+        evaluated += (rx, x)
     return VerificationReport(
         kind=cmap.direction,
         n_samples=len(residuals),

@@ -202,7 +202,8 @@ def empirical_holder(
     """Max displacement Holder ratio over point pairs within the quoted diameter.
 
     The reported bound is C plus an inflation term 2*E / min_distance^theta
-    covering the maps' certified evaluation error E on both endpoints.
+    covering the maps' certified evaluation error E on both endpoints, so
+    every pair point must lie where E is quoted (``cmap.covers``).
     """
     kind = cmap.op.norm_kind
     ratios = []
@@ -215,6 +216,10 @@ def empirical_holder(
             raise ValueError(
                 f"pair distance {dist} exceeds the certificate diameter "
                 f"{cert.domain_diameter}"
+            )
+        if not (cmap.covers(x) and cmap.covers(y)):
+            raise ValueError(
+                f"pair point outside the map's eval_radius {cmap.eval_radius}"
             )
         min_dist = min(min_dist, dist)
         gap = norm(cmap.displacement(x) - cmap.displacement(y), kind)
@@ -242,8 +247,7 @@ class LinearizationProblem:
     ``derivative`` is the operator DF_p (validated generalized hyperbolic at
     construction of the operator).  ``nonlinearity_lip`` must return, for a
     radius rho, a certified Lipschitz constant of F(x + p) - p - DF_p x on
-    the ball of radius rho; ``lip_certification`` records whether that bound
-    is analytic or sampled.
+    the ball of radius rho.
     """
 
     func: Callable[[StateVector], StateVector]
@@ -253,7 +257,6 @@ class LinearizationProblem:
     cutoff_r: float
     nonlinearity_lip: Callable[[float], float]
     theta: float | None = None
-    lip_certification: str = "analytic"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma < 1.0):
@@ -295,6 +298,11 @@ class LinearizationResult:
         """Coordinates in which the map acts linearly: K(y - p)."""
         return self.backward(y - self.fixed_point)
 
+    def covers(self, y: StateVector) -> bool:
+        """Whether the backward bound is quoted where ``conjugacy_residual(y)`` evaluates."""
+        p = self.fixed_point
+        return self.backward.covers(y - p) and self.backward.covers(self.problem.func(y) - p)
+
     def conjugacy_residual(self, y: StateVector) -> float:
         """|H(F(y)) - DF_p(H(y))| at a point y (meaningful inside u_radius)."""
         op = self.problem.derivative
@@ -323,12 +331,11 @@ def linearize(
     policy: SeriesPolicy,
     picard_tol: float,
     r_min: float = 1e-12,
-    eps_margin: float = 0.1,
 ) -> LinearizationResult:
     """Conjugate a map to its derivative near a generalized hyperbolic fixed point.
 
     Chooses eps as the smaller of the admissible bound for gamma and
-    (1 - eps_margin) / |T^{-1}|, then halves the cutoff radius until the cut
+    0.9 / |T^{-1}|, then halves the cutoff radius until the cut
     nonlinearity fits under eps (both its Lipschitz constant, with the
     factor-3 cutoff inflation, and its sup bound).  The conjugacy with the
     original map is certified on the inner ball only, where the cutoff is
@@ -348,7 +355,7 @@ def linearize(
 
     eps = min(
         admissible_eps(op, problem.gamma),
-        (1.0 - eps_margin) / op.norm_Tinv,
+        0.9 / op.norm_Tinv,
     )
     r = problem.cutoff_r
     while True:
@@ -372,7 +379,6 @@ def linearize(
             CutoffProfile(r),
             norm_kind=op.norm_kind,
             zero=zero_like(p),
-            certification=problem.lip_certification,
         )
     forward = solve_conjugacy(op, beta, problem.gamma, policy, picard_tol)
     backward = solve_inverse_conjugacy(op, beta, policy)

@@ -61,7 +61,7 @@ __all__ = [
     "operator_from_descriptor",
 ]
 
-#: default rejection tolerance for eigenvalues near the unit circle
+#: rejection tolerance for eigenvalues near the unit circle (and near 0)
 UNIT_CIRCLE_TOL = 1e-8
 
 #: projections and invariant-splitting residuals must validate below this
@@ -414,12 +414,11 @@ def make_matrix_operator(
     matrix,
     norm_kind: NormKind = SUP_NORM,
     t: float | None = None,
-    unit_circle_tol: float = UNIT_CIRCLE_TOL,
 ) -> MatrixOperator:
     """Build a matrix operator with its spectral splitting.
 
     Eigenvalues inside the unit disc span M, outside span N.  Any eigenvalue
-    with modulus within ``unit_circle_tol`` of 1 is rejected, as is a
+    with modulus within ``UNIT_CIRCLE_TOL`` of 1 is rejected, as is a
     singular matrix.  Mixed spectra are split through a sorted real Schur
     form; the projection is then recovered from a Sylvester solve, which
     also covers defective eigenvalue blocks.
@@ -430,13 +429,13 @@ def make_matrix_operator(
     n = a.shape[0]
     eigs = np.linalg.eigvals(a)
     mods = np.abs(eigs)
-    if np.any(mods < unit_circle_tol):
+    if np.any(mods < UNIT_CIRCLE_TOL):
         raise ValueError("matrix is not invertible (eigenvalue at 0)")
-    if np.any(np.abs(mods - 1.0) < unit_circle_tol):
+    if np.any(np.abs(mods - 1.0) < UNIT_CIRCLE_TOL):
         bad = eigs[np.argmin(np.abs(mods - 1.0))]
         raise CertificationError(
             f"not hyperbolic (finite dimension): eigenvalue {bad} has modulus "
-            f"within {unit_circle_tol} of the unit circle"
+            f"within {UNIT_CIRCLE_TOL} of the unit circle"
         )
     a_inv = np.linalg.inv(a)
 

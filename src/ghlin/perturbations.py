@@ -1,9 +1,9 @@
 """Bounded Lipschitz perturbations with certified bounds.
 
 A perturbation carries its evaluator together with certified bounds on the
-sup norm and the Lipschitz constant.  "Analytic" certification means the
-bounds were derived in closed form; "sampled" bounds come from finite pair
-sampling and are flagged as non-certified.
+sup norm and the Lipschitz constant, derived in closed form.  The sine and
+saturating perturbations share one coordinatewise builder, x -> a*f(r*x_n)
+on an index window or on every coordinate.
 
 The cutoff construction turns a locally Lipschitz nonlinearity vanishing at
 the origin into a globally small bounded Lipschitz map that agrees with it
@@ -54,6 +54,10 @@ class IterationLimitError(RuntimeError):
     """An iteration cap was exhausted before the tolerance was met."""
 
 
+#: iteration cap of ``solve_perturbed_inverse``
+INVERSE_MAX_ITER = 10_000
+
+
 @dataclass
 class Perturbation:
     """Map from the space to itself with certified sup / Lipschitz bounds.
@@ -66,13 +70,9 @@ class Perturbation:
     func: Callable[[StateVector], StateVector]
     sup_bound: float
     lip_bound: float
-    certification: str = "analytic"
-    n_samples: int = 0
     support_window: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
-        if self.certification not in ("analytic", "sampled"):
-            raise ValueError(f"unknown certification {self.certification!r}")
         for name, val in (("sup_bound", self.sup_bound), ("lip_bound", self.lip_bound)):
             if not math.isfinite(val) or val < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {val}")
@@ -114,6 +114,36 @@ def _window_sup_scale(count: int, norm_kind: NormKind) -> float:
     return 1.0 if norm_kind.is_sup else float(count) ** (1.0 / norm_kind.p)
 
 
+def _coordinatewise(f, a: float, r: float, idx, norm_kind: NormKind) -> Perturbation:
+    """x -> a*f(r*x_n) on the sorted index window idx, or on every coordinate.
+
+    For |f| <= 1 with Lip(f) <= 1 the certified bounds are sup a (times
+    |W|^(1/p) for an l^p ambient norm) and Lipschitz constant a*r.
+    """
+
+    def func(x: StateVector) -> StateVector:
+        if isinstance(x, SparseVector):
+            out = {}
+            for i in (idx if idx is not None else [i for i, _ in x.items()]):
+                val = a * f(r * x[i])
+                if val != 0.0:
+                    out[i] = val
+            return _sparse_raw(out)
+        dim = x.dim
+        arr = np.zeros(dim)
+        xa = x.array
+        for i in (range(dim) if idx is None else [i for i in idx if 0 <= i < dim]):
+            arr[i] = a * f(r * xa[i])
+        return _dense_raw(arr)
+
+    return Perturbation(
+        func=func,
+        sup_bound=a * _window_sup_scale(1 if idx is None else len(idx), norm_kind),
+        lip_bound=a * r,
+        support_window=(idx[0], idx[-1]) if idx else None,
+    )
+
+
 def sine_perturbation(
     amplitude: float,
     frequency: float,
@@ -130,28 +160,7 @@ def sine_perturbation(
     idx = tuple(sorted(set(int(i) for i in window)))
     if not idx:
         raise ValueError("sine perturbation needs a nonempty window")
-    a, om = float(amplitude), float(frequency)
-
-    def func(x: StateVector) -> StateVector:
-        if isinstance(x, SparseVector):
-            out = {}
-            for i in idx:
-                v = a * math.sin(om * x[i])
-                if v != 0.0:
-                    out[i] = v
-            return _sparse_raw(out)
-        arr = np.zeros(x.dim)
-        for i in idx:
-            if 0 <= i < x.dim:
-                arr[i] = a * math.sin(om * x.array[i])
-        return _dense_raw(arr)
-
-    return Perturbation(
-        func=func,
-        sup_bound=a * _window_sup_scale(len(idx), norm_kind),
-        lip_bound=a * om,
-        support_window=(idx[0], idx[-1]),
-    )
+    return _coordinatewise(math.sin, float(amplitude), float(frequency), idx, norm_kind)
 
 
 def saturating_perturbation(
@@ -168,35 +177,12 @@ def saturating_perturbation(
     """
     if amplitude < 0 or scale < 0:
         raise ValueError("amplitude and scale must be >= 0")
-    a, s = float(amplitude), float(scale)
     idx = None if window is None else tuple(sorted(set(int(i) for i in window)))
     if idx is None and not norm_kind.is_sup:
         raise ValueError(
             "saturating perturbation needs a finite window under an l^p ambient norm"
         )
-
-    def func(x: StateVector) -> StateVector:
-        if isinstance(x, SparseVector):
-            source = x.items() if idx is None else ((i, x[i]) for i in idx)
-            out = {}
-            for i, v in source:
-                val = a * math.tanh(s * v)
-                if val != 0.0:
-                    out[i] = val
-            return _sparse_raw(out)
-        arr = np.zeros(x.dim)
-        cols = range(x.dim) if idx is None else (i for i in idx if 0 <= i < x.dim)
-        for i in cols:
-            arr[i] = a * math.tanh(s * x.array[i])
-        return _dense_raw(arr)
-
-    count = len(idx) if idx is not None else 1
-    return Perturbation(
-        func=func,
-        sup_bound=a * _window_sup_scale(count, norm_kind),
-        lip_bound=a * s,
-        support_window=(idx[0], idx[-1]) if idx else None,
-    )
+    return _coordinatewise(math.tanh, float(amplitude), float(scale), idx, norm_kind)
 
 
 @dataclass(frozen=True)
@@ -227,8 +213,6 @@ def cutoff(
     profile: CutoffProfile,
     norm_kind: NormKind = SUP_NORM,
     zero: StateVector | None = None,
-    support_window: tuple[int, int] | None = None,
-    certification: str = "analytic",
 ) -> Perturbation:
     """Globalize a local nonlinearity with alpha(0) = 0 by a radial cutoff.
 
@@ -264,8 +248,6 @@ def cutoff(
         func=func,
         sup_bound=2.0 * r * lip + a0,
         lip_bound=3.0 * lip + a0 / r,
-        certification=certification,
-        support_window=support_window,
     )
 
 
@@ -279,14 +261,14 @@ def solve_perturbed_inverse(
     beta: Perturbation,
     y: StateVector,
     tol: float,
-    max_iter: int = 10_000,
 ) -> StateVector:
     """Solve (T + beta)(x) = y to residual |T x + beta(x) - y| <= tol.
 
     Runs the contraction iteration x <- T^{-1}(y - beta(x)) from T^{-1} y.
     Since T x + beta(x) - y = T(x - x_next) for the next iterate, the
     residual of the current point is exact and checked directly; the
-    contraction factor is q = Lip(beta) * |T^{-1}|, required < 1.
+    contraction factor is q = Lip(beta) * |T^{-1}|, required < 1.  Raises
+    ``IterationLimitError`` after ``INVERSE_MAX_ITER`` iterations.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -299,14 +281,14 @@ def solve_perturbed_inverse(
     x = op.apply_inverse(y)
     if beta.is_zero:
         return x
-    for _ in range(max_iter):
+    for _ in range(INVERSE_MAX_ITER):
         x_next = op.apply_inverse(y - beta(x))
         residual = norm(op.apply(x - x_next), op.norm_kind)
         if residual <= tol:
             return x
         x = x_next
     raise IterationLimitError(
-        f"perturbed inverse did not reach residual {tol} within {max_iter} iterations"
+        f"perturbed inverse did not reach residual {tol} within {INVERSE_MAX_ITER} iterations"
     )
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ghlin import IterationLimitError, cli
+from ghlin import IterationLimitError, cli, linearize
 from ghlin.cli import main
 
 
@@ -145,6 +145,73 @@ def test_conjugate_uncertified_inverse_pair_exits_1(tmp_path):
     assert report["forward"]["status"] == "certified"
     assert report["passed"] is False
     assert all(row[2] == "inf" for row in read_samples(tmp_path, "run")[1:])
+
+
+def test_backward_radius_covers_images_of_large_operator(tmp_path):
+    # |T| + sup beta = 4.505: the backward map is evaluated at (T + beta) x
+    # beyond 4, and its derived eval_radius still covers every such point
+    cfg = write_config(
+        tmp_path,
+        "c.json",
+        {
+            "operator": {"kind": "matrix", "rows": [[0.5, 4.0], [0.0, 3.0]], "t": 0.6},
+            "perturbation": {"kind": "sine", "amplitude": 0.005, "frequency": 1.0, "window": [0, 1]},
+            "gamma": 0.2,
+            "samples": 100,
+            "seed": 0,
+        },
+    )
+    code = main(["conjugate", "--config", cfg, "--out", str(tmp_path / "run")])
+    report = read_report(tmp_path, "run")
+    assert report["backward_map"]["eval_radius"] == 4.505
+    backward = report["backward"]
+    assert backward["status"] == "certified" and backward["passed"] is True
+    assert backward["max_residual"] <= backward["certified_bound"]
+    # no Holder certificate for this operator: the inverse pair stays uncertified
+    assert report["inverse"]["status"] == "uncertified"
+    assert code == 1
+
+
+LINEARIZE_SHIFT = {
+    "kind": "shift_plus_sine",
+    "operator": SHIFT,
+    "window": [-1, 1],
+    "amplitude": 1e-4,
+    "frequency": 1.0,
+    "gamma": 0.2,
+    "cutoff_r": 5,
+}
+
+
+def test_linearize_outside_eval_radius_is_uncertified(tmp_path):
+    # the cutoff radius stays at 5, so sampled offsets reach beyond the
+    # backward map's eval_radius of about 2 and its bound is not quoted there
+    cfg = write_config(
+        tmp_path, "c.json", {"problem": LINEARIZE_SHIFT, "samples": 20, "seed": 0}
+    )
+    code = main(["linearize", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 1
+    report = read_report(tmp_path, "run")
+    assert report["u_radius"] == 5.0
+    assert report["status"] == "uncertified" and report["passed"] is False
+    assert report["certified_residual_bound"] is None
+
+
+def test_linearize_inside_eval_radius_is_certified(tmp_path):
+    from ghlin.cli import _policy, _problem_from_descriptor
+
+    problem = {
+        "kind": "quadratic_1d", "slope": 0.5, "quad": 1.0, "p": 0.3,
+        "t": 0.6, "gamma": 0.5, "cutoff_r": 0.01,
+    }
+    config = {"problem": problem, "tol": 1e-10, "picard_tol": 1e-10, "samples": 30, "seed": 2}
+    code = main(["linearize", "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+    report = read_report(tmp_path, "run")
+    assert report["status"] == "certified" and report["passed"] is True
+    result = linearize(_problem_from_descriptor(problem), _policy(config), 1e-10)
+    assert report["certified_residual_bound"] == result.certified_residual_bound
 
 
 def test_malformed_config_reports_line(tmp_path, capsys):

@@ -264,7 +264,7 @@ def test_backward_check_beyond_eval_radius_is_uncertified():
     policy = SeriesPolicy(tol=1e-6)
     bwd = solve_inverse_conjugacy(op, beta, policy)
     fwd = solve_conjugacy(op, beta, 0.2, policy, picard_tol=1e-5)
-    assert bwd.report()["eval_radius"] == bwd.eval_radius == 4.0
+    assert bwd.report()["eval_radius"] == bwd.eval_radius == 3.02
     assert fwd.report()["eval_radius"] is None
     inside = verify_conjugacy(bwd, [DenseVector([0.5, 0.5])])
     assert inside.status == "certified" and inside.passed
@@ -356,7 +356,7 @@ def test_picard_increments_contract_pointwise(rng):
 
     def level_map(depth):
         return ConjugacyMap(
-            op=op, beta=beta, direction="forward", policy=policy,
+            op=op, beta=beta, direction="forward",
             terms=fwd.terms, depth=depth, contraction=q,
         )
 

@@ -158,6 +158,19 @@ def test_empirical_holder_rejects_distant_pairs():
         empirical_holder(bwd, cert, [far])
 
 
+def test_empirical_holder_rejects_pairs_outside_eval_radius():
+    op = make_matrix_operator([[0.5, 0.0], [0.0, 3.0]], t=0.6)
+    beta = sine_perturbation(0.01, 1.0, window=[0, 1])
+    bwd = solve_inverse_conjugacy(op, beta, SeriesPolicy(tol=1e-8))
+    cert = make_holder_certificate(op, beta, 0.25, 0.01, 0.9)
+    assert bwd.eval_radius == 3.01
+    inside = (DenseVector([0.0, 2.9]), DenseVector([0.0, 3.0]))
+    assert empirical_holder(bwd, cert, [inside]).n_pairs == 1
+    outside = (DenseVector([0.0, 3.0]), DenseVector([0.0, 3.1]))
+    with pytest.raises(ValueError, match="eval_radius"):
+        empirical_holder(bwd, cert, [outside])
+
+
 # -- the linearization workflow ---------------------------------------------
 
 
