@@ -248,8 +248,10 @@ def _cmd_linearize(config: dict, prefix: str, rng) -> int:
         y = u + problem.fixed_point
         res = result.conjugacy_residual(y)
         residuals.append(res)
+        # the residual evaluated the map at y - p, which may differ from u
+        # in the last bits; that value is in the memo
         membership = displacement_space_residual(
-            op, result.backward.displacement(u)
+            op, result.backward.displacement(y - problem.fixed_point)
         )
         rows.append((i, res, bound, membership))
     _write_samples(prefix, rows)

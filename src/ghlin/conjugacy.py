@@ -16,16 +16,21 @@ c * d * |source|_inf * t^(K+1) * (1 + t) / (1 - t).
 
 The series is summed in one place, the operator's ``orbit_sweep``: given
 source values on a run of orbit indices, it returns the series at every
-index with K + 1 sources on both sides, in one pass per side.
+index with k_M sources on its left and k_N on its right, in one pass per
+side that takes sources.  A side takes k = K + 1 sources when its
+projection is nontrivial and none when it is trivial (M = {0} or N = {0}),
+whose series is exactly zero.
 
 Every value comes from one Picard orbit lattice for the self-referential
 equation phi = solution-of(source o (I + phi)) on the orbit of the
 evaluation point x under R: level l holds phi_l on a range of orbit indices
 and is one sweep over the sources source(R^j x + phi_{l-1}(j)), with
 phi_0 = 0.  The top level needs index 0 only, and each level below needs
-K + 1 more indices on the left and K more on the right.  A value inside a
-level's range sums more than K + 1 terms of each series, but every value
-holds at least the K + 1 nearest ones, so what it omits is part of the
+k_M more indices on the left and k_N - 1 more on the right.  The orbit is
+built only as far as those sources reach: it is never inverted when
+M = {0} and never stepped forward when N = {0}.  A value inside a level's
+range sums more than K + 1 terms of each series, but every value holds at
+least the K + 1 nearest ones, so what it omits is part of the
 (K + 1)-term tail and the truncation certificate still bounds it.  A single
 series value (``intertwining_solution``) is the depth-1 lattice.  The
 forward conjugacy H = I + h with H o T = (T + beta) o H is the depth-d
@@ -138,7 +143,9 @@ def intertwining_solution(
     ``source_sup`` must certify the sup norm of the source; it drives the
     truncation depth unless ``terms`` overrides it.  The result norm is at
     most c*d*(1+t)/(1-t) * source_sup plus the policy tolerance.  ``r_invert``
-    is called K + 1 times in orbit order, on x, R^{-1} x, ..., R^{-K} x.
+    is called K + 1 times in orbit order, on x, R^{-1} x, ..., R^{-K} x, and
+    ``r_apply`` K times, on x, R x, ..., R^{K-1} x; there are no ``r_invert``
+    calls when M = {0} and no ``r_apply`` calls when N = {0}.
     """
     if terms is None:
         terms = truncation_terms(op, source_sup, policy)
@@ -148,21 +155,28 @@ def intertwining_solution(
 def _picard_lattice(op, r_apply, r_invert, source, x: StateVector, terms: int, depth: int):
     """Depth-``depth`` Picard iterate of phi = solution-of(source o (I + phi)) at x.
 
-    Level l covers orbit indices [-(depth - l)(K + 1), (depth - l) K]; the
-    bare orbit, inverted outward from x first, is level 0.
+    A side takes k = K + 1 sources when its projection is nontrivial and
+    none when it is trivial.  Level l uses the sources at orbit indices
+    [-(depth - l + 1) k_M, (depth - l + 1)(k_N - 1)] and covers
+    [-(depth - l) k_M, (depth - l)(k_N - 1)]; the bare orbit, inverted
+    outward from x first and built only as far as those sources reach, is
+    level 0.
     """
+    m_count = 0 if op.m_is_trivial else terms + 1
+    n_count = 0 if op.n_is_trivial else terms + 1
     orbit = [x]
-    for _ in range(depth * (terms + 1)):
+    for _ in range(depth * m_count):
         orbit.append(r_invert(orbit[-1]))
     orbit.reverse()
-    for _ in range(depth * terms):
+    for _ in range(depth * (n_count - 1)):  # none when N = {0}
         orbit.append(r_apply(orbit[-1]))
     values = None  # phi_{l-1} on the source range of level l
     for level in range(1, depth + 1):
-        points = orbit[(level - 1) * (terms + 1) : len(orbit) - (level - 1) * terms]
+        start = (level - 1) * m_count
+        points = orbit[start : start + (depth - level + 1) * (m_count + n_count - 1) + 1]
         if values is not None:
             points = [p + h for p, h in zip(points, values)]
-        values = op.orbit_sweep([source(u) for u in points], terms)
+        values = op.orbit_sweep([source(u) for u in points], m_count, n_count)
     return values[0]
 
 

@@ -17,14 +17,17 @@ M and ``|T^{-n} z| <= c t^n |z|`` on N, with d the larger projection norm.
 The constants are certified on a finite window and extended to all powers by
 submultiplicativity of operator norms.
 
-``orbit_sweep`` is the only orbit-series primitive.  Given source values on
-a run of consecutive orbit indices, it sums the two-sided series at every
-index that has K + 1 sources on each side, in one pass per side: the M
-side left to right, S <- P_M s_j + A_M S, and the N side right to left,
-R <- A_N (P_N s_j + R).  Stepping only with the restricted maps
-A_M = T P_M and A_N = T^{-1} P_N keeps partial sums on their side of the
-splitting.  Each value holds at least the K + 1 nearest terms of both
-series, so its omitted tail lies inside the (K + 1)-term tail.
+``orbit_sweep`` is the only orbit-series primitive.  Given source values
+s_a, ..., s_b on a run of consecutive orbit indices and a source count per
+side, k_M and k_N (K + 1 for a nontrivial side, 0 for a trivial one), it
+sums the two-sided series at every index m in [a + k_M, b - k_N + 1], in
+one pass per nontrivial side: the M side left to right,
+S <- P_M s_j + A_M S, and the N side right to left,
+R <- A_N (P_N s_j + R).  A trivial side's projection is zero, so it is not
+swept and contributes an exact zero.  Stepping only with the restricted
+maps A_M = T P_M and A_N = T^{-1} P_N keeps partial sums on their side of
+the splitting.  Each value holds at least the K + 1 nearest terms of every
+nontrivial series, so its omitted tail lies inside the (K + 1)-term tail.
 """
 
 from __future__ import annotations
@@ -162,6 +165,35 @@ class _Constants:
     n_max: int
 
 
+class _WeightTable(dict):
+    """Weights by index, each read from ``WeightSpec.weight`` once, on first use.
+
+    Filled lazily rather than over an index window: a sparse point with
+    coordinates far apart would need a window as wide as their spread.
+    """
+
+    __slots__ = ("_weight",)
+
+    def __init__(self, weights: WeightSpec):
+        super().__init__()
+        self._weight = weights.weight
+
+    def __missing__(self, i: int) -> float:
+        self[i] = w = self._weight(i)
+        return w
+
+
+def _add_side(acc: dict[int, float], s: SparseVector, on_m: bool) -> None:
+    # acc += P_M s (on_m) or P_N s in place, dropping sums that cancel to zero
+    for i, v in s.items():
+        if (i <= 0) == on_m:
+            total = acc.get(i, 0.0) + v
+            if total == 0.0:
+                acc.pop(i, None)
+            else:
+                acc[i] = total
+
+
 class ShiftOperator:
     """Bilateral weighted backward shift with the coordinate splitting.
 
@@ -207,33 +239,40 @@ class ShiftOperator:
     def project_N(self, x: SparseVector) -> SparseVector:
         return _sparse_raw({i: v for i, v in x.items() if i >= 1})
 
-    def orbit_sweep(self, sources: list[SparseVector], terms: int) -> list[SparseVector]:
-        """Two-sided orbit series at each index with terms + 1 sources per side.
+    def orbit_sweep(
+        self, sources: list[SparseVector], m_count: int, n_count: int
+    ) -> list[SparseVector]:
+        """Orbit series at each index with m_count sources left, n_count right.
 
         ``sources`` are s_a, ..., s_b in orbit order; the value at index m,
-        a + K + 1 <= m <= b - K, is
+        a + m_count <= m <= b - n_count + 1, is
         sum_k T^k P_M s_{m-k-1} - sum_k T^{-(k+1)} P_N s_{m+k} over every
-        source in range.  T moves support {<= 0} into itself and T^{-1}
-        moves {>= 1} into itself, so on these terms A_M and A_N are T and
-        T^{-1} exactly.
+        source in range; a side with count 0 is not swept and adds nothing.
+        T moves support {<= 0} into itself and T^{-1} moves {>= 1} into
+        itself, so on these terms A_M and A_N are T and T^{-1} exactly.
         """
-        w = self.weights.weight
-        acc: dict[int, float] = {}
-        sums_m = []  # S_M(m) for m = a + 1, ..., b - K
-        for s in sources[: len(sources) - terms - 1]:
-            step = {i - 1: p for i, v in acc.items() if (p := w(i) * v) != 0.0}
-            acc = _add_coords(self.project_M(s)._coords, step, 1.0)
-            sums_m.append(acc)
-        acc = {}
-        sums_n = []  # S_N(m) for m = b, ..., a + K + 1
-        for s in reversed(sources[terms + 1 :]):
-            step = _add_coords(self.project_N(s)._coords, acc, 1.0)
-            acc = {i + 1: p for i, v in step.items() if (p := v / w(i + 1)) != 0.0}
-            sums_n.append(acc)
-        return [
-            _sparse_raw(_add_coords(s_m, s_n, -1.0))
-            for s_m, s_n in zip(sums_m[terms:], reversed(sums_n))
-        ]
+        count = len(sources) - m_count - n_count + 1
+        weight = _WeightTable(self.weights)
+        sums_m: list[dict[int, float]] = [{}] * count  # S_M(m), m = a + m_count, ...
+        if m_count:
+            acc: dict[int, float] = {}
+            sums_m = []
+            for s in sources[: len(sources) - n_count]:
+                acc = {i - 1: p for i, v in acc.items() if (p := weight[i] * v) != 0.0}
+                _add_side(acc, s, on_m=True)
+                sums_m.append(acc)
+            sums_m = sums_m[m_count - 1 :]
+        sums_n: list[dict[int, float]] = [{}] * count  # S_N(m), m = a + m_count, ...
+        if n_count:
+            acc = {}
+            sums_n = []
+            for s in reversed(sources[m_count:]):
+                step = dict(acc)
+                _add_side(step, s, on_m=False)
+                acc = {i + 1: p for i, v in step.items() if (p := v / weight[i + 1]) != 0.0}
+                sums_n.append(acc)
+            sums_n.reverse()
+        return [_sparse_raw(_add_coords(s_m, s_n, -1.0)) for s_m, s_n in zip(sums_m, sums_n)]
 
     # -- exact norms ----------------------------------------------------
 
@@ -339,24 +378,36 @@ class MatrixOperator:
     def project_N(self, x: DenseVector) -> DenseVector:
         return _dense_raw(self.proj_N_matrix @ x.array)
 
-    def orbit_sweep(self, sources: list[DenseVector], terms: int) -> list[DenseVector]:
-        """Two-sided orbit series at each index with terms + 1 sources per side.
+    def orbit_sweep(
+        self, sources: list[DenseVector], m_count: int, n_count: int
+    ) -> list[DenseVector]:
+        """Orbit series at each index with m_count sources left, n_count right.
 
-        Same contract as ``ShiftOperator.orbit_sweep``.  Stepping with A_M
-        and A_N instead of T and T^{-1} keeps rounding in a partial sum from
-        leaking into the other side, where the powers of T would amplify it.
+        Same contract as ``ShiftOperator.orbit_sweep``; an unswept side is
+        an exact zero vector, so with M = {0} the value is 0 - S_N.
+        Stepping with A_M and A_N instead of T and T^{-1} keeps rounding in
+        a partial sum from leaking into the other side, where the powers of
+        T would amplify it.
         """
-        acc = np.zeros(self.dim)
-        sums_m = []  # S_M(m) for m = a + 1, ..., b - K
-        for s in sources[: len(sources) - terms - 1]:
-            acc = self.proj_M_matrix @ s.array + self.a_M @ acc
-            sums_m.append(acc)
-        acc = np.zeros(self.dim)
-        sums_n = []  # S_N(m) for m = b, ..., a + K + 1
-        for s in reversed(sources[terms + 1 :]):
-            acc = self.a_N @ (self.proj_N_matrix @ s.array + acc)
-            sums_n.append(acc)
-        return [_dense_raw(s_m - s_n) for s_m, s_n in zip(sums_m[terms:], reversed(sums_n))]
+        count = len(sources) - m_count - n_count + 1
+        zero = np.zeros(self.dim)
+        sums_m = [zero] * count  # S_M(m) for m = a + m_count, ..., b - n_count + 1
+        if m_count:
+            acc = zero
+            sums_m = []
+            for s in sources[: len(sources) - n_count]:
+                acc = self.proj_M_matrix @ s.array + self.a_M @ acc
+                sums_m.append(acc)
+            sums_m = sums_m[m_count - 1 :]
+        sums_n = [zero] * count  # S_N(m) for the same m
+        if n_count:
+            acc = zero
+            sums_n = []
+            for s in reversed(sources[m_count:]):
+                acc = self.a_N @ (self.proj_N_matrix @ s.array + acc)
+                sums_n.append(acc)
+            sums_n.reverse()
+        return [_dense_raw(s_m - s_n) for s_m, s_n in zip(sums_m, sums_n)]
 
     def _power_norm_on_M(self, n: int) -> float:
         return self._induced(np.linalg.matrix_power(self.a_M, n))

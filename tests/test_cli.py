@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ghlin import IterationLimitError, cli, linearize
+from ghlin import IterationLimitError, cli, displacement_space_residual, linearize
 from ghlin.cli import main
 
 
@@ -212,6 +212,40 @@ def test_linearize_inside_eval_radius_is_certified(tmp_path):
     assert report["status"] == "certified" and report["passed"] is True
     result = linearize(_problem_from_descriptor(problem), _policy(config), 1e-10)
     assert report["certified_residual_bound"] == result.certified_residual_bound
+
+
+def test_linearize_membership_reuses_the_residual_evaluation(tmp_path, monkeypatch):
+    # the residual evaluates the backward map at (u + p) - p, which may
+    # differ from the offset u in the last bits; the membership column must
+    # describe that same displacement and so add no evaluation of its own
+    captured = {}
+
+    def capture(name, fn):
+        def wrapper(*args, **kwargs):
+            captured[name] = out = fn(*args, **kwargs)
+            return out
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    capture("linearize", cli.linearize)
+    capture("sample_points", cli.sample_points)
+    problem = {
+        "kind": "quadratic_1d", "slope": 0.5, "quad": 1.0, "p": 0.3,
+        "t": 0.6, "gamma": 0.5, "cutoff_r": 0.01,
+    }
+    config = {"problem": problem, "tol": 1e-10, "picard_tol": 1e-10, "samples": 20, "seed": 0}
+    code = main(["linearize", "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(tmp_path / "run")])
+    assert code == 0
+    result, offsets = captured["linearize"], captured["sample_points"]
+    p = result.fixed_point
+    assert len(offsets) == 20
+    assert len(result.backward.memo) <= 40
+    op = result.problem.derivative
+    rows = read_samples(tmp_path, "run")[1:]
+    for row, u in zip(rows, offsets):
+        expected = displacement_space_residual(op, result.backward.displacement((u + p) - p))
+        assert float(row[3]) == expected
 
 
 def test_malformed_config_reports_line(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import functools
 import math
 
+import numpy as np
 import pytest
 
 from ghlin import (
@@ -31,7 +32,9 @@ from ghlin import (
     zero_like,
     zero_perturbation,
 )
+from ghlin import conjugacy
 from ghlin.linearize import make_holder_certificate
+from ghlin.perturbations import perturbed_apply, solve_perturbed_inverse
 from conftest import random_sparse
 
 POLICY = SeriesPolicy(tol=1e-10)
@@ -514,3 +517,123 @@ def test_sweep_matches_tree_within_certified_error_when_beta_sees_extra_terms(rn
         gaps.append(norm(fwd.displacement(x) - tree_displacement(fwd, x)))
     assert max(gaps) <= 2.0 * fwd.certified_error
     assert max(gaps) > 0.0
+
+
+# -- one-sided splittings ---------------------------------------------------------
+
+
+def two_sided_sweep(op, sources, terms):
+    """The dense sweep with K + 1 sources on both sides, whatever the splitting."""
+    acc = np.zeros(op.dim)
+    sums_m = []
+    for s in sources[: len(sources) - terms - 1]:
+        acc = op.proj_M_matrix @ s.array + op.a_M @ acc
+        sums_m.append(acc)
+    acc = np.zeros(op.dim)
+    sums_n = []
+    for s in reversed(sources[terms + 1 :]):
+        acc = op.a_N @ (op.proj_N_matrix @ s.array + acc)
+        sums_n.append(acc)
+    return [DenseVector(s_m - s_n) for s_m, s_n in zip(sums_m[terms:], reversed(sums_n))]
+
+
+def two_sided_displacement(cmap, x):
+    """The map's displacement at x from the two-sided lattice.
+
+    Both halves of the orbit are built and swept even when P_M or P_N is
+    zero; on a trivial side the partial sums are exact zeros.
+    """
+    op, beta, terms, depth = cmap.op, cmap.beta, cmap.terms, cmap.depth
+    if cmap.direction == "forward":
+        r_apply, r_invert = op.apply, op.apply_inverse
+    else:
+        tols = iter(cmap._inverse_tols)
+        r_apply = functools.partial(perturbed_apply, op, beta)
+        r_invert = lambda p: solve_perturbed_inverse(op, beta, p, next(tols))
+    orbit = [x]
+    for _ in range(depth * (terms + 1)):
+        orbit.append(r_invert(orbit[-1]))
+    orbit.reverse()
+    for _ in range(depth * terms):
+        orbit.append(r_apply(orbit[-1]))
+    values = None
+    for level in range(1, depth + 1):
+        points = orbit[(level - 1) * (terms + 1) : len(orbit) - (level - 1) * terms]
+        if values is not None:
+            points = [p + h for p, h in zip(points, values)]
+        values = two_sided_sweep(op, [beta(u) for u in points], terms)
+    return values[0] if cmap.direction == "forward" else -values[0]
+
+
+def _one_sided_maps(rows):
+    op = make_matrix_operator(rows, t=0.6)
+    beta = saturating_perturbation(0.01, 1.0)
+    fwd = solve_conjugacy(op, beta, 0.5, POLICY, picard_tol=1e-8)
+    bwd = solve_inverse_conjugacy(op, beta, POLICY)
+    return op, beta, fwd, bwd
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[0.5]], [[2.0]], [[0.5, 0.0], [0.0, 0.25]], [[2.0, 0.0], [0.0, 3.0]]],
+)
+def test_one_sided_lattice_equals_two_sided(rng, monkeypatch, rows):
+    op, _, fwd, bwd = _one_sided_maps(rows)
+    assert op.m_is_trivial or op.n_is_trivial
+    assert fwd.depth > 1
+    # the forward orbit is not stepped towards the trivial side
+    unused_step = "apply" if op.n_is_trivial else "apply_inverse"
+
+    def forbidden(y):
+        raise AssertionError(f"{unused_step} called on a one-sided forward orbit")
+
+    for _ in range(20):
+        x = DenseVector(rng.uniform(-1, 1, op.dim))
+        with monkeypatch.context() as m:
+            m.setattr(op, unused_step, forbidden)
+            got = fwd.displacement(x)
+        assert got == two_sided_displacement(fwd, x)
+        assert bwd.displacement(x) == two_sided_displacement(bwd, x)
+
+
+def test_backward_map_with_trivial_M_never_inverts(monkeypatch):
+    op, _, _, bwd = _one_sided_maps([[2.0]])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_perturbed_inverse(*args)
+
+    monkeypatch.setattr(conjugacy, "solve_perturbed_inverse", counted)
+    bwd.displacement(DenseVector([0.4]))
+    assert op.m_is_trivial and bwd.terms > 0
+    assert calls == []
+
+
+def test_backward_map_with_trivial_N_never_steps_forward(monkeypatch):
+    op, beta, _, _ = _one_sided_maps([[0.5]])
+    inside_solver = []
+    outside_calls = []
+
+    def counted_beta(x):
+        if not inside_solver:
+            outside_calls.append(x)
+        return beta(x)
+
+    def solver(*args):
+        inside_solver.append(True)
+        try:
+            return solve_perturbed_inverse(*args)
+        finally:
+            inside_solver.pop()
+
+    def forward_step(*args):
+        raise AssertionError("perturbed_apply called with N = {0}")
+
+    counting = Perturbation(counted_beta, beta.sup_bound, beta.lip_bound)
+    bwd = solve_inverse_conjugacy(op, counting, POLICY)
+    monkeypatch.setattr(conjugacy, "solve_perturbed_inverse", solver)
+    monkeypatch.setattr(conjugacy, "perturbed_apply", forward_step)
+    bwd.displacement(DenseVector([0.4]))
+    assert op.n_is_trivial
+    assert len(outside_calls) == bwd.terms + 1

@@ -129,6 +129,50 @@ def test_shift_restriction_norms_cover_core():
     assert op.norm_Tinv_on_N == 0.5  # T^-1 on N divides by w_n for n >= 2
 
 
+def reference_shift_sweep(op, sources, terms):
+    """The dict sweep with K + 1 sources per side, from public calls only.
+
+    Each M step is P_M s + T S and each N step T^{-1}(P_N s + R), summed
+    with vector +; the value is S_M - S_N.
+    """
+    acc = SparseVector({})
+    sums_m = []
+    for s in sources[: len(sources) - terms - 1]:
+        acc = op.project_M(s) + op.apply(acc)
+        sums_m.append(acc)
+    acc = SparseVector({})
+    sums_n = []
+    for s in reversed(sources[terms + 1 :]):
+        acc = op.apply_inverse(op.project_N(s) + acc)
+        sums_n.append(acc)
+    return [s_m - s_n for s_m, s_n in zip(sums_m[terms:], reversed(sums_n))]
+
+
+# distinct core weights on both sides of 0
+SWEEP_WEIGHTS = WeightSpec(0.5, 2.0, core={-2: 0.3, -1: 0.7, 0: 0.9, 1: 1.5, 2: 3.0, 3: 2.5})
+
+
+@pytest.mark.parametrize("terms", [0, 1, 4])
+def test_shift_sweep_matches_reference_bitwise(rng, terms):
+    op = make_shift(SWEEP_WEIGHTS)
+    for length in (2 * terms + 2, 2 * terms + 7):
+        sources = [random_sparse(rng, window=range(-6, 7)) for _ in range(length)]
+        got = op.orbit_sweep(sources, terms + 1, terms + 1)
+        assert len(got) == length - 2 * terms - 1
+        assert got == reference_shift_sweep(op, sources, terms)
+
+
+def test_shift_sweep_prunes_sums_that_cancel_to_zero():
+    op = make_shift(SWEEP_WEIGHTS)
+    # T {0: 1} = {-1: 0.9} cancels against s_1 on the M side, and
+    # T^{-1} {1: 3} = {2: 1} against s_2 on the N side
+    sources = [SparseVector({0: 1.0, -2: 0.5}), SparseVector({-1: -0.9, 4: 1.0}),
+               SparseVector({2: -1.0, -3: 0.5}), SparseVector({1: 3.0, 3: 5.0})]
+    (got,) = op.orbit_sweep(sources, 2, 2)
+    assert got == reference_shift_sweep(op, sources, 1)[0]
+    assert got.support() == [-3, 5]
+
+
 # -- matrix operators -----------------------------------------------------
 
 
