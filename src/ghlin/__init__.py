@@ -20,14 +20,12 @@ from .vectors import (
     zero_like,
 )
 from .operators import (
-    AdaptedNorm,
     CertificationError,
     CriterionReport,
     GHOperator,
     MatrixOperator,
     ShiftOperator,
     WeightSpec,
-    adapted_norm,
     admissible_eps,
     check_shift_criterion,
     constants_report,

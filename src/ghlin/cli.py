@@ -100,6 +100,13 @@ def _write_samples(prefix: str, rows: list[tuple]) -> None:
         writer.writerows(rows)
 
 
+def _samples(config: dict) -> int:
+    n = config["samples"]
+    if type(n) is not int or n < 1:  # JSON true is a bool, 2.5 a float
+        raise ConfigError(f"samples must be an integer >= 1, got {n!r}")
+    return n
+
+
 def _policy(config: dict) -> SeriesPolicy:
     return SeriesPolicy(tol=float(config.get("tol", DEFAULTS["tol"])))
 
@@ -136,9 +143,9 @@ def _cmd_conjugate(config: dict, prefix: str, rng) -> int:
     gamma = float(_require(config, "gamma"))
     policy = _policy(config)
     picard_tol = float(config.get("picard_tol", DEFAULTS["picard_tol"]))
+    n = _samples(config)
     fwd = solve_conjugacy(op, beta, gamma, policy, picard_tol)
     bwd = solve_inverse_conjugacy(op, beta, policy)
-    n = int(config["samples"])
     points = sample_points(rng, op, n, beta)
     fwd_report = verify_conjugacy(fwd, points)
     bwd_report = verify_conjugacy(bwd, points)
@@ -237,8 +244,8 @@ def _cmd_linearize(config: dict, prefix: str, rng) -> int:
     problem = _problem_from_descriptor(descriptor)
     policy = _policy(config)
     picard_tol = float(config.get("picard_tol", DEFAULTS["picard_tol"]))
+    n = _samples(config)
     result = linearize(problem, policy, picard_tol)
-    n = int(config["samples"])
     op = problem.derivative
     offsets = sample_points(rng, op, n, result.beta, radius=result.u_radius)
     rows = []
@@ -278,13 +285,13 @@ def _cmd_holder_probe(config: dict, prefix: str, rng) -> int:
     op = operator_from_descriptor(_require(config, "operator"))
     beta = perturbation_from_descriptor(_require(config, "perturbation"), op.norm_kind)
     policy = _policy(config)
+    n = _samples(config)
     bwd = solve_inverse_conjugacy(op, beta, policy)
     cap = theta_bound(op)
     theta = float(config.get("theta") or cap / 2.0)
     eps_eff = max(beta.sup_bound, beta.lip_bound)
     diameter = float(config.get("domain_diameter", 0.9))
     cert = make_holder_certificate(op, beta, theta, eps_eff, diameter)
-    n = int(config["samples"])
     pairs = sample_pairs(rng, op, n, diameter, beta)
     report = empirical_holder(bwd, cert, pairs)
     rows = []

@@ -52,8 +52,8 @@ from typing import Callable, Sequence
 
 from .operators import CertificationError, GHOperator, admissible_eps, _require_constants
 from .perturbations import (
-    ContractionError,
     Perturbation,
+    _require_contraction,
     perturbed_apply,
     solve_perturbed_inverse,
 )
@@ -85,19 +85,19 @@ UNCERTIFIED = "uncertified"
 #: the norm bound (at least 1) of the point being inverted
 INVERSE_TOL_REL = 1e-12
 
+#: most series terms per side that ``truncation_terms`` may ask for
+TERMS_CAP = 10_000
+
 
 @dataclass(frozen=True)
 class SeriesPolicy:
-    """Per-evaluation truncation target and hard cap on series terms."""
+    """Per-evaluation truncation target; the term count is capped at ``TERMS_CAP``."""
 
     tol: float
-    k_cap: int = 10_000
 
     def __post_init__(self) -> None:
         if not (self.tol > 0.0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.k_cap < 1:
-            raise ValueError(f"k_cap must be >= 1, got {self.k_cap}")
 
 
 def truncation_tail_bound(op: GHOperator, source_sup: float, terms: int) -> float:
@@ -120,10 +120,10 @@ def truncation_terms(op: GHOperator, source_sup: float, policy: SeriesPolicy) ->
         terms = max(0, math.ceil(math.log(policy.tol / lead) / math.log(k.t)) - 1)
     while truncation_tail_bound(op, source_sup, terms) > policy.tol:
         terms += 1
-    if terms > policy.k_cap:
+    if terms > TERMS_CAP:
         raise CertificationError(
             f"series needs {terms} terms to reach tol={policy.tol}, above the "
-            f"cap {policy.k_cap}"
+            f"cap {TERMS_CAP}"
         )
     return terms
 
@@ -291,11 +291,7 @@ def solve_conjugacy(
             f"gamma*(1-t)/(c*d*(1+t)) = {eps} at gamma = {gamma}; the identity "
             f"distance of the conjugacy could not be kept below gamma"
         )
-    if beta.lip_bound * op.norm_Tinv >= 1.0:
-        raise ContractionError(
-            f"Lip(beta) * |T^{{-1}}| = {beta.lip_bound * op.norm_Tinv} >= 1; "
-            "perturbed orbits cannot be certified"
-        )
+    _require_contraction(op, beta)
     k = _require_constants(op)
     gain = k.c * k.d * (1.0 + k.t) / (1.0 - k.t)
     q = gain * beta.lip_bound
@@ -338,11 +334,7 @@ def solve_inverse_conjugacy(
     any forward conjugacy with |h| < 1 (``solve_conjugacy`` keeps
     |h| <= gamma < 1).
     """
-    if beta.lip_bound * op.norm_Tinv >= 1.0:
-        raise ContractionError(
-            f"Lip(beta) * |T^{{-1}}| = {beta.lip_bound * op.norm_Tinv} >= 1; "
-            "the perturbed inverse is not a certified contraction"
-        )
+    _require_contraction(op, beta)
     k = _require_constants(op)
     terms = truncation_terms(op, beta.sup_bound, policy)
     lip_inv = op.norm_Tinv / (1.0 - op.norm_Tinv * beta.lip_bound)

@@ -44,6 +44,9 @@ __all__ = [
     "linearize",
 ]
 
+#: ``linearize`` stops halving the cutoff radius below this
+CUTOFF_R_MIN = 1e-12
+
 
 @dataclass(frozen=True)
 class HolderCertificate:
@@ -69,15 +72,15 @@ def theta_bound(op: GHOperator) -> float:
 
     Equals min(-ln|T^{-1}|_N| / ln|T|, -ln|T|_M| / ln|T^{-1}|), each term
     present only when the corresponding splitting component is nontrivial.
-    Requires the installed restriction norms to be proper contractions; if
-    they are not, renorm with the adapted norm first.
+    Requires |T|_M| < 1 and |T^{-1}|_N| < 1 in the ambient norm; no adapted
+    norm is applied, so certified decay constants (c, t, d) do not suffice.
     """
     terms = []
     if not op.m_is_trivial:
         if op.norm_T_on_M >= 1.0:
             raise ValueError(
-                f"|T restricted to M| = {op.norm_T_on_M} is not < 1; "
-                "install an adapted norm before asking for a Holder exponent"
+                f"|T restricted to M| = {op.norm_T_on_M} is not < 1 in the ambient "
+                "norm; the Holder exponent needs it below 1 (no adapted norm)"
             )
         if op.norm_Tinv <= 1.0:
             raise ValueError("|T^{-1}| must exceed 1 when M is nontrivial")
@@ -85,8 +88,8 @@ def theta_bound(op: GHOperator) -> float:
     if not op.n_is_trivial:
         if op.norm_Tinv_on_N >= 1.0:
             raise ValueError(
-                f"|T^{{-1}} restricted to N| = {op.norm_Tinv_on_N} is not < 1; "
-                "install an adapted norm before asking for a Holder exponent"
+                f"|T^{{-1}} restricted to N| = {op.norm_Tinv_on_N} is not < 1 in the "
+                "ambient norm; the Holder exponent needs it below 1 (no adapted norm)"
             )
         if op.norm_T <= 1.0:
             raise ValueError("|T| must exceed 1 when N is nontrivial")
@@ -330,28 +333,21 @@ def linearize(
     problem: LinearizationProblem,
     policy: SeriesPolicy,
     picard_tol: float,
-    r_min: float = 1e-12,
 ) -> LinearizationResult:
     """Conjugate a map to its derivative near a generalized hyperbolic fixed point.
 
     Chooses eps as the smaller of the admissible bound for gamma and
     0.9 / |T^{-1}|, then halves the cutoff radius until the cut
     nonlinearity fits under eps (both its Lipschitz constant, with the
-    factor-3 cutoff inflation, and its sup bound).  The conjugacy with the
-    original map is certified on the inner ball only, where the cutoff is
-    the identity.
+    factor-3 cutoff inflation, and its sup bound), or stops once the radius
+    falls below ``CUTOFF_R_MIN``.  The conjugacy with the original map is
+    certified on the inner ball only, where the cutoff is the identity.
     """
     op = problem.derivative
     p = problem.fixed_point
-    fixed_at_origin = norm(p, op.norm_kind) == 0.0
-
-    def translated_map(u: StateVector) -> StateVector:
-        if fixed_at_origin:
-            return problem.func(u)
-        return problem.func(u + p) - p
 
     def nonlinearity(u: StateVector) -> StateVector:
-        return translated_map(u) - op.apply(u)
+        return problem.func(u + p) - p - op.apply(u)
 
     eps = min(
         admissible_eps(op, problem.gamma),
@@ -365,9 +361,9 @@ def linearize(
         if 3.0 * lip_ball <= eps and 2.0 * r * lip_ball <= eps:
             break
         r *= 0.5
-        if r < r_min:
+        if r < CUTOFF_R_MIN:
             raise ValueError(
-                f"nonlinearity too steep: cutoff radius fell below {r_min} "
+                f"nonlinearity too steep: cutoff radius fell below {CUTOFF_R_MIN} "
                 f"before its Lipschitz bound fit under eps = {eps}"
             )
     if lip_ball == 0.0:

@@ -33,6 +33,7 @@ nontrivial series, so its omitted tail lies inside the (K + 1)-term tail.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,8 +60,6 @@ __all__ = [
     "make_matrix_operator",
     "estimate_constants",
     "admissible_eps",
-    "AdaptedNorm",
-    "adapted_norm",
     "operator_from_descriptor",
 ]
 
@@ -69,6 +68,9 @@ UNIT_CIRCLE_TOL = 1e-8
 
 #: projections and invariant-splitting residuals must validate below this
 SPLITTING_TOL = 1e-10
+
+#: most powers ``estimate_constants`` tries before giving up on a window
+DECAY_WINDOW_CAP = 10_000
 
 
 class CertificationError(ValueError):
@@ -168,8 +170,9 @@ class _Constants:
 class _WeightTable(dict):
     """Weights by index, each read from ``WeightSpec.weight`` once, on first use.
 
-    Filled lazily rather than over an index window: a sparse point with
-    coordinates far apart would need a window as wide as their spread.
+    One table per operator: a weight depends only on its index, so a hit is
+    always right.  Filled lazily rather than over an index window: a sparse
+    point with coordinates far apart would need a window that wide.
     """
 
     __slots__ = ("_weight",)
@@ -206,6 +209,7 @@ class ShiftOperator:
 
     def __init__(self, weights: WeightSpec, norm_kind: NormKind = SUP_NORM):
         self.weights = weights
+        self._weight = _WeightTable(weights)
         self.norm_kind = norm_kind
         magnitudes = [abs(weights.left_tail), abs(weights.right_tail)]
         magnitudes += [abs(v) for v in weights.core.values()]
@@ -224,14 +228,14 @@ class ShiftOperator:
     def apply(self, x: StateVector) -> SparseVector:
         if not isinstance(x, SparseVector):
             raise ValueError("shift operators act on sparse vectors")
-        w = self.weights.weight
-        return _sparse_raw({i - 1: p for i, v in x.items() if (p := w(i) * v) != 0.0})
+        w = self._weight
+        return _sparse_raw({i - 1: p for i, v in x.items() if (p := w[i] * v) != 0.0})
 
     def apply_inverse(self, y: StateVector) -> SparseVector:
         if not isinstance(y, SparseVector):
             raise ValueError("shift operators act on sparse vectors")
-        w = self.weights.weight
-        return _sparse_raw({i + 1: p for i, v in y.items() if (p := v / w(i + 1)) != 0.0})
+        w = self._weight
+        return _sparse_raw({i + 1: p for i, v in y.items() if (p := v / w[i + 1]) != 0.0})
 
     def project_M(self, x: SparseVector) -> SparseVector:
         return _sparse_raw({i: v for i, v in x.items() if i <= 0})
@@ -252,7 +256,7 @@ class ShiftOperator:
         itself, so on these terms A_M and A_N are T and T^{-1} exactly.
         """
         count = len(sources) - m_count - n_count + 1
-        weight = _WeightTable(self.weights)
+        weight = self._weight
         sums_m: list[dict[int, float]] = [{}] * count  # S_M(m), m = a + m_count, ...
         if m_count:
             acc: dict[int, float] = {}
@@ -524,17 +528,14 @@ def make_matrix_operator(
     return op
 
 
-def estimate_constants(
-    op: GHOperator,
-    t: float | None = None,
-    n_cap: int = 10_000,
-) -> tuple[float, float, float]:
+def estimate_constants(op: GHOperator, t: float | None = None) -> tuple[float, float, float]:
     """Install certified decay constants (c, t, d) on the operator.
 
     With A_M = T P_M and A_N = T^{-1} P_N, the certification window is the
     first n_max at which both |A_M^n| <= t^n and |A_N^n| <= t^n; then
     c = max_{n <= n_max} max(|A_M^n|, |A_N^n|) / t^n works for every power
-    by submultiplicativity, and d = max(|P_M|, |P_N|).
+    by submultiplicativity, and d = max(|P_M|, |P_N|).  The search stops
+    after ``DECAY_WINDOW_CAP`` steps or once t^n underflows.
     """
     rho_m, rho_n = op.stable_spectral_radii()
     rho = max(rho_m, rho_n)
@@ -546,24 +547,27 @@ def estimate_constants(
         raise CertificationError(
             f"t={t} does not dominate the stable spectral radii ({rho_m}, {rho_n})"
         )
-    n_max, c = _decay_window(op, t, n_cap)
+    n_max, c = _decay_window(op, t)
     d = max(op.norm_P_M, op.norm_P_N)
     op.constants = _Constants(c=c, t=t, d=d, n_max=n_max)
     return c, t, d
 
 
-def _decay_window(op: GHOperator, t: float, n_cap: int = 10_000) -> tuple[int, float]:
+def _decay_window(op: GHOperator, t: float) -> tuple[int, float]:
     """First n with |A_M^n| <= t^n and |A_N^n| <= t^n, and c = max ratio up to it."""
     c = 1.0
-    for n in range(1, n_cap + 1):
+    for n in range(1, DECAY_WINDOW_CAP + 1):
         tn = t**n
+        if tn < sys.float_info.min:  # subnormal or zero: the ratios are not reliable
+            break
         ratio_m = op._power_norm_on_M(n) / tn
         ratio_n = op._power_norm_on_N_inverse(n) / tn
         c = max(c, ratio_m, ratio_n)
         if ratio_m <= 1.0 and ratio_n <= 1.0:
             return n, c
     raise CertificationError(
-        f"constants not certifiable at this t={t}: no power window within {n_cap} steps"
+        f"constants not certifiable at this t={t}: the power-window search stopped at "
+        f"step {n} (cap {DECAY_WINDOW_CAP}; t^n must stay a normal float)"
     )
 
 
@@ -588,59 +592,6 @@ def admissible_eps(op: GHOperator, gamma: float) -> float:
 def constants_report(op: GHOperator) -> dict:
     k = _require_constants(op)
     return {"c": k.c, "t": k.t, "d": k.d, "n_max": k.n_max}
-
-
-class AdaptedNorm:
-    """Equivalent norm making the splitting restrictions genuine contractions.
-
-    |x|_* = max over 0 <= n <= window of |T^n P_M x| / t^n and
-    |T^{-n} P_N x| / t^n.  The suprema over all n are attained inside the
-    certified window (any larger power is dominated through the window by
-    submultiplicativity), so evaluation is exact.  Under this norm
-    |T y|_* <= t |y|_* on M and |T^{-1} z|_* <= t |z|_* on N.
-
-    The equivalence constants with the ambient norm are reported as
-    ``lower`` and ``upper``: lower * |x| <= |x|_* <= upper * |x|.
-    """
-
-    def __init__(self, op: GHOperator, t: float, n_window: int, c_window: float):
-        self.op = op
-        self.t = t
-        self.n_window = n_window
-        # |T^n P_M x|/t^n <= c d |x| on the window; the n = 0 terms give the
-        # lower bound max(|P_M x|, |P_N x|) >= |x| / 2.
-        self.lower = 0.5
-        self.upper = c_window * max(op.norm_P_M, op.norm_P_N)
-
-    def __call__(self, x: StateVector) -> float:
-        from .vectors import norm as ambient_norm
-
-        best = 0.0
-        u = self.op.project_M(x)
-        scale = 1.0
-        for _ in range(self.n_window + 1):
-            best = max(best, ambient_norm(u, self.op.norm_kind) / scale)
-            u = self.op.apply(u)
-            scale *= self.t
-        v = self.op.project_N(x)
-        scale = 1.0
-        for _ in range(self.n_window + 1):
-            best = max(best, ambient_norm(v, self.op.norm_kind) / scale)
-            v = self.op.apply_inverse(v)
-            scale *= self.t
-        return best
-
-
-def adapted_norm(op: GHOperator, t: float | None = None) -> AdaptedNorm:
-    """Norm functional adapted to the splitting at contraction rate t."""
-    k = _require_constants(op)
-    if t is None or t == k.t:
-        return AdaptedNorm(op, k.t, k.n_max, k.c)
-    rho = max(op.stable_spectral_radii())
-    if not (rho <= t < 1.0):
-        raise CertificationError(f"t={t} must separate the spectral radius {rho} from 1")
-    n, c = _decay_window(op, t)
-    return AdaptedNorm(op, t, n, c)
 
 
 def operator_from_descriptor(obj: dict, norm_kind: NormKind | None = None) -> GHOperator:

@@ -212,7 +212,8 @@ def cutoff(
     alpha_lip_on_ball: float,
     profile: CutoffProfile,
     norm_kind: NormKind = SUP_NORM,
-    zero: StateVector | None = None,
+    *,
+    zero: StateVector,
 ) -> Perturbation:
     """Globalize a local nonlinearity with alpha(0) = 0 by a radial cutoff.
 
@@ -224,15 +225,14 @@ def cutoff(
         Lip bound  = 3 * L       (L from alpha, 2r*L*(1/r) from the profile).
 
     beta agrees with alpha exactly on the ball of radius r and vanishes
-    outside radius 2r.
+    outside radius 2r.  ``zero`` is the origin of alpha's backend, where
+    alpha(0) = 0 is checked.
     """
     if alpha_lip_on_ball <= 0.0:
         raise ValueError(f"alpha_lip_on_ball must be > 0, got {alpha_lip_on_ball}")
-    a0 = 0.0
-    if zero is not None:
-        a0 = norm(alpha(zero), norm_kind)
-        if a0 > 1e-9:
-            raise ValueError(f"alpha(0) must vanish; measured norm {a0}")
+    a0 = norm(alpha(zero), norm_kind)
+    if a0 > 1e-9:
+        raise ValueError(f"alpha(0) must vanish; measured norm {a0}")
     r = profile.r
     lip = alpha_lip_on_ball
 
@@ -256,6 +256,16 @@ def perturbed_apply(op: GHOperator, beta: Perturbation, x: StateVector) -> State
     return op.apply(x) + beta(x)
 
 
+def _require_contraction(op: GHOperator, beta: Perturbation) -> None:
+    """Raise ``ContractionError`` unless q = Lip(beta) * |T^{-1}| < 1."""
+    q = beta.lip_bound * op.norm_Tinv
+    if q >= 1.0:
+        raise ContractionError(
+            f"Lip(beta) * |T^{{-1}}| = {q} >= 1; the perturbed inverse is not "
+            "a certified contraction"
+        )
+
+
 def solve_perturbed_inverse(
     op: GHOperator,
     beta: Perturbation,
@@ -272,12 +282,7 @@ def solve_perturbed_inverse(
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    q = beta.lip_bound * op.norm_Tinv
-    if q >= 1.0:
-        raise ContractionError(
-            f"Lip(beta) * |T^{{-1}}| = {q} >= 1; the perturbed inverse is not "
-            "a certified contraction"
-        )
+    _require_contraction(op, beta)
     x = op.apply_inverse(y)
     if beta.is_zero:
         return x

@@ -19,6 +19,9 @@ __all__ = ["sample_window", "sample_points", "sample_pairs"]
 #: index slack added around a perturbation's support window
 WINDOW_SLACK = 10
 
+#: smallest ambient distance between the two points of a sampled pair
+PAIR_MIN_DISTANCE = 1e-3
+
 
 def sample_window(beta: Perturbation | None) -> tuple[int, int]:
     """Index window for sparse samples: the perturbation support plus slack."""
@@ -65,11 +68,10 @@ def sample_pairs(
     n: int,
     max_distance: float,
     beta: Perturbation | None = None,
-    min_distance: float = 1e-3,
 ) -> list[tuple[StateVector, StateVector]]:
-    """Point pairs with ambient distance in [min_distance, max_distance]."""
-    if not (0.0 < min_distance < max_distance):
-        raise ValueError("need 0 < min_distance < max_distance")
+    """Point pairs with ambient distance in [PAIR_MIN_DISTANCE, max_distance]."""
+    if not PAIR_MIN_DISTANCE < max_distance:
+        raise ValueError(f"need max_distance > {PAIR_MIN_DISTANCE}, got {max_distance}")
     kind = op.norm_kind
     base = sample_points(rng, op, n, beta)
     pairs = []
@@ -78,7 +80,7 @@ def sample_pairs(
             (step,) = sample_points(rng, op, 1, beta, radius=max_distance / 2.0)
             y = x + step
             dist = norm(x - y, kind)
-            if min_distance <= dist <= max_distance:
+            if PAIR_MIN_DISTANCE <= dist <= max_distance:
                 pairs.append((x, y))
                 break
         else:

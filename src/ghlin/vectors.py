@@ -55,9 +55,6 @@ class NormKind:
     def lp(p: float) -> "NormKind":
         return NormKind(float(p))
 
-    def describe(self) -> dict:
-        return {"kind": "sup"} if self.is_sup else {"kind": "lp", "p": self.p}
-
     @staticmethod
     def from_descriptor(obj: dict) -> "NormKind":
         if obj.get("kind") == "sup":
@@ -97,9 +94,6 @@ class SparseVector:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, SparseVector) and self._coords == other._coords
-
-    def __hash__(self) -> int:  # pragma: no cover - vectors rarely hashed directly
-        return hash(frozenset(self._coords.items()))
 
     def __repr__(self) -> str:
         inside = ", ".join(f"{i}: {v}" for i, v in sorted(self._coords.items()))
@@ -226,14 +220,17 @@ def _check_dims(x: DenseVector, y: DenseVector) -> None:
 
 
 def norm(v: StateVector, kind: NormKind = SUP_NORM) -> float:
-    """Ambient norm of a vector; 0 exactly on empty support / all zeros."""
+    """Ambient norm of a vector; 0 exactly on empty support / all zeros.
+
+    Sparse l^p sums use ``math.fsum``, so they do not depend on coordinate order.
+    """
     if isinstance(v, SparseVector):
         values = [abs(x) for _, x in v.items()]
         if not values:
             return 0.0
         if kind.is_sup:
             return max(values)
-        return float(sum(x ** kind.p for x in values) ** (1.0 / kind.p))
+        return math.fsum(x**kind.p for x in values) ** (1.0 / kind.p)
     if kind.is_sup:
         return float(np.max(np.abs(v.array))) if v.dim else 0.0
     return float(np.sum(np.abs(v.array) ** kind.p) ** (1.0 / kind.p))

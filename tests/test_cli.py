@@ -117,6 +117,34 @@ def test_conjugate_rejects_oversized_perturbation(tmp_path, capsys):
     assert "gamma*(1-t)/(c*d*(1+t))" in err
 
 
+def test_constants_underflow_exits_2_without_traceback(tmp_path, capsys):
+    # t^n underflows long before this Jordan block's power window at t = 0.5001
+    operator = {"kind": "matrix", "rows": [[0.5, 1.0], [0.0, 0.5]], "t": 0.5001}
+    cfg = write_config(tmp_path, "c.json", {"operator": operator})
+    code = main(["constants", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ghlin constants: constants not certifiable") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", [0, -3, True, 2.5])
+def test_sample_count_must_be_a_positive_integer(tmp_path, capsys, samples):
+    conjugate = {
+        "operator": SHIFT,
+        "perturbation": {"kind": "sine", "amplitude": 0.05, "frequency": 1.0, "window": [-1, 1]},
+        "gamma": 0.2,
+        "samples": samples,
+    }
+    problem = {"kind": "quadratic_1d", "slope": 0.5, "quad": 1.0, "t": 0.6}
+    configs = {"conjugate": conjugate, "linearize": {"problem": problem, "samples": samples}}
+    for command, config in configs.items():
+        cfg = write_config(tmp_path, f"{command}.json", config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ghlin {command}: samples must be an integer >= 1, got {samples!r}\n"
+        assert not (tmp_path / f"{command}.report.json").exists()
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not valid JSON")
 

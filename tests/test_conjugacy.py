@@ -58,8 +58,6 @@ def dilation_1d():
 def test_policy_validation():
     with pytest.raises(ValueError):
         SeriesPolicy(tol=0.0)
-    with pytest.raises(ValueError):
-        SeriesPolicy(tol=1e-6, k_cap=0)
 
 
 def test_truncation_meets_tolerance():
@@ -77,9 +75,10 @@ def test_truncation_zero_source_needs_no_terms():
 
 
 def test_truncation_cap_enforced():
-    op = diag_half_three()
+    # t = 0.999 needs 698 026 terms for this tolerance, above the cap of 10 000
+    op = make_matrix_operator([[0.5]], t=0.999)
     with pytest.raises(Exception, match="cap"):
-        truncation_terms(op, 1.0, SeriesPolicy(tol=1e-300, k_cap=10))
+        truncation_terms(op, 1.0, SeriesPolicy(tol=1e-300))
 
 
 # -- the intertwining series -------------------------------------------------

@@ -261,6 +261,8 @@ def test_translated_affine_problem_matches_origin_run(rng):
 
 
 def test_steep_nonlinearity_exhausts_radius():
+    # a Lipschitz bound that does not shrink with the radius never fits under eps
     problem = quadratic_problem(quad=1e9, cutoff_r=1.0)
+    problem.nonlinearity_lip = lambda rho: 1e9
     with pytest.raises(ValueError, match="too steep"):
-        linearize(problem, SeriesPolicy(tol=1e-9), picard_tol=1e-9, r_min=1e-3)
+        linearize(problem, SeriesPolicy(tol=1e-9), picard_tol=1e-9)

@@ -1,4 +1,4 @@
-"""Operator construction, splitting invariants, constants and adapted norms."""
+"""Operator construction, splitting invariants, constants and weight lookups."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from ghlin import (
     DenseVector,
     SparseVector,
     WeightSpec,
-    adapted_norm,
     admissible_eps,
     check_shift_criterion,
     constants_report,
@@ -18,6 +17,7 @@ from ghlin import (
     norm,
     operator_from_descriptor,
 )
+from ghlin import operators
 from conftest import brute_force_margins, random_sparse
 
 
@@ -95,6 +95,18 @@ def test_shift_apply_inverse_is_exact(rng):
         x = random_sparse(rng)
         assert op.apply_inverse(op.apply(x)) == x
         assert op.apply(op.apply_inverse(x)) == x
+
+
+def test_shift_reads_each_weight_once(rng, monkeypatch):
+    lookups = []
+    weight = WeightSpec.weight
+    monkeypatch.setattr(WeightSpec, "weight", lambda spec, n: lookups.append(n) or weight(spec, n))
+    op = make_shift(WeightSpec(0.5, 2.0, core={0: 0.9}), t=0.75)
+    x = random_sparse(rng)
+    first = (op.apply(x), op.apply_inverse(x))
+    lookups.clear()
+    assert (op.apply(x), op.apply_inverse(x)) == first
+    assert lookups == []
 
 
 def test_shift_apply_inverse_general_weights(rng):
@@ -259,10 +271,18 @@ def test_constants_reject_t_below_spectral_radius():
         make_shift(WeightSpec(0.5, 2.0), t=0.4)
 
 
-def test_constants_cap_produces_diagnostic():
+def test_constants_cap_produces_diagnostic(monkeypatch):
+    # this Jordan block needs a 21-step window at t = 0.6
     op = make_matrix_operator([[0.5, 1.0], [0.0, 0.5]], t=0.6)
+    monkeypatch.setattr(operators, "DECAY_WINDOW_CAP", 10)
     with pytest.raises(CertificationError, match="not certifiable at this t"):
-        estimate_constants(op, 0.6, n_cap=10)
+        estimate_constants(op, 0.6)
+
+
+def test_constants_stop_when_t_power_underflows():
+    # at t = 0.5001 the window lies far beyond n = 1076, where t^n underflows
+    with pytest.raises(CertificationError, match="stopped at step 1023 "):
+        make_matrix_operator([[0.5, 1.0], [0.0, 0.5]], t=0.5001)
 
 
 def test_diagonal_action_example():
@@ -310,54 +330,6 @@ def test_admissible_eps_halves_with_c(rng):
         assert formula(c * 1.01, d, t, gamma) < base
         assert formula(c, d * 1.01, t, gamma) < base
         assert formula(c, d, t + 0.01, gamma) < base
-
-
-# -- adapted norm -----------------------------------------------------------
-
-
-def test_adapted_norm_equals_ambient_when_already_adapted(rng):
-    op = make_matrix_operator([[0.5, 0.0], [0.0, 3.0]], t=0.6)
-    star = adapted_norm(op)
-    for _ in range(20):
-        x = DenseVector(rng.uniform(-1, 1, 2))
-        assert star(x) == pytest.approx(norm(x), rel=1e-12)
-
-
-def test_adapted_norm_contracts_on_both_sides(rng):
-    op = make_shift(WeightSpec(0.5, 2.0, core={0: 0.9, 1: 1.2}), t=0.75)
-    star = adapted_norm(op)
-    for _ in range(1000):
-        y = op.project_M(random_sparse(rng))
-        if len(y.to_dict()):
-            assert star(op.apply(y)) <= 0.75 * star(y) + 1e-12
-        z = op.project_N(random_sparse(rng))
-        if len(z.to_dict()):
-            assert star(op.apply_inverse(z)) <= 0.75 * star(z) + 1e-12
-
-
-def test_adapted_norm_zero_vector():
-    op = make_shift(WeightSpec(0.5, 2.0))
-    assert adapted_norm(op)(SparseVector({})) == 0.0
-
-
-def test_adapted_norm_at_explicit_rate(rng):
-    op = make_shift(WeightSpec(0.5, 2.0, core={0: 0.9}), t=0.95)
-    star = adapted_norm(op, t=0.92)
-    assert star.t == 0.92
-    for _ in range(200):
-        y = op.project_M(random_sparse(rng))
-        if len(y.to_dict()):
-            assert star(op.apply(y)) <= 0.92 * star(y) + 1e-12
-
-
-def test_adapted_norm_equivalence_bounds(rng):
-    op = make_shift(WeightSpec(0.5, 2.0, core={0: 0.9}), t=0.75)
-    star = adapted_norm(op)
-    for _ in range(100):
-        x = random_sparse(rng)
-        val = star(x)
-        assert star.lower * norm(x) <= val + 1e-12
-        assert val <= star.upper * norm(x) + 1e-12
 
 
 # -- descriptors -------------------------------------------------------------

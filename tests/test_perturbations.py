@@ -130,7 +130,7 @@ def test_cutoff_rejects_nonvanishing_origin():
 
 def test_cutoff_rejects_nonpositive_lipschitz():
     with pytest.raises(ValueError, match="alpha_lip_on_ball"):
-        cutoff(square_1d, 0.0, CutoffProfile(0.01))
+        cutoff(square_1d, 0.0, CutoffProfile(0.01), zero=DenseVector([0.0]))
 
 
 # -- perturbed inverse --------------------------------------------------------

@@ -32,6 +32,6 @@ def test_sampling_is_seed_deterministic():
 
 def test_pairs_respect_distance_band(rng):
     op = make_matrix_operator([[0.5, 0.0], [0.0, 3.0]])
-    for x, y in sample_pairs(rng, op, 50, 0.5, min_distance=1e-3):
+    for x, y in sample_pairs(rng, op, 50, 0.5):
         dist = norm(x - y)
         assert 1e-3 <= dist <= 0.5

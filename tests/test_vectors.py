@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ghlin import (
@@ -20,6 +21,16 @@ from conftest import random_sparse
 def test_norm_triangle_345():
     v = SparseVector({0: 3.0, 2: 4.0})
     assert norm(v, NormKind.lp(2)) == pytest.approx(5.0, abs=1e-14)
+
+
+def test_sparse_lp_norm_ignores_coordinate_order():
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        items = list(zip(range(5), rng.uniform(-1.0, 1.0, 5)))
+        built, reversed_build = SparseVector(items), SparseVector(items[::-1])
+        assert built == reversed_build
+        for p in (1.5, 2.0, 3.0):
+            assert norm(built, NormKind.lp(p)) == norm(reversed_build, NormKind.lp(p))
 
 
 def test_norm_sup_picks_largest_coordinate():
