@@ -159,7 +159,7 @@ def _cmd_conjugate(config: dict, prefix: str, rng) -> int:
             holder = None
     inverse_report = verify_inverse_pair(fwd, bwd, points, holder)
     rows = []
-    for i, x in enumerate(points):
+    for i, value in enumerate(fwd.displacements(points)):
         residual = max(
             fwd_report.per_point[i],
             bwd_report.per_point[i],
@@ -170,7 +170,7 @@ def _cmd_conjugate(config: dict, prefix: str, rng) -> int:
             bwd_report.certified_bound,
             inverse_report.certified_bound,
         )
-        membership = displacement_space_residual(op, fwd.displacement(x))
+        membership = displacement_space_residual(op, value)
         rows.append((i, residual, bound, membership))
     _write_samples(prefix, rows)
     passed = fwd_report.passed and bwd_report.passed and inverse_report.passed
@@ -248,22 +248,19 @@ def _cmd_linearize(config: dict, prefix: str, rng) -> int:
     result = linearize(problem, policy, picard_tol)
     op = problem.derivative
     offsets = sample_points(rng, op, n, result.beta, radius=result.u_radius)
-    rows = []
-    residuals = []
     bound = result.certified_residual_bound
-    for i, u in enumerate(offsets):
-        y = u + problem.fixed_point
-        res = result.conjugacy_residual(y)
-        residuals.append(res)
-        # the residual evaluated the map at y - p, which may differ from u
-        # in the last bits; that value is in the memo
-        membership = displacement_space_residual(
-            op, result.backward.displacement(y - problem.fixed_point)
-        )
-        rows.append((i, res, bound, membership))
+    points = [u + problem.fixed_point for u in offsets]
+    residuals = result.conjugacy_residuals(points)
+    # the residuals evaluated the map at y - p, which may differ from u in
+    # the last bits; those values are in the memo
+    values = result.backward.displacements([y - problem.fixed_point for y in points])
+    rows = [
+        (i, res, bound, displacement_space_residual(op, value))
+        for i, (res, value) in enumerate(zip(residuals, values))
+    ]
     _write_samples(prefix, rows)
     max_residual = max(residuals, default=0.0)
-    covered = all(result.covers(u + problem.fixed_point) for u in offsets)
+    covered = all(result.covers(y) for y in points)
     passed = covered and max_residual <= bound
     payload = {
         "command": "linearize",
@@ -294,10 +291,11 @@ def _cmd_holder_probe(config: dict, prefix: str, rng) -> int:
     cert = make_holder_certificate(op, beta, theta, eps_eff, diameter)
     pairs = sample_pairs(rng, op, n, diameter, beta)
     report = empirical_holder(bwd, cert, pairs)
-    rows = []
-    for i, ((x, _), ratio) in enumerate(zip(pairs, report.per_pair)):
-        membership = displacement_space_residual(op, bwd.displacement(x))
-        rows.append((i, ratio, report.bound, membership))
+    values = bwd.displacements([x for x, _ in pairs])
+    rows = [
+        (i, ratio, report.bound, displacement_space_residual(op, value))
+        for i, (ratio, value) in enumerate(zip(report.per_pair, values))
+    ]
     _write_samples(prefix, rows)
     _write_report(prefix, {"command": "holder-probe", **report.to_dict()})
     return 0 if report.passed else 1

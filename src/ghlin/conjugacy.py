@@ -39,6 +39,22 @@ H' o (T + beta) = T o H' is minus the depth-1 lattice with R = T + beta and
 source beta.  Both displacements land in the subspace M + T^{-1}(N) term by
 term.
 
+The lattice runs on a batch of points at once (``vectors.Batch``).  Each
+orbit step maps every row; the orbit is then one array of shape (orbit
+index, N, columns), each level one row-batch call of the source and one
+``orbit_sweep``.  Every entry is computed as the single-point lattice
+computes it, so a point gets the same value in any batch: bit for bit on the
+shift, and up to the rounding of a matrix product (gemm against gemv) on the
+dense backend.  Sparse columns are the union of the rows' supports, and the
+sweep adds the runs its partial sums can reach, joined by zero-weight seams.
+When the source depends only on a declared window of indices (``reads``),
+the orbit and every level below the top keep only the columns in that
+window's span: M-side sums move left and N-side sums move right, so a
+column that leaves the span never returns.  ``ConjugacyMap.displacements``
+checks the memo, keeps one copy of each missing point, and runs the misses
+in chunks sized so that their orbit array, estimated from the orbit length
+and the widest point, fits ``CHUNK_BYTES``.
+
 Every map carries a certified worst-case evaluation error; verification
 routines compare observed identity residuals against bounds derived from it.
 """
@@ -57,7 +73,7 @@ from .perturbations import (
     perturbed_apply,
     solve_perturbed_inverse,
 )
-from .vectors import StateVector, norm, zero_like
+from .vectors import Batch, SparseVector, StateVector, norm, pack, stack, zero_like
 
 __all__ = [
     "SeriesPolicy",
@@ -87,6 +103,9 @@ INVERSE_TOL_REL = 1e-12
 
 #: most series terms per side that ``truncation_terms`` may ask for
 TERMS_CAP = 10_000
+
+#: memory budget of the orbit array of one lattice call; more points run in chunks
+CHUNK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -149,18 +168,30 @@ def intertwining_solution(
     """
     if terms is None:
         terms = truncation_terms(op, source_sup, policy)
-    return _picard_lattice(op, r_apply, r_invert, source, x, terms, 1)
+    value = _picard_lattice(
+        op, _row_form(r_apply), _row_form(r_invert), _row_form(source), pack([x]), terms, 1,
+        getattr(source, "reads", None),
+    )
+    return value.unpack()[0]
 
 
-def _picard_lattice(op, r_apply, r_invert, source, x: StateVector, terms: int, depth: int):
-    """Depth-``depth`` Picard iterate of phi = solution-of(source o (I + phi)) at x.
+def _row_form(f) -> Callable[[Batch], Batch]:
+    # a perturbation's own batch form, or a single-point map run on each row
+    if isinstance(f, Perturbation):
+        return f.rows
+    return lambda b: pack([f(x) for x in b.unpack()])
 
-    A side takes k = K + 1 sources when its projection is nontrivial and
-    none when it is trivial.  Level l uses the sources at orbit indices
+
+def _picard_lattice(op, r_apply, r_invert, source, x: Batch, terms, depth, reads=None) -> Batch:
+    """Depth-``depth`` Picard iterate of phi = solution-of(source o (I + phi)) at the rows of x.
+
+    ``r_apply``, ``r_invert`` and ``source`` map batches to batches.  A side
+    takes k = K + 1 sources when its projection is nontrivial and none when
+    it is trivial.  Level l uses the sources at orbit indices
     [-(depth - l + 1) k_M, (depth - l + 1)(k_N - 1)] and covers
     [-(depth - l) k_M, (depth - l)(k_N - 1)]; the bare orbit, inverted
     outward from x first and built only as far as those sources reach, is
-    level 0.
+    level 0.  ``reads`` lists the sparse indices the source depends on.
     """
     m_count = 0 if op.m_is_trivial else terms + 1
     n_count = 0 if op.n_is_trivial else terms + 1
@@ -170,14 +201,25 @@ def _picard_lattice(op, r_apply, r_invert, source, x: StateVector, terms: int, d
     orbit.reverse()
     for _ in range(depth * (n_count - 1)):  # none when N = {0}
         orbit.append(r_apply(orbit[-1]))
+    span = (min(reads), max(reads)) if reads else None
+    orbit = stack(orbit, span)
     values = None  # phi_{l-1} on the source range of level l
     for level in range(1, depth + 1):
         start = (level - 1) * m_count
         points = orbit[start : start + (depth - level + 1) * (m_count + n_count - 1) + 1]
         if values is not None:
-            points = [p + h for p, h in zip(points, values)]
-        values = op.orbit_sweep([source(u) for u in points], m_count, n_count)
+            points = points + values
+        values = op.orbit_sweep(
+            _on_rows(source, points), m_count, n_count, span if level < depth else None
+        )
     return values[0]
+
+
+def _on_rows(source, points: Batch) -> Batch:
+    # the source on a (orbit index, N, columns) batch, as one 2-d call
+    count, n, width = points.rows.shape
+    out = source(Batch(points.rows.reshape(count * n, width), points.cols))
+    return Batch(out.rows.reshape(count, n, out.rows.shape[-1]), out.cols)
 
 
 class ConjugacyMap:
@@ -191,7 +233,9 @@ class ConjugacyMap:
     everywhere).
 
     Evaluation is pure; the memo caches displacement values keyed by the
-    exact coordinates, and concurrent writers would insert identical values.
+    exact coordinates and keeps the first value stored for a key.  On the
+    shift every batch computes identical values; on the dense backend two
+    batches may differ in the last bits, both within ``certified_error``.
     """
 
     def __init__(
@@ -217,14 +261,29 @@ class ConjugacyMap:
         self.eval_radius = eval_radius
         self.memo: dict = {}
 
+    def displacements(self, points: Sequence[StateVector]) -> list[StateVector]:
+        """The offsets H(x) - x at the points, computed to the map's certified error.
+
+        Memo hits are returned as stored.  The misses, one per distinct
+        memo key, run through the lattice together, in chunks sized from
+        ``CHUNK_BYTES``; each value is memoised.
+        """
+        keys = [x.memo_key() for x in points]
+        misses: dict = {}
+        for key, x in zip(keys, points):
+            if key not in self.memo:
+                misses.setdefault(key, x)
+        pending = list(misses.items())
+        size = self._chunk_size(misses.values())
+        for i in range(0, len(pending), size):
+            chunk = pending[i : i + size]
+            for (key, _), value in zip(chunk, self._values([x for _, x in chunk])):
+                self.memo.setdefault(key, value)
+        return [self.memo[key] for key in keys]
+
     def displacement(self, x: StateVector) -> StateVector:
-        """The offset H(x) - x, computed to the map's certified error."""
-        key = x.memo_key()
-        got = self.memo.get(key)
-        if got is None:
-            got = self._value(x)
-            self.memo.setdefault(key, got)
-        return got
+        """The offset H(x) - x: ``displacements`` of one point."""
+        return self.displacements([x])[0]
 
     def __call__(self, x: StateVector) -> StateVector:
         return x + self.displacement(x)
@@ -233,23 +292,32 @@ class ConjugacyMap:
         """Whether ``certified_error`` is quoted at x."""
         return self.eval_radius is None or norm(x, self.op.norm_kind) <= self.eval_radius
 
-    def _value(self, x: StateVector) -> StateVector:
+    def _chunk_size(self, points) -> int:
+        # points per lattice call: the orbit has at most depth*(2K + 1) + 1
+        # row blocks, each as wide as the widest point plus a margin
+        widths = [len(x) if isinstance(x, SparseVector) else x.dim for x in points]
+        row_bytes = 8 * (self.depth * (2 * self.terms + 1) + 1) * (max(widths, default=0) + 1)
+        return max(1, CHUNK_BYTES // row_bytes)
+
+    def _values(self, points: list[StateVector]) -> list[StateVector]:
         op, beta = self.op, self.beta
         if self.depth == 0 or beta.is_zero:
-            return zero_like(x)
+            return [zero_like(x) for x in points]
+        x = pack(points)
         if self.direction == FORWARD:  # source beta on the orbit of T
             return _picard_lattice(
-                op, op.apply, op.apply_inverse, beta, x, self.terms, self.depth
-            )
+                op, op.step, op.step_inverse, beta.rows, x, self.terms, self.depth, beta.reads
+            ).unpack()
         inverse_tols = iter(self._inverse_tols)
 
-        def r_invert(p: StateVector) -> StateVector:
+        def r_invert(p: Batch) -> Batch:
             return solve_perturbed_inverse(op, beta, p, next(inverse_tols))
 
         # source -beta on the orbit of T + beta; negating the value is exact
-        return -_picard_lattice(
-            op, partial(perturbed_apply, op, beta), r_invert, beta, x, self.terms, self.depth
-        )
+        return (-_picard_lattice(
+            op, partial(perturbed_apply, op, beta), r_invert, beta.rows, x,
+            self.terms, self.depth, beta.reads,
+        )).unpack()
 
     def report(self) -> dict:
         return {
@@ -436,20 +504,19 @@ def verify_conjugacy(cmap: ConjugacyMap, samples: Sequence[StateVector]) -> Veri
     else:  # H o S = T o H
         inner, outer, outer_beta_lip = s_apply, op.apply, 0.0
     bound = cmap.certified_error * (1.0 + op.norm_T + outer_beta_lip)
-    residuals = []
-    evaluated = []  # every point the map was evaluated at
-    for x in samples:
-        rx = inner(x)
-        lhs = cmap(rx)
-        rhs = outer(cmap(x))
-        residuals.append(norm(lhs - rhs, op.norm_kind))
-        evaluated += (rx, x)
+    samples = list(samples)
+    images = [inner(x) for x in samples]
+    values = cmap.displacements(images + samples)
+    residuals = [
+        norm((rx + h_rx) - outer(x + h_x), op.norm_kind)
+        for rx, x, h_rx, h_x in zip(images, samples, values, values[len(samples):])
+    ]
     return VerificationReport(
         kind=cmap.direction,
         n_samples=len(residuals),
         max_residual=max(residuals, default=0.0),
         certified_bound=bound,
-        status=_status(bound, all(cmap.covers(p) for p in evaluated)),
+        status=_status(bound, all(cmap.covers(p) for p in images + samples)),
         per_point=residuals,
     )
 
@@ -527,21 +594,25 @@ def verify_inverse_pair(
         bound = max(left_bound, right_bound)
     else:
         bound = math.inf
-    pairs = []
-    evaluated = []  # (map, point) for every evaluation
-    for x in samples:
-        fx = fwd(x)
-        left = norm(bwd(fx) - x, fwd.op.norm_kind)
-        bx = bwd(x)
-        right = norm(fwd(bx) - x, fwd.op.norm_kind)
-        pairs.append((left, right))
-        evaluated += ((fwd, x), (bwd, fx), (bwd, x), (fwd, bx))
+    samples = list(samples)
+    kind = fwd.op.norm_kind
+    there = [x + h for x, h in zip(samples, fwd.displacements(samples))]
+    back = [x + h for x, h in zip(samples, bwd.displacements(samples))]
+    pairs = [
+        (norm((u + h_u) - x, kind), norm((v + h_v) - x, kind))
+        for x, u, v, h_u, h_v in zip(
+            samples, there, back, bwd.displacements(there), fwd.displacements(back)
+        )
+    ]
+    covered = all(fwd.covers(p) for p in samples + back) and all(
+        bwd.covers(p) for p in samples + there
+    )
     return InversePairReport(
         n_samples=len(pairs),
         max_residual_left=max((p[0] for p in pairs), default=0.0),
         max_residual_right=max((p[1] for p in pairs), default=0.0),
         certified_bound=bound,
-        status=_status(bound, all(m.covers(p) for m, p in evaluated)),
+        status=_status(bound, covered),
         per_point=pairs,
     )
 

@@ -209,8 +209,7 @@ def empirical_holder(
     every pair point must lie where E is quoted (``cmap.covers``).
     """
     kind = cmap.op.norm_kind
-    ratios = []
-    min_dist = math.inf
+    kept = []  # (x, y, distance) for every pair of distinct points
     for x, y in pairs:
         dist = norm(x - y, kind)
         if dist == 0.0:
@@ -224,9 +223,13 @@ def empirical_holder(
             raise ValueError(
                 f"pair point outside the map's eval_radius {cmap.eval_radius}"
             )
-        min_dist = min(min_dist, dist)
-        gap = norm(cmap.displacement(x) - cmap.displacement(y), kind)
-        ratios.append(gap / dist**cert.theta)
+        kept.append((x, y, dist))
+    values = cmap.displacements([x for x, _, _ in kept] + [y for _, y, _ in kept])
+    ratios = [
+        norm(h_x - h_y, kind) / dist**cert.theta
+        for (_, _, dist), h_x, h_y in zip(kept, values, values[len(kept):])
+    ]
+    min_dist = min((dist for _, _, dist in kept), default=math.inf)
     inflation = (
         0.0
         if not ratios
@@ -308,10 +311,18 @@ class LinearizationResult:
 
     def conjugacy_residual(self, y: StateVector) -> float:
         """|H(F(y)) - DF_p(H(y))| at a point y (meaningful inside u_radius)."""
-        op = self.problem.derivative
-        lhs = self.linearized(self.problem.func(y))
-        rhs = op.apply(self.linearized(y))
-        return norm(lhs - rhs, op.norm_kind)
+        return self.conjugacy_residuals([y])[0]
+
+    def conjugacy_residuals(self, ys: Sequence[StateVector]) -> list[float]:
+        """``conjugacy_residual`` at every point, with one backward-map call."""
+        op, p = self.problem.derivative, self.fixed_point
+        images = [self.problem.func(y) - p for y in ys]
+        offsets = [y - p for y in ys]
+        values = self.backward.displacements(images + offsets)
+        return [
+            norm((u + h_u) - op.apply(v + h_v), op.norm_kind)
+            for u, v, h_u, h_v in zip(images, offsets, values, values[len(ys):])
+        ]
 
     @property
     def certified_residual_bound(self) -> float:

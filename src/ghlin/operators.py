@@ -17,17 +17,28 @@ M and ``|T^{-n} z| <= c t^n |z|`` on N, with d the larger projection norm.
 The constants are certified on a finite window and extended to all powers by
 submultiplicativity of operator norms.
 
-``orbit_sweep`` is the only orbit-series primitive.  Given source values
-s_a, ..., s_b on a run of consecutive orbit indices and a source count per
-side, k_M and k_N (K + 1 for a nontrivial side, 0 for a trivial one), it
-sums the two-sided series at every index m in [a + k_M, b - k_N + 1], in
-one pass per nontrivial side: the M side left to right,
-S <- P_M s_j + A_M S, and the N side right to left,
-R <- A_N (P_N s_j + R).  A trivial side's projection is zero, so it is not
-swept and contributes an exact zero.  Stepping only with the restricted
-maps A_M = T P_M and A_N = T^{-1} P_N keeps partial sums on their side of
-the splitting.  Each value holds at least the K + 1 nearest terms of every
-nontrivial series, so its omitted tail lies inside the (K + 1)-term tail.
+Both act on batches (``vectors.Batch``): ``step`` and ``step_inverse`` apply
+T and T^{-1} to every row, and ``orbit_sweep`` is the only orbit-series
+primitive.  Given sources s_a, ..., s_b, one row block per orbit index
+(an array of shape (orbit index, N, columns)), and a source count per side,
+k_M and k_N (K + 1 for a nontrivial side, 0 for a trivial one), it sums the
+two-sided series at every index m in [a + k_M, b - k_N + 1], in one pass
+per nontrivial side: the M side left to right, S <- P_M s_j + A_M S, and
+the N side right to left, R <- A_N (P_N s_j + R), then S_M - S_N.  A
+trivial side's projection is zero, so it is not swept and contributes an
+exact zero.  Stepping only with the restricted maps A_M = T P_M and
+A_N = T^{-1} P_N keeps partial sums on their side of the splitting.  Each
+value holds at least the K + 1 nearest terms of every nontrivial series, so
+its omitted tail lies inside the (K + 1)-term tail.
+
+The dense backend steps all N rows at once, ``acc @ A_M.T``.  On the shift,
+T moves a row one column to the left, so ``step`` only relabels the columns
+and multiplies by one weight array.  The sweep lays its rows over the
+columns the sources can reach: a union of runs [i - steps, i] for each
+source column i <= 0 and [i, i + steps] for each i >= 1.  Neighbouring runs
+are joined by a seam, a zero weight, and no partial sum ever reaches one,
+so a point with coordinates at -10^5 and 10^5 is swept over two short runs
+and never over the span between them.
 """
 
 from __future__ import annotations
@@ -41,12 +52,14 @@ import scipy.linalg
 
 from .vectors import (
     SUP_NORM,
+    Batch,
     DenseVector,
     NormKind,
     SparseVector,
     StateVector,
+    pack,
 )
-from .vectors import _add_coords, _dense_raw, _sparse_raw  # internal fast paths
+from .vectors import _dense_raw, _sparse_raw  # internal fast paths
 
 __all__ = [
     "CertificationError",
@@ -167,34 +180,20 @@ class _Constants:
     n_max: int
 
 
-class _WeightTable(dict):
-    """Weights by index, each read from ``WeightSpec.weight`` once, on first use.
-
-    One table per operator: a weight depends only on its index, so a hit is
-    always right.  Filled lazily rather than over an index window: a sparse
-    point with coordinates far apart would need a window that wide.
-    """
-
-    __slots__ = ("_weight",)
-
-    def __init__(self, weights: WeightSpec):
-        super().__init__()
-        self._weight = weights.weight
-
-    def __missing__(self, i: int) -> float:
-        self[i] = w = self._weight(i)
-        return w
+def _reach(cols: np.ndarray, left: int, right: int) -> np.ndarray:
+    """Sorted indices lying in [i - left, i + right] for some i in sorted ``cols``."""
+    if not len(cols):
+        return cols
+    starts, ends = cols - left, cols + right
+    first = np.flatnonzero(np.r_[True, starts[1:] > ends[:-1] + 1])
+    last = np.r_[first[1:] - 1, len(cols) - 1]
+    return np.concatenate([np.arange(starts[a], ends[b] + 1) for a, b in zip(first, last)])
 
 
-def _add_side(acc: dict[int, float], s: SparseVector, on_m: bool) -> None:
-    # acc += P_M s (on_m) or P_N s in place, dropping sums that cancel to zero
-    for i, v in s.items():
-        if (i <= 0) == on_m:
-            total = acc.get(i, 0.0) + v
-            if total == 0.0:
-                acc.pop(i, None)
-            else:
-                acc[i] = total
+def _sparse_batch(b: Batch) -> Batch:
+    if b.cols is None:
+        raise ValueError("shift operators act on sparse vectors")
+    return b
 
 
 class ShiftOperator:
@@ -209,7 +208,10 @@ class ShiftOperator:
 
     def __init__(self, weights: WeightSpec, norm_kind: NormKind = SUP_NORM):
         self.weights = weights
-        self._weight = _WeightTable(weights)
+        lo, hi = weights.window
+        core = [weights.core[i] for i in range(lo, hi + 1)]
+        # w_i is self._table[clip(i - lo + 1, 0, len(core) + 1)]
+        self._table = np.array([weights.left_tail, *core, weights.right_tail])
         self.norm_kind = norm_kind
         magnitudes = [abs(weights.left_tail), abs(weights.right_tail)]
         magnitudes += [abs(v) for v in weights.core.values()]
@@ -223,19 +225,32 @@ class ShiftOperator:
         self.n_is_trivial = False
         self.constants: _Constants | None = None
 
+    def _weight(self, idx: np.ndarray) -> np.ndarray:
+        """The weights w_i at the indices ``idx``, read from one weight array."""
+        lo = self.weights.window[0]
+        return self._table[np.minimum(np.maximum(idx - (lo - 1), 0), len(self._table) - 1)]
+
     # -- action ---------------------------------------------------------
 
     def apply(self, x: StateVector) -> SparseVector:
         if not isinstance(x, SparseVector):
             raise ValueError("shift operators act on sparse vectors")
-        w = self._weight
-        return _sparse_raw({i - 1: p for i, v in x.items() if (p := w[i] * v) != 0.0})
+        return self.step(pack([x])).unpack()[0]
 
     def apply_inverse(self, y: StateVector) -> SparseVector:
         if not isinstance(y, SparseVector):
             raise ValueError("shift operators act on sparse vectors")
-        w = self._weight
-        return _sparse_raw({i + 1: p for i, v in y.items() if (p := v / w[i + 1]) != 0.0})
+        return self.step_inverse(pack([y])).unpack()[0]
+
+    def step(self, b: Batch) -> Batch:
+        """T on every row: (T x)_{i-1} = w_i x_i, a relabelling of the columns."""
+        b = _sparse_batch(b)
+        return Batch(b.rows * self._weight(b.cols), b.cols - 1)
+
+    def step_inverse(self, b: Batch) -> Batch:
+        """T^{-1} on every row: (T^{-1} y)_{i+1} = y_i / w_{i+1}."""
+        b = _sparse_batch(b)
+        return Batch(b.rows / self._weight(b.cols + 1), b.cols + 1)
 
     def project_M(self, x: SparseVector) -> SparseVector:
         return _sparse_raw({i: v for i, v in x.items() if i <= 0})
@@ -244,39 +259,59 @@ class ShiftOperator:
         return _sparse_raw({i: v for i, v in x.items() if i >= 1})
 
     def orbit_sweep(
-        self, sources: list[SparseVector], m_count: int, n_count: int
-    ) -> list[SparseVector]:
+        self, sources: Batch, m_count: int, n_count: int, within: tuple[int, int] | None = None
+    ) -> Batch:
         """Orbit series at each index with m_count sources left, n_count right.
 
-        ``sources`` are s_a, ..., s_b in orbit order; the value at index m,
-        a + m_count <= m <= b - n_count + 1, is
+        ``sources.rows`` has shape (orbit index, N, columns) and holds
+        s_a, ..., s_b; row block m - a - m_count of the result is the value
+        at index m, a + m_count <= m <= b - n_count + 1, which is
         sum_k T^k P_M s_{m-k-1} - sum_k T^{-(k+1)} P_N s_{m+k} over every
         source in range; a side with count 0 is not swept and adds nothing.
         T moves support {<= 0} into itself and T^{-1} moves {>= 1} into
         itself, so on these terms A_M and A_N are T and T^{-1} exactly.
+
+        With ``within`` = (lo, hi) the values are exact on the columns of
+        [lo, hi] and any hull of the sources, and may omit what lies off
+        it: M-side sums only move left and N-side sums only right, so what
+        leaves that range never comes back.
         """
-        count = len(sources) - m_count - n_count + 1
-        weight = self._weight
-        sums_m: list[dict[int, float]] = [{}] * count  # S_M(m), m = a + m_count, ...
-        if m_count:
-            acc: dict[int, float] = {}
-            sums_m = []
-            for s in sources[: len(sources) - n_count]:
-                acc = {i - 1: p for i, v in acc.items() if (p := weight[i] * v) != 0.0}
-                _add_side(acc, s, on_m=True)
-                sums_m.append(acc)
-            sums_m = sums_m[m_count - 1 :]
-        sums_n: list[dict[int, float]] = [{}] * count  # S_N(m), m = a + m_count, ...
-        if n_count:
-            acc = {}
-            sums_n = []
-            for s in reversed(sources[m_count:]):
-                step = dict(acc)
-                _add_side(step, s, on_m=False)
-                acc = {i + 1: p for i, v in step.items() if (p := v / weight[i + 1]) != 0.0}
-                sums_n.append(acc)
-            sums_n.reverse()
-        return [_sparse_raw(_add_coords(s_m, s_n, -1.0)) for s_m, s_n in zip(sums_m, sums_n)]
+        s = _sparse_batch(sources).rows
+        length, count = s.shape[0], s.shape[0] - m_count - n_count + 1
+        m_steps, n_steps = length - n_count - 1, length - m_count
+        live = sources.cols[np.any(s != 0.0, axis=(0, 1))]
+        cols = np.union1d(
+            _reach(live[live <= 0], m_steps, 0) if m_count else live[:0],
+            _reach(live[live >= 1], 0, n_steps) if n_count else live[:0],
+        )
+        if within is not None and len(cols):
+            lo, hi = min(within[0], live[0]), max(within[1], live[-1])
+            cols = cols[(cols >= lo) & (cols <= hi)]
+        s = sources.on(cols).rows
+        out = np.zeros((count, s.shape[1], len(cols)))
+        z = int(np.searchsorted(cols, 1))  # columns [0, z) lie in M, [z, ...) in N
+        if m_count and z:
+            c = cols[:z]  # T: new[p] = w_{c_p + 1} old[p + 1], zero at a seam
+            weight = np.where(c[1:] == c[:-1] + 1, self._weight(c[1:]), 0.0)
+            acc = np.zeros((s.shape[1], z))
+            for j in range(length - n_count):
+                nxt = out[j - m_count + 1, :, :z] if j >= m_count - 1 else np.empty_like(acc)
+                np.multiply(acc[:, 1:], weight, out=nxt[:, :-1])
+                nxt[:, -1] = 0.0
+                nxt += s[j, :, :z]
+                acc = nxt
+        if n_count and z < len(cols):
+            c = cols[z:]  # T^{-1}: new[p + 1] = old[p] / w_{c_{p+1}}, zero at a seam
+            weight = np.where(c[1:] == c[:-1] + 1, self._weight(c[1:]), np.inf)
+            acc = np.zeros((s.shape[1], len(c)))
+            for j in reversed(range(m_count, length)):
+                total = acc + s[j, :, z:]
+                acc = np.empty_like(total)
+                np.divide(total[:, :-1], weight, out=acc[:, 1:])
+                acc[:, 0] = 0.0
+                if j - m_count < count:
+                    np.negative(acc, out=out[j - m_count, :, z:])
+        return Batch(out, cols)
 
     # -- exact norms ----------------------------------------------------
 
@@ -301,7 +336,8 @@ class ShiftOperator:
         """Exact norm of the n-th inverse power restricted to N (support >= 1).
 
         T^{-n} maps e_j to e_{j+n} / (w_{j+1} ... w_{j+n}); the norm is the
-        reciprocal of the infimum of |product| over j >= 1.
+        reciprocal of the infimum of |product| over j >= 1.  A product that
+        underflows leaves that reciprocal unreliable, so it raises.
         """
         w = self.weights.weight
         _, hi = self.weights.window
@@ -311,6 +347,11 @@ class ShiftOperator:
             for i in range(j + 1, j + n + 1):
                 prod *= abs(w(i))
             best = min(best, prod)
+        if best < sys.float_info.min:  # subnormal or zero
+            raise CertificationError(
+                f"the norm of T^-{n} on N is not certifiable: a product of {n} weights "
+                "underflows (it must stay a normal float)"
+            )
         return 1.0 / best
 
     def stable_spectral_radii(self) -> tuple[float, float]:
@@ -376,6 +417,19 @@ class MatrixOperator:
             raise ValueError(f"matrix operator needs dense vectors of dimension {self.dim}")
         return _dense_raw(self.matrix_inv @ y.array)
 
+    def step(self, b: Batch) -> Batch:
+        """T on every row at once."""
+        return Batch(self._dense_batch(b).rows @ self.matrix.T)
+
+    def step_inverse(self, b: Batch) -> Batch:
+        """T^{-1} on every row at once."""
+        return Batch(self._dense_batch(b).rows @ self.matrix_inv.T)
+
+    def _dense_batch(self, b: Batch) -> Batch:
+        if b.cols is not None or b.rows.shape[-1] != self.dim:
+            raise ValueError(f"matrix operator needs dense vectors of dimension {self.dim}")
+        return b
+
     def project_M(self, x: DenseVector) -> DenseVector:
         return _dense_raw(self.proj_M_matrix @ x.array)
 
@@ -383,35 +437,34 @@ class MatrixOperator:
         return _dense_raw(self.proj_N_matrix @ x.array)
 
     def orbit_sweep(
-        self, sources: list[DenseVector], m_count: int, n_count: int
-    ) -> list[DenseVector]:
+        self, sources: Batch, m_count: int, n_count: int, within: tuple[int, int] | None = None
+    ) -> Batch:
         """Orbit series at each index with m_count sources left, n_count right.
 
-        Same contract as ``ShiftOperator.orbit_sweep``; an unswept side is
-        an exact zero vector, so with M = {0} the value is 0 - S_N.
-        Stepping with A_M and A_N instead of T and T^{-1} keeps rounding in
-        a partial sum from leaking into the other side, where the powers of
-        T would amplify it.
+        Same contract as ``ShiftOperator.orbit_sweep`` (``within`` is a
+        sparse layout hint and is ignored); an unswept side is an exact zero
+        vector, so with M = {0} the value is 0 - S_N.  Stepping with A_M and
+        A_N instead of T and T^{-1} keeps rounding in a partial sum from
+        leaking into the other side, where the powers of T would amplify it.
         """
-        count = len(sources) - m_count - n_count + 1
-        zero = np.zeros(self.dim)
-        sums_m = [zero] * count  # S_M(m) for m = a + m_count, ..., b - n_count + 1
+        s = self._dense_batch(sources).rows
+        length, count = s.shape[0], s.shape[0] - m_count - n_count + 1
+        out = np.zeros((count,) + s.shape[1:])
         if m_count:
-            acc = zero
-            sums_m = []
-            for s in sources[: len(sources) - n_count]:
-                acc = self.proj_M_matrix @ s.array + self.a_M @ acc
-                sums_m.append(acc)
-            sums_m = sums_m[m_count - 1 :]
-        sums_n = [zero] * count  # S_N(m) for the same m
+            projected = s[: length - n_count] @ self.proj_M_matrix.T
+            acc = np.zeros(s.shape[1:])
+            for j, p in enumerate(projected):
+                acc = p + acc @ self.a_M.T
+                if j >= m_count - 1:
+                    out[j - m_count + 1] = acc
         if n_count:
-            acc = zero
-            sums_n = []
-            for s in reversed(sources[m_count:]):
-                acc = self.a_N @ (self.proj_N_matrix @ s.array + acc)
-                sums_n.append(acc)
-            sums_n.reverse()
-        return [_dense_raw(s_m - s_n) for s_m, s_n in zip(sums_m, sums_n)]
+            projected = s[m_count:] @ self.proj_N_matrix.T
+            acc = np.zeros(s.shape[1:])
+            for j in reversed(range(length - m_count)):
+                acc = (projected[j] + acc) @ self.a_N.T
+                if j < count:
+                    out[j] -= acc
+        return Batch(out)
 
     def _power_norm_on_M(self, n: int) -> float:
         return self._induced(np.linalg.matrix_power(self.a_M, n))

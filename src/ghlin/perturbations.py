@@ -5,6 +5,13 @@ sup norm and the Lipschitz constant, derived in closed form.  The sine and
 saturating perturbations share one coordinatewise builder, x -> a*f(r*x_n)
 on an index window or on every coordinate.
 
+Every perturbation also acts on a ``Batch`` of points (``rows``).  The
+builders here give a row-batch form that computes each row exactly as the
+single-point map does: the coordinatewise builder calls its scalar f on the
+window entries, the constant and zero maps broadcast, and the cutoff takes
+row norms and calls alpha per row.  A perturbation built from a plain
+function runs it on each row.
+
 The cutoff construction turns a locally Lipschitz nonlinearity vanishing at
 the origin into a globally small bounded Lipschitz map that agrees with it
 on an inner ball, and the perturbed-inverse solver inverts T + beta by
@@ -22,13 +29,16 @@ import numpy as np
 from .operators import GHOperator
 from .vectors import (
     SUP_NORM,
+    Batch,
     NormKind,
     SparseVector,
     StateVector,
+    merge_rows,
     norm,
-    zero_like,
+    pack,
+    row_norms,
+    zero_rows,
 )
-from .vectors import _dense_raw, _sparse_raw
 
 __all__ = [
     "Perturbation",
@@ -64,21 +74,36 @@ class Perturbation:
 
     ``support_window`` declares, for sparse backends, a finite index window
     containing the support of every value; it keeps series terms finitely
-    supported and drives default sampling windows.
+    supported and drives default sampling windows.  ``batch`` is the map on
+    a 2-d ``Batch``, row by row; when it is given, ``func`` may be None and
+    a single point is a batch of one.  ``reads`` lists the sparse indices
+    the map's value depends on (None: possibly all).
     """
 
-    func: Callable[[StateVector], StateVector]
+    func: Callable[[StateVector], StateVector] | None
     sup_bound: float
     lip_bound: float
     support_window: tuple[int, int] | None = None
+    batch: Callable[[Batch], Batch] | None = None
+    reads: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         for name, val in (("sup_bound", self.sup_bound), ("lip_bound", self.lip_bound)):
             if not math.isfinite(val) or val < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {val}")
+        if self.func is None and self.batch is None:
+            raise ValueError("a perturbation needs func or batch")
 
     def __call__(self, x: StateVector) -> StateVector:
-        return self.func(x)
+        if self.batch is None:
+            return self.func(x)
+        return self.batch(pack([x])).unpack()[0]
+
+    def rows(self, b: Batch) -> Batch:
+        """The map on every row of a 2-d batch."""
+        if self.batch is not None:
+            return self.batch(b)
+        return pack([self(x) for x in b.unpack()])
 
     @property
     def is_zero(self) -> bool:
@@ -86,7 +111,7 @@ class Perturbation:
 
 
 def zero_perturbation() -> Perturbation:
-    return Perturbation(func=zero_like, sup_bound=0.0, lip_bound=0.0)
+    return Perturbation(func=None, sup_bound=0.0, lip_bound=0.0, batch=zero_rows, reads=())
 
 
 def constant_perturbation(b: StateVector, norm_kind: NormKind = SUP_NORM) -> Perturbation:
@@ -95,17 +120,21 @@ def constant_perturbation(b: StateVector, norm_kind: NormKind = SUP_NORM) -> Per
     if isinstance(b, SparseVector) and len(b):
         sup_idx = b.support()
         window = (sup_idx[0], sup_idx[-1])
+    value = pack([b])
 
-    def func(x: StateVector) -> StateVector:
-        if type(x) is not type(b):
+    def batch(x: Batch) -> Batch:
+        if (x.cols is None) != (value.cols is None):
             raise ValueError("constant perturbation backend does not match the input")
-        return b
+        shape = x.rows.shape[:-1] + value.rows.shape[-1:]
+        return Batch(np.broadcast_to(value.rows[0], shape), value.cols)
 
     return Perturbation(
-        func=func,
+        func=None,
         sup_bound=norm(b, norm_kind),
         lip_bound=0.0,
         support_window=window,
+        batch=batch,
+        reads=(),
     )
 
 
@@ -120,27 +149,32 @@ def _coordinatewise(f, a: float, r: float, idx, norm_kind: NormKind) -> Perturba
     For |f| <= 1 with Lip(f) <= 1 the certified bounds are sup a (times
     |W|^(1/p) for an l^p ambient norm) and Lipschitz constant a*r.
     """
+    cols = None if idx is None else np.array(idx, dtype=np.int64)
 
-    def func(x: StateVector) -> StateVector:
-        if isinstance(x, SparseVector):
-            out = {}
-            for i in (idx if idx is not None else [i for i, _ in x.items()]):
-                val = a * f(r * x[i])
-                if val != 0.0:
-                    out[i] = val
-            return _sparse_raw(out)
-        dim = x.dim
-        arr = np.zeros(dim)
-        xa = x.array
-        for i in (range(dim) if idx is None else [i for i in idx if 0 <= i < dim]):
-            arr[i] = a * f(r * xa[i])
-        return _dense_raw(arr)
+    def entrywise(v: np.ndarray) -> np.ndarray:
+        # the scalar f on each entry: numpy's sin and tanh round differently
+        return a * np.array(list(map(f, (r * v).ravel().tolist()))).reshape(v.shape)
+
+    def batch(b: Batch) -> Batch:
+        if b.cols is not None:
+            if cols is None:
+                return Batch(entrywise(b.rows), b.cols)
+            return Batch(entrywise(b.on(cols).rows), cols)
+        if idx is None:
+            return Batch(entrywise(b.rows))
+        dim = b.rows.shape[-1]
+        inside = cols[(cols >= 0) & (cols < dim)]
+        out = np.zeros(b.rows.shape)
+        out[..., inside] = entrywise(b.rows[..., inside])
+        return Batch(out)
 
     return Perturbation(
-        func=func,
+        func=None,
         sup_bound=a * _window_sup_scale(1 if idx is None else len(idx), norm_kind),
         lip_bound=a * r,
         support_window=(idx[0], idx[-1]) if idx else None,
+        batch=batch,
+        reads=idx,
     )
 
 
@@ -236,23 +270,29 @@ def cutoff(
     r = profile.r
     lip = alpha_lip_on_ball
 
-    def func(x: StateVector) -> StateVector:
-        s = norm(x, norm_kind)
-        chi = profile.value(s)
-        if chi == 0.0:
-            return zero_like(x)
-        val = alpha(x)
-        return val if chi == 1.0 else chi * val
+    def batch(b: Batch) -> Batch:
+        chis = [profile.value(s) for s in row_norms(b, norm_kind).tolist()]
+        live = np.flatnonzero(chis)  # rows inside the outer ball
+        if not len(live):
+            return zero_rows(b)
+        out = []
+        for x, chi in zip(b[live].unpack(), (chis[i] for i in live)):
+            val = alpha(x)
+            out.append(val if chi == 1.0 else chi * val)
+        return merge_rows([(live, pack(out))], len(b))
 
     return Perturbation(
-        func=func,
+        func=None,
         sup_bound=2.0 * r * lip + a0,
         lip_bound=3.0 * lip + a0 / r,
+        batch=batch,
     )
 
 
-def perturbed_apply(op: GHOperator, beta: Perturbation, x: StateVector) -> StateVector:
-    """Evaluate (T + beta)(x)."""
+def perturbed_apply(op: GHOperator, beta: Perturbation, x: StateVector | Batch):
+    """Evaluate (T + beta)(x) at a point, or at every row of a batch."""
+    if isinstance(x, Batch):
+        return op.step(x) + beta.rows(x)
     return op.apply(x) + beta(x)
 
 
@@ -269,28 +309,42 @@ def _require_contraction(op: GHOperator, beta: Perturbation) -> None:
 def solve_perturbed_inverse(
     op: GHOperator,
     beta: Perturbation,
-    y: StateVector,
+    y: StateVector | Batch,
     tol: float,
-) -> StateVector:
+) -> StateVector | Batch:
     """Solve (T + beta)(x) = y to residual |T x + beta(x) - y| <= tol.
 
     Runs the contraction iteration x <- T^{-1}(y - beta(x)) from T^{-1} y.
     Since T x + beta(x) - y = T(x - x_next) for the next iterate, the
     residual of the current point is exact and checked directly; the
-    contraction factor is q = Lip(beta) * |T^{-1}|, required < 1.  Raises
+    contraction factor is q = Lip(beta) * |T^{-1}|, required < 1.  A batch
+    of points is solved as a masked batch: each row stops at its own
+    residual test, so it takes the iterations it would take alone.  Raises
     ``IterationLimitError`` after ``INVERSE_MAX_ITER`` iterations.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     _require_contraction(op, beta)
-    x = op.apply_inverse(y)
+    if not isinstance(y, Batch):
+        return _solve_rows(op, beta, pack([y]), tol).unpack()[0]
+    return _solve_rows(op, beta, y, tol)
+
+
+def _solve_rows(op: GHOperator, beta: Perturbation, y: Batch, tol: float) -> Batch:
+    x = op.step_inverse(y)
     if beta.is_zero:
         return x
+    count = len(y)
+    pending = np.arange(count)  # original row of each row still iterating
+    solved = []
     for _ in range(INVERSE_MAX_ITER):
-        x_next = op.apply_inverse(y - beta(x))
-        residual = norm(op.apply(x - x_next), op.norm_kind)
-        if residual <= tol:
-            return x
+        x_next = op.step_inverse(y - beta.rows(x))
+        done = row_norms(op.step(x - x_next), op.norm_kind) <= tol
+        if done.any():
+            solved.append((pending[done], x[done]))
+            if done.all():
+                return merge_rows(solved, count)
+            pending, y, x_next = pending[~done], y[~done], x_next[~done]
         x = x_next
     raise IterationLimitError(
         f"perturbed inverse did not reach residual {tol} within {INVERSE_MAX_ITER} iterations"

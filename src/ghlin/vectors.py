@@ -4,13 +4,20 @@ Two backends are supported: dense finite-dimensional vectors and sparse,
 finitely supported sequences indexed over all of Z.  Sparse vectors never
 store explicit zeros, so arithmetic on them is exact on the stored support.
 All values are immutable; every operation returns a fresh vector.
+
+A ``Batch`` holds many points of one backend as the rows of one float
+array, which is how the conjugacy engine evaluates them: dense rows are the
+coordinates, sparse rows are laid out over a sorted array of coordinate
+indices (``cols``) and are zero off it.  Entrywise arithmetic on a batch
+does, row by row, exactly what the vector arithmetic does, so a point gives
+the same bits alone or in a batch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,6 +30,12 @@ __all__ = [
     "norm",
     "axpy",
     "zero_like",
+    "Batch",
+    "pack",
+    "stack",
+    "merge_rows",
+    "zero_rows",
+    "row_norms",
     "vector_to_json",
     "vector_from_json",
 ]
@@ -222,7 +235,9 @@ def _check_dims(x: DenseVector, y: DenseVector) -> None:
 def norm(v: StateVector, kind: NormKind = SUP_NORM) -> float:
     """Ambient norm of a vector; 0 exactly on empty support / all zeros.
 
-    Sparse l^p sums use ``math.fsum``, so they do not depend on coordinate order.
+    Sparse l^p sums use ``math.fsum``, so they do not depend on coordinate
+    order.  An l^p sum that overflows is redone scaled by the largest
+    magnitude; every norm that does not overflow is the direct sum.
     """
     if isinstance(v, SparseVector):
         values = [abs(x) for _, x in v.items()]
@@ -230,10 +245,29 @@ def norm(v: StateVector, kind: NormKind = SUP_NORM) -> float:
             return 0.0
         if kind.is_sup:
             return max(values)
-        return math.fsum(x**kind.p for x in values) ** (1.0 / kind.p)
+        return _lp_fsum(values, kind.p)
     if kind.is_sup:
         return float(np.max(np.abs(v.array))) if v.dim else 0.0
-    return float(np.sum(np.abs(v.array) ** kind.p) ** (1.0 / kind.p))
+    return _lp_sum(np.abs(v.array), kind.p)
+
+
+def _lp_fsum(values: list[float], p: float) -> float:
+    # l^p norm of nonzero magnitudes by math.fsum, rescaled only on overflow
+    try:
+        return math.fsum(x**p for x in values) ** (1.0 / p)
+    except OverflowError:
+        top = max(values)
+        return top * math.fsum((x / top) ** p for x in values) ** (1.0 / p)
+
+
+def _lp_sum(values: np.ndarray, p: float) -> float:
+    # l^p norm of a magnitude array by np.sum, rescaled only on overflow
+    with np.errstate(over="ignore"):
+        total = np.sum(values**p)
+    if np.isinf(total) and np.all(np.isfinite(values)):
+        top = np.max(values)
+        return float(top * np.sum((values / top) ** p) ** (1.0 / p))
+    return float(total ** (1.0 / p))
 
 
 def axpy(a: float, x: StateVector, y: StateVector) -> StateVector:
@@ -254,6 +288,148 @@ def zero_like(v: StateVector) -> StateVector:
     if isinstance(v, SparseVector):
         return _sparse_raw({})
     return _dense_raw(np.zeros(v.dim))
+
+
+class Batch:
+    """Points of one backend as the rows of one array.
+
+    Dense: ``rows`` has shape (..., n) and ``cols`` is None.  Sparse:
+    ``cols`` is a sorted int array and column c of ``rows`` holds the
+    coordinate with index ``cols[c]``; every coordinate off ``cols`` is zero.
+    The leading axes index the points; ``unpack`` needs exactly one.
+    """
+
+    __slots__ = ("rows", "cols")
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray | None = None):
+        self.rows = rows
+        self.cols = cols
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, index) -> "Batch":
+        return Batch(self.rows[index], self.cols)
+
+    def __neg__(self) -> "Batch":
+        return Batch(-self.rows, self.cols)
+
+    def __add__(self, other: "Batch") -> "Batch":
+        cols = _common_cols(self, other)
+        return Batch(self.on(cols).rows + other.on(cols).rows, cols)
+
+    def __sub__(self, other: "Batch") -> "Batch":
+        cols = _common_cols(self, other)
+        return Batch(self.on(cols).rows - other.on(cols).rows, cols)
+
+    def on(self, cols: np.ndarray | None) -> "Batch":
+        """The same points laid out over ``cols``; coordinates off it are dropped."""
+        if self.cols is None or _same(self.cols, cols):
+            return self
+        rows = np.zeros(self.rows.shape[:-1] + (len(cols),))
+        if len(cols):
+            pos = np.minimum(np.searchsorted(cols, self.cols), len(cols) - 1)
+            hit = cols[pos] == self.cols
+            rows[..., pos[hit]] = self.rows[..., hit]
+        return Batch(rows, cols)
+
+    def unpack(self) -> list[StateVector]:
+        """The rows of a 2-d batch as vectors; sparse vectors drop zeros."""
+        if self.cols is None:
+            return [_dense_raw(row.copy()) for row in self.rows]
+        cols = self.cols.tolist()
+        return [
+            _sparse_raw({i: v for i, v in zip(cols, row) if v != 0.0})
+            for row in self.rows.tolist()
+        ]
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a is b or (len(a) == len(b) and bool((a == b).all()))
+
+
+def _common_cols(a: Batch, b: Batch) -> np.ndarray | None:
+    if (a.cols is None) != (b.cols is None):
+        raise ValueError("backend mismatch: a dense batch cannot combine with a sparse one")
+    if a.cols is None or _same(a.cols, b.cols):
+        return a.cols
+    return np.union1d(a.cols, b.cols)
+
+
+def pack(points: Sequence[StateVector]) -> Batch:
+    """One 2-d batch holding the points (at least one) as its rows."""
+    if all(isinstance(p, DenseVector) for p in points):
+        if len({p.dim for p in points}) != 1:
+            raise ValueError("dense points of different dimensions cannot share a batch")
+        return Batch(np.array([p.array for p in points]))
+    if not all(isinstance(p, SparseVector) for p in points):
+        raise ValueError("backend mismatch: a batch holds sparse or dense points, not both")
+    if len(points) == 1:
+        cols = sorted(points[0]._coords)
+        rows = [[points[0]._coords[i] for i in cols]]
+        return Batch(np.array(rows, dtype=float), np.array(cols, dtype=np.int64))
+    counts = [len(p) for p in points]
+    keys = np.fromiter((i for p in points for i in p._coords), dtype=np.int64, count=sum(counts))
+    vals = np.fromiter((v for p in points for v in p._coords.values()), dtype=float, count=len(keys))
+    cols = np.unique(keys)
+    rows = np.zeros((len(points), len(cols)))
+    rows[np.repeat(np.arange(len(points)), counts), np.searchsorted(cols, keys)] = vals
+    return Batch(rows, cols)
+
+
+def stack(batches: Sequence[Batch], within: tuple[int, int] | None = None) -> Batch:
+    """2-d batches of equal row count as one batch with a new leading axis.
+
+    Sparse columns are the union of the batches' columns, kept only inside
+    the index range ``within`` when one is given.
+    """
+    if batches[0].cols is None:
+        return Batch(np.stack([b.rows for b in batches]))
+    keys = np.concatenate([b.cols for b in batches])
+    entry = np.repeat(np.arange(len(batches)), [len(b.cols) for b in batches])
+    values = np.concatenate([b.rows for b in batches], axis=-1)
+    cols = np.unique(keys)
+    if within is not None:
+        cols = cols[(cols >= within[0]) & (cols <= within[1])]
+    out = np.zeros((len(batches), len(batches[0]), len(cols)))
+    if len(cols):
+        pos = np.minimum(np.searchsorted(cols, keys), len(cols) - 1)
+        hit = cols[pos] == keys
+        out[entry[hit], :, pos[hit]] = values[:, hit].T
+    return Batch(out, cols)
+
+
+def zero_rows(b: Batch) -> Batch:
+    """The zero point of b's backend once for every row of b."""
+    if b.cols is None:
+        return Batch(np.zeros(b.rows.shape))
+    return Batch(np.zeros(b.rows.shape[:-1] + (0,)), b.cols[:0])
+
+
+def merge_rows(parts: Sequence[tuple[np.ndarray, Batch]], count: int) -> Batch:
+    """A 2-d batch of ``count`` rows from (row indices, batch) parts; rows no part names are zero."""
+    cols = None
+    if parts[0][1].cols is not None:
+        cols = np.unique(np.concatenate([b.cols for _, b in parts]))
+    out = np.zeros((count, parts[0][1].rows.shape[-1] if cols is None else len(cols)))
+    for index, b in parts:
+        out[index] = b.on(cols).rows
+    return Batch(out, cols)
+
+
+def row_norms(b: Batch, kind: NormKind = SUP_NORM) -> np.ndarray:
+    """``norm`` of each row of a 2-d batch, bit for bit."""
+    magnitudes = np.abs(b.rows)
+    if kind.is_sup:
+        if not magnitudes.shape[-1]:
+            return np.zeros(len(b))
+        return magnitudes.max(axis=-1)
+    if b.cols is None:
+        return np.array([_lp_sum(row, kind.p) for row in magnitudes])
+    return np.array(
+        [_lp_fsum(values, kind.p) if (values := [x for x in row.tolist() if x]) else 0.0
+         for row in magnitudes]
+    )
 
 
 def vector_to_json(v: StateVector):

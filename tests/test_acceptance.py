@@ -115,7 +115,7 @@ def test_acceptance_03_identity_distance_bound(rng):
     op, beta, policy, fwd = _gamma_bound_instance()
     points = sample_points(rng, op, 1000, beta)
     bound = 0.2 + fwd.certified_error
-    worst = max(norm(fwd.displacement(x)) for x in points)
+    worst = max(norm(h) for h in fwd.displacements(points))
     check(
         "03 identity-distance bound",
         worst <= bound,

@@ -127,6 +127,33 @@ def test_constants_underflow_exits_2_without_traceback(tmp_path, capsys):
     assert err.startswith("ghlin constants: constants not certifiable") and err.count("\n") == 1
 
 
+def test_constants_weight_product_underflow_exits_2_without_traceback(tmp_path, capsys):
+    # w_2 * w_3 = 1e-400 underflows to zero in the norm of T^-2 on N
+    operator = {"kind": "shift", "left_tail": 0.5, "right_tail": 2.0,
+                "core": {"2": 1e-200, "3": 1e-200}}
+    cfg = write_config(tmp_path, "c.json", {"operator": operator})
+    code = main(["constants", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ghlin constants: the norm of T^-2 on N is not certifiable")
+    assert err.count("\n") == 1
+
+
+def test_conjugate_lp_norm_overflow_exits_2_without_traceback(tmp_path, capsys):
+    # |b|_2 = 1e200 although 1e200 ** 2 overflows; far above the admissible size
+    config = {
+        "operator": {**SHIFT, "norm": {"kind": "lp", "p": 2}},
+        "perturbation": {"kind": "constant", "vector": {"0": 1e200}},
+        "gamma": 0.2,
+        "samples": 2,
+    }
+    cfg = write_config(tmp_path, "c.json", config)
+    code = main(["conjugate", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ghlin conjugate: sup of beta = 1e+200 exceeds") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("samples", [0, -3, True, 2.5])
 def test_sample_count_must_be_a_positive_integer(tmp_path, capsys, samples):
     conjugate = {

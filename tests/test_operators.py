@@ -18,6 +18,7 @@ from ghlin import (
     operator_from_descriptor,
 )
 from ghlin import operators
+from ghlin.vectors import pack, stack
 from conftest import brute_force_margins, random_sparse
 
 
@@ -160,6 +161,12 @@ def reference_shift_sweep(op, sources, terms):
     return [s_m - s_n for s_m, s_n in zip(sums_m[terms:], reversed(sums_n))]
 
 
+def sweep_vectors(op, sources, m_count, n_count):
+    """``orbit_sweep`` over one point's sources, value by value as vectors."""
+    values = op.orbit_sweep(stack([pack([s]) for s in sources]), m_count, n_count)
+    return [values[i].unpack()[0] for i in range(len(values))]
+
+
 # distinct core weights on both sides of 0
 SWEEP_WEIGHTS = WeightSpec(0.5, 2.0, core={-2: 0.3, -1: 0.7, 0: 0.9, 1: 1.5, 2: 3.0, 3: 2.5})
 
@@ -169,7 +176,7 @@ def test_shift_sweep_matches_reference_bitwise(rng, terms):
     op = make_shift(SWEEP_WEIGHTS)
     for length in (2 * terms + 2, 2 * terms + 7):
         sources = [random_sparse(rng, window=range(-6, 7)) for _ in range(length)]
-        got = op.orbit_sweep(sources, terms + 1, terms + 1)
+        got = sweep_vectors(op, sources, terms + 1, terms + 1)
         assert len(got) == length - 2 * terms - 1
         assert got == reference_shift_sweep(op, sources, terms)
 
@@ -180,7 +187,7 @@ def test_shift_sweep_prunes_sums_that_cancel_to_zero():
     # T^{-1} {1: 3} = {2: 1} against s_2 on the N side
     sources = [SparseVector({0: 1.0, -2: 0.5}), SparseVector({-1: -0.9, 4: 1.0}),
                SparseVector({2: -1.0, -3: 0.5}), SparseVector({1: 3.0, 3: 5.0})]
-    (got,) = op.orbit_sweep(sources, 2, 2)
+    (got,) = sweep_vectors(op, sources, 2, 2)
     assert got == reference_shift_sweep(op, sources, 1)[0]
     assert got.support() == [-3, 5]
 

@@ -33,6 +33,14 @@ def test_sparse_lp_norm_ignores_coordinate_order():
             assert norm(built, NormKind.lp(p)) == norm(reversed_build, NormKind.lp(p))
 
 
+def test_lp_norm_of_an_overflowing_square_is_rescaled():
+    l2 = NormKind.lp(2)
+    assert norm(SparseVector({0: 1e200}), l2) == 1e200
+    assert norm(DenseVector([1e200]), l2) == 1e200
+    assert norm(SparseVector({0: 3e200, 5: -4e200}), l2) == pytest.approx(5e200, rel=1e-15)
+    assert norm(DenseVector([3e200, -4e200]), l2) == pytest.approx(5e200, rel=1e-15)
+
+
 def test_norm_sup_picks_largest_coordinate():
     v = SparseVector({0: 3.0, 2: 4.0})
     assert norm(v, NormKind.sup()) == 4.0
