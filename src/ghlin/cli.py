@@ -39,10 +39,9 @@ from .conjugacy import (
 )
 from .linearize import (
     LinearizationProblem,
+    _default_certificate,
     empirical_holder,
     linearize,
-    make_holder_certificate,
-    theta_bound,
 )
 from .operators import (
     WeightSpec,
@@ -93,11 +92,15 @@ def _write_report(prefix: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _write_samples(prefix: str, rows: list[tuple]) -> None:
+def _write_samples(prefix: str, op, residuals: list[float], bound: float, values: list) -> None:
+    # one row per sample; the last column is its displacement's distance from M + T^{-1}(N)
     with open(f"{prefix}.samples.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["point_id", "residual", "certified_bound", "y_membership_residual"])
-        writer.writerows(rows)
+        writer.writerows(
+            (i, residual, bound, displacement_space_residual(op, value))
+            for i, (residual, value) in enumerate(zip(residuals, values))
+        )
 
 
 def _samples(config: dict) -> int:
@@ -149,31 +152,17 @@ def _cmd_conjugate(config: dict, prefix: str, rng) -> int:
     points = sample_points(rng, op, n, beta)
     fwd_report = verify_conjugacy(fwd, points)
     bwd_report = verify_conjugacy(bwd, points)
-    holder = None
-    if not beta.is_zero:
-        try:
-            cap = theta_bound(op)
-            eps_eff = max(beta.sup_bound, beta.lip_bound)
-            holder = make_holder_certificate(op, beta, cap / 2.0, eps_eff, 0.999)
-        except ValueError:
-            holder = None
+    try:
+        holder = _default_certificate(op, beta, 0.999)
+    except ValueError:  # no certificate: a perturbed inverse pair is uncertified
+        holder = None
     inverse_report = verify_inverse_pair(fwd, bwd, points, holder)
-    rows = []
-    for i, value in enumerate(fwd.displacements(points)):
-        residual = max(
-            fwd_report.per_point[i],
-            bwd_report.per_point[i],
-            *inverse_report.per_point[i],
-        )
-        bound = max(
-            fwd_report.certified_bound,
-            bwd_report.certified_bound,
-            inverse_report.certified_bound,
-        )
-        membership = displacement_space_residual(op, value)
-        rows.append((i, residual, bound, membership))
-    _write_samples(prefix, rows)
-    passed = fwd_report.passed and bwd_report.passed and inverse_report.passed
+    reports = (fwd_report, bwd_report, inverse_report)
+    per_point = zip(fwd_report.per_point, bwd_report.per_point, inverse_report.per_point)
+    residuals = [max(f, b, *pair) for f, b, pair in per_point]
+    bound = max(r.certified_bound for r in reports)
+    _write_samples(prefix, op, residuals, bound, fwd.displacements(points))
+    passed = all(r.passed for r in reports)
     _write_report(
         prefix,
         {
@@ -248,34 +237,26 @@ def _cmd_linearize(config: dict, prefix: str, rng) -> int:
     result = linearize(problem, policy, picard_tol)
     op = problem.derivative
     offsets = sample_points(rng, op, n, result.beta, radius=result.u_radius)
-    bound = result.certified_residual_bound
     points = [u + problem.fixed_point for u in offsets]
-    residuals = result.conjugacy_residuals(points)
-    # the residuals evaluated the map at y - p, which may differ from u in
-    # the last bits; those values are in the memo
+    report = result.verify(points)
+    # the check evaluated the map at y - p, which may differ from u in the
+    # last bits; those values are in the memo
     values = result.backward.displacements([y - problem.fixed_point for y in points])
-    rows = [
-        (i, res, bound, displacement_space_residual(op, value))
-        for i, (res, value) in enumerate(zip(residuals, values))
-    ]
-    _write_samples(prefix, rows)
-    max_residual = max(residuals, default=0.0)
-    covered = all(result.covers(y) for y in points)
-    passed = covered and max_residual <= bound
+    _write_samples(prefix, op, report.per_point, report.certified_bound, values)
     payload = {
         "command": "linearize",
         **result.report(),
-        "certified_residual_bound": bound if covered else None,
-        "status": "certified" if covered else "uncertified",
+        "certified_residual_bound": report.to_dict()["certified_bound"],
+        "status": report.status,
         "residual_stats": {
-            "n_samples": n,
-            "max": max_residual,
-            "mean": float(np.mean(residuals)) if residuals else 0.0,
+            "n_samples": report.n_samples,
+            "max": report.max_residual,
+            "mean": float(np.mean(report.per_point)) if report.per_point else 0.0,
         },
-        "passed": passed,
+        "passed": report.passed,
     }
     _write_report(prefix, payload)
-    return 0 if passed else 1
+    return 0 if report.passed else 1
 
 
 def _cmd_holder_probe(config: dict, prefix: str, rng) -> int:
@@ -284,19 +265,13 @@ def _cmd_holder_probe(config: dict, prefix: str, rng) -> int:
     policy = _policy(config)
     n = _samples(config)
     bwd = solve_inverse_conjugacy(op, beta, policy)
-    cap = theta_bound(op)
-    theta = float(config.get("theta") or cap / 2.0)
-    eps_eff = max(beta.sup_bound, beta.lip_bound)
+    theta = config.get("theta")
     diameter = float(config.get("domain_diameter", 0.9))
-    cert = make_holder_certificate(op, beta, theta, eps_eff, diameter)
+    cert = _default_certificate(op, beta, diameter, None if theta is None else float(theta))
     pairs = sample_pairs(rng, op, n, diameter, beta)
     report = empirical_holder(bwd, cert, pairs)
     values = bwd.displacements([x for x, _ in pairs])
-    rows = [
-        (i, ratio, report.bound, displacement_space_residual(op, value))
-        for i, (ratio, value) in enumerate(zip(report.per_pair, values))
-    ]
-    _write_samples(prefix, rows)
+    _write_samples(prefix, op, report.per_pair, report.bound, values)
     _write_report(prefix, {"command": "holder-probe", **report.to_dict()})
     return 0 if report.passed else 1
 

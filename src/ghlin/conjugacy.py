@@ -74,6 +74,7 @@ from .perturbations import (
     solve_perturbed_inverse,
 )
 from .vectors import Batch, SparseVector, StateVector, norm, pack, stack, zero_like
+from .vectors import _at_point, _row_wise
 
 __all__ = [
     "SeriesPolicy",
@@ -168,18 +169,9 @@ def intertwining_solution(
     """
     if terms is None:
         terms = truncation_terms(op, source_sup, policy)
-    value = _picard_lattice(
-        op, _row_form(r_apply), _row_form(r_invert), _row_form(source), pack([x]), terms, 1,
-        getattr(source, "reads", None),
-    )
-    return value.unpack()[0]
-
-
-def _row_form(f) -> Callable[[Batch], Batch]:
-    # a perturbation's own batch form, or a single-point map run on each row
-    if isinstance(f, Perturbation):
-        return f.rows
-    return lambda b: pack([f(x) for x in b.unpack()])
+    maps = [_row_wise(f) for f in (r_apply, r_invert, source)]
+    reads = getattr(source, "reads", None)
+    return _at_point(lambda b: _picard_lattice(op, *maps, b, terms, 1, reads), x)
 
 
 def _picard_lattice(op, r_apply, r_invert, source, x: Batch, terms, depth, reads=None) -> Batch:
@@ -345,7 +337,7 @@ def solve_conjugacy(
     an error q^n * B / (1 - q) with B the certified first-step norm, and
     each series evaluation adds its truncation tolerance once per level.
     """
-    if picard_tol <= 0.0:
+    if not picard_tol > 0.0:
         raise ValueError(f"picard_tol must be positive, got {picard_tol}")
     eps = admissible_eps(op, gamma)
     if beta.lip_bound > eps:
@@ -505,18 +497,23 @@ def verify_conjugacy(cmap: ConjugacyMap, samples: Sequence[StateVector]) -> Veri
         inner, outer, outer_beta_lip = s_apply, op.apply, 0.0
     bound = cmap.certified_error * (1.0 + op.norm_T + outer_beta_lip)
     samples = list(samples)
-    images = [inner(x) for x in samples]
-    values = cmap.displacements(images + samples)
+    return _identity_check(cmap, [inner(x) for x in samples], samples, outer, bound)
+
+
+def _identity_check(cmap, images, points, outer, bound: float) -> VerificationReport:
+    # residuals |H(u) - outer(H(x))| over pairs of images u and points x, from one
+    # displacements call; certified when the bound is finite and every point is covered
+    values = cmap.displacements(images + points)
     residuals = [
-        norm((rx + h_rx) - outer(x + h_x), op.norm_kind)
-        for rx, x, h_rx, h_x in zip(images, samples, values, values[len(samples):])
+        norm((u + h_u) - outer(x + h_x), cmap.op.norm_kind)
+        for u, x, h_u, h_x in zip(images, points, values, values[len(points):])
     ]
     return VerificationReport(
         kind=cmap.direction,
         n_samples=len(residuals),
         max_residual=max(residuals, default=0.0),
         certified_bound=bound,
-        status=_status(bound, all(cmap.covers(p) for p in images + samples)),
+        status=_status(bound, all(cmap.covers(p) for p in images + points)),
         per_point=residuals,
     )
 

@@ -25,6 +25,8 @@ from typing import Callable, Sequence
 from .conjugacy import (
     ConjugacyMap,
     SeriesPolicy,
+    VerificationReport,
+    _identity_check,
     solve_conjugacy,
     solve_inverse_conjugacy,
 )
@@ -166,6 +168,13 @@ def make_holder_certificate(
     return HolderCertificate(theta=theta, C=c, domain_diameter=domain_diameter)
 
 
+def _default_certificate(op, beta: Perturbation, diameter: float, theta=None) -> HolderCertificate:
+    """Certificate at theta (None: half of ``theta_bound``) with eps = max(sup, Lip) of beta."""
+    if theta is None:
+        theta = theta_bound(op) / 2.0
+    return make_holder_certificate(op, beta, theta, max(beta.sup_bound, beta.lip_bound), diameter)
+
+
 @dataclass
 class HolderProbeReport:
     """Observed Holder ratios of a displacement against the certified constant."""
@@ -267,8 +276,8 @@ class LinearizationProblem:
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.cutoff_r <= 0.0:
-            raise ValueError(f"cutoff_r must be positive, got {self.cutoff_r}")
+        if not (self.cutoff_r > 0.0 and math.isfinite(self.cutoff_r)):
+            raise ValueError(f"cutoff_r must be positive and finite, got {self.cutoff_r}")
         drift = norm(
             self.func(self.fixed_point) - self.fixed_point,
             self.derivative.norm_kind,
@@ -285,7 +294,8 @@ class LinearizationResult:
     (H o G = T o H near 0) and is the production direction; ``forward`` is
     its inverse conjugacy.  The conjugacy with the original map holds on the
     ball of radius ``u_radius`` around the fixed point:
-    linearized(F(y)) = T(linearized(y)) there.
+    linearized(F(y)) = T(linearized(y)) there, which ``verify`` checks on
+    sample points against ``certified_residual_bound``.
     """
 
     problem: LinearizationProblem
@@ -304,25 +314,20 @@ class LinearizationResult:
         """Coordinates in which the map acts linearly: K(y - p)."""
         return self.backward(y - self.fixed_point)
 
-    def covers(self, y: StateVector) -> bool:
-        """Whether the backward bound is quoted where ``conjugacy_residual(y)`` evaluates."""
-        p = self.fixed_point
-        return self.backward.covers(y - p) and self.backward.covers(self.problem.func(y) - p)
+    def verify(self, ys: Sequence[StateVector]) -> VerificationReport:
+        """Residuals |H(F(y) - p) - DF_p(H(y - p))| with H the backward map, in one call.
 
-    def conjugacy_residual(self, y: StateVector) -> float:
-        """|H(F(y)) - DF_p(H(y))| at a point y (meaningful inside u_radius)."""
-        return self.conjugacy_residuals([y])[0]
-
-    def conjugacy_residuals(self, ys: Sequence[StateVector]) -> list[float]:
-        """``conjugacy_residual`` at every point, with one backward-map call."""
-        op, p = self.problem.derivative, self.fixed_point
+        Checked against ``certified_residual_bound``; uncertified when F(y) - p
+        or y - p leaves the map's ``eval_radius``.  Meaningful inside ``u_radius``.
+        """
+        p, outer = self.fixed_point, self.problem.derivative.apply
         images = [self.problem.func(y) - p for y in ys]
         offsets = [y - p for y in ys]
-        values = self.backward.displacements(images + offsets)
-        return [
-            norm((u + h_u) - op.apply(v + h_v), op.norm_kind)
-            for u, v, h_u, h_v in zip(images, offsets, values, values[len(ys):])
-        ]
+        return _identity_check(self.backward, images, offsets, outer, self.certified_residual_bound)
+
+    def conjugacy_residual(self, y: StateVector) -> float:
+        """The residual of ``verify`` at one point y."""
+        return self.verify([y]).per_point[0]
 
     @property
     def certified_residual_bound(self) -> float:
@@ -389,10 +394,7 @@ def linearize(
         )
     forward = solve_conjugacy(op, beta, problem.gamma, policy, picard_tol)
     backward = solve_inverse_conjugacy(op, beta, policy)
-    theta = problem.theta if problem.theta is not None else theta_bound(op) / 2.0
-    eps_eff = max(beta.sup_bound, beta.lip_bound)
-    diameter = min(2.0 * r, 0.999)
-    cert = make_holder_certificate(op, beta, theta, eps_eff, diameter)
+    cert = _default_certificate(op, beta, min(2.0 * r, 0.999), problem.theta)
     return LinearizationResult(
         problem=problem,
         forward=forward,

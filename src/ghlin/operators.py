@@ -57,9 +57,8 @@ from .vectors import (
     NormKind,
     SparseVector,
     StateVector,
-    pack,
 )
-from .vectors import _dense_raw, _sparse_raw  # internal fast paths
+from .vectors import _at_point, _dense_raw, _sparse_raw  # internal fast paths
 
 __all__ = [
     "CertificationError",
@@ -233,14 +232,10 @@ class ShiftOperator:
     # -- action ---------------------------------------------------------
 
     def apply(self, x: StateVector) -> SparseVector:
-        if not isinstance(x, SparseVector):
-            raise ValueError("shift operators act on sparse vectors")
-        return self.step(pack([x])).unpack()[0]
+        return _at_point(self.step, x)
 
     def apply_inverse(self, y: StateVector) -> SparseVector:
-        if not isinstance(y, SparseVector):
-            raise ValueError("shift operators act on sparse vectors")
-        return self.step_inverse(pack([y])).unpack()[0]
+        return _at_point(self.step_inverse, y)
 
     def step(self, b: Batch) -> Batch:
         """T on every row: (T x)_{i-1} = w_i x_i, a relabelling of the columns."""

@@ -39,6 +39,7 @@ from .vectors import (
     row_norms,
     zero_rows,
 )
+from .vectors import _at_point, _row_wise
 
 __all__ = [
     "Perturbation",
@@ -75,9 +76,9 @@ class Perturbation:
     ``support_window`` declares, for sparse backends, a finite index window
     containing the support of every value; it keeps series terms finitely
     supported and drives default sampling windows.  ``batch`` is the map on
-    a 2-d ``Batch``, row by row; when it is given, ``func`` may be None and
-    a single point is a batch of one.  ``reads`` lists the sparse indices
-    the map's value depends on (None: possibly all).
+    a 2-d ``Batch``, row by row (by default ``func`` on each row); a single
+    point is a batch of one.  ``reads`` lists the sparse indices the map's
+    value depends on (None: possibly all).
     """
 
     func: Callable[[StateVector], StateVector] | None
@@ -93,17 +94,14 @@ class Perturbation:
                 raise ValueError(f"{name} must be finite and >= 0, got {val}")
         if self.func is None and self.batch is None:
             raise ValueError("a perturbation needs func or batch")
+        self.batch = self.batch or _row_wise(self.func)
 
     def __call__(self, x: StateVector) -> StateVector:
-        if self.batch is None:
-            return self.func(x)
-        return self.batch(pack([x])).unpack()[0]
+        return _at_point(self.batch, x)
 
     def rows(self, b: Batch) -> Batch:
         """The map on every row of a 2-d batch."""
-        if self.batch is not None:
-            return self.batch(b)
-        return pack([self(x) for x in b.unpack()])
+        return self.batch(b)
 
     @property
     def is_zero(self) -> bool:
@@ -326,7 +324,7 @@ def solve_perturbed_inverse(
         raise ValueError(f"tol must be positive, got {tol}")
     _require_contraction(op, beta)
     if not isinstance(y, Batch):
-        return _solve_rows(op, beta, pack([y]), tol).unpack()[0]
+        return _at_point(lambda b: _solve_rows(op, beta, b, tol), y)
     return _solve_rows(op, beta, y, tol)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -233,22 +233,8 @@ def _check_dims(x: DenseVector, y: DenseVector) -> None:
 
 
 def norm(v: StateVector, kind: NormKind = SUP_NORM) -> float:
-    """Ambient norm of a vector; 0 exactly on empty support / all zeros.
-
-    Sparse l^p sums use ``math.fsum``, so they do not depend on coordinate
-    order.  An l^p sum that overflows is redone scaled by the largest
-    magnitude; every norm that does not overflow is the direct sum.
-    """
-    if isinstance(v, SparseVector):
-        values = [abs(x) for _, x in v.items()]
-        if not values:
-            return 0.0
-        if kind.is_sup:
-            return max(values)
-        return _lp_fsum(values, kind.p)
-    if kind.is_sup:
-        return float(np.max(np.abs(v.array))) if v.dim else 0.0
-    return _lp_sum(np.abs(v.array), kind.p)
+    """Ambient norm of a vector: ``row_norms`` of a batch of one."""
+    return float(row_norms(pack([v]), kind)[0])
 
 
 def _lp_fsum(values: list[float], p: float) -> float:
@@ -377,6 +363,16 @@ def pack(points: Sequence[StateVector]) -> Batch:
     return Batch(rows, cols)
 
 
+def _at_point(f: Callable[[Batch], Batch], x: StateVector) -> StateVector:
+    # a batch map at a single point, as a batch of one
+    return f(pack([x])).unpack()[0]
+
+
+def _row_wise(f: Callable[[StateVector], StateVector]) -> Callable[[Batch], Batch]:
+    # a single-point map on every row of a 2-d batch
+    return lambda b: pack([f(x) for x in b.unpack()])
+
+
 def stack(batches: Sequence[Batch], within: tuple[int, int] | None = None) -> Batch:
     """2-d batches of equal row count as one batch with a new leading axis.
 
@@ -418,7 +414,13 @@ def merge_rows(parts: Sequence[tuple[np.ndarray, Batch]], count: int) -> Batch:
 
 
 def row_norms(b: Batch, kind: NormKind = SUP_NORM) -> np.ndarray:
-    """``norm`` of each row of a 2-d batch, bit for bit."""
+    """The ambient norm of each row of a 2-d batch; 0 exactly on an all-zero row.
+
+    The sup norm is the exact largest magnitude, NaN if any entry is NaN.
+    Sparse l^p sums use ``math.fsum``, so they do not depend on coordinate
+    order.  An l^p sum that overflows is redone scaled by the largest
+    magnitude; every norm that does not overflow is the direct sum.
+    """
     magnitudes = np.abs(b.rows)
     if kind.is_sup:
         if not magnitudes.shape[-1]:

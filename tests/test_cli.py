@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -412,3 +413,49 @@ def test_cli_flag_overrides(tmp_path):
     )
     assert code == 0
     assert len(read_samples(tmp_path, "run")) == 4
+
+
+QUADRATIC = {
+    "kind": "quadratic_1d", "slope": 0.5, "quad": 1.0, "p": 0.3,
+    "t": 0.6, "gamma": 0.5, "cutoff_r": 0.01,
+}
+
+
+@pytest.mark.parametrize("cutoff_r", [math.nan, math.inf], ids=["NaN", "Infinity"])
+def test_linearize_non_finite_cutoff_radius_exits_2(tmp_path, capsys, cutoff_r):
+    # json writes and reads the tokens NaN and Infinity
+    config = {"problem": {**QUADRATIC, "cutoff_r": cutoff_r}, "samples": 5}
+    code = main(["linearize", "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "cutoff_r" in capsys.readouterr().err
+
+
+def test_conjugate_nan_picard_tol_exits_2_naming_it(tmp_path, capsys):
+    config = {
+        "operator": SHIFT,
+        "perturbation": {"kind": "sine", "amplitude": 0.05, "frequency": 1.0, "window": [-1, 1]},
+        "gamma": 0.2,
+        "picard_tol": math.nan,
+        "samples": 5,
+    }
+    code = main(["conjugate", "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert "picard_tol" in capsys.readouterr().err
+
+
+def test_holder_probe_uses_the_configured_theta(tmp_path, capsys):
+    # theta 0 is outside (0, 1], not a request for the default
+    config = {
+        "operator": {"kind": "matrix", "rows": [[0.5, 0.0], [0.0, 3.0]], "t": 0.6},
+        "perturbation": {"kind": "sine", "amplitude": 0.01, "frequency": 1.0, "window": [0, 1]},
+        "tol": 1e-8,
+        "samples": 20,
+        "seed": 9,
+    }
+    for theta, expected in ((0, 2), (0.1, 0)):
+        cfg = write_config(tmp_path, "c.json", {**config, "theta": theta})
+        assert main(["holder-probe", "--config", cfg, "--out", str(tmp_path / "run")]) == expected
+    assert "theta must lie in (0, 1]" in capsys.readouterr().err
+    assert read_report(tmp_path, "run")["theta"] == 0.1

@@ -266,3 +266,10 @@ def test_steep_nonlinearity_exhausts_radius():
     problem.nonlinearity_lip = lambda rho: 1e9
     with pytest.raises(ValueError, match="too steep"):
         linearize(problem, SeriesPolicy(tol=1e-9), picard_tol=1e-9)
+
+
+@pytest.mark.parametrize("cutoff_r", [math.nan, math.inf])
+def test_non_finite_cutoff_radius_is_rejected(cutoff_r):
+    # halving NaN or inf never takes the radius below CUTOFF_R_MIN
+    with pytest.raises(ValueError, match="cutoff_r"):
+        quadratic_problem(cutoff_r=cutoff_r)

@@ -41,6 +41,19 @@ def test_lp_norm_of_an_overflowing_square_is_rescaled():
     assert norm(DenseVector([3e200, -4e200]), l2) == pytest.approx(5e200, rel=1e-15)
 
 
+@pytest.mark.parametrize("kind", [NormKind.sup(), NormKind.lp(2)], ids=["sup", "l2"])
+def test_norm_of_a_vector_with_a_nan_coordinate_is_nan(kind):
+    # Python's max drops a NaN that is not its first argument
+    nan = math.nan
+    for v in (
+        SparseVector({0: 1.0, 1: nan}),
+        SparseVector({1: nan, 0: 1.0}),
+        DenseVector([1.0, nan]),
+        DenseVector([nan, 1.0]),
+    ):
+        assert math.isnan(norm(v, kind))
+
+
 def test_norm_sup_picks_largest_coordinate():
     v = SparseVector({0: 3.0, 2: 4.0})
     assert norm(v, NormKind.sup()) == 4.0
