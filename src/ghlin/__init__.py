@@ -13,10 +13,8 @@ from .vectors import (
     SUP_NORM,
     SparseVector,
     StateVector,
-    axpy,
     norm,
     vector_from_json,
-    vector_to_json,
     zero_like,
 )
 from .operators import (

@@ -103,10 +103,10 @@ def _write_samples(prefix: str, op, residuals: list[float], bound: float, values
         )
 
 
-def _samples(config: dict) -> int:
-    n = config["samples"]
-    if type(n) is not int or n < 1:  # JSON true is a bool, 2.5 a float
-        raise ConfigError(f"samples must be an integer >= 1, got {n!r}")
+def _integer(config: dict, key: str, least: int) -> int:
+    n = config[key]
+    if type(n) is not int or n < least:  # JSON true is a bool, 2.5 a float
+        raise ConfigError(f"{key} must be an integer >= {least}, got {n!r}")
     return n
 
 
@@ -146,7 +146,7 @@ def _cmd_conjugate(config: dict, prefix: str, rng) -> int:
     gamma = float(_require(config, "gamma"))
     policy = _policy(config)
     picard_tol = float(config.get("picard_tol", DEFAULTS["picard_tol"]))
-    n = _samples(config)
+    n = _integer(config, "samples", 1)
     fwd = solve_conjugacy(op, beta, gamma, policy, picard_tol)
     bwd = solve_inverse_conjugacy(op, beta, policy)
     points = sample_points(rng, op, n, beta)
@@ -233,7 +233,7 @@ def _cmd_linearize(config: dict, prefix: str, rng) -> int:
     problem = _problem_from_descriptor(descriptor)
     policy = _policy(config)
     picard_tol = float(config.get("picard_tol", DEFAULTS["picard_tol"]))
-    n = _samples(config)
+    n = _integer(config, "samples", 1)
     result = linearize(problem, policy, picard_tol)
     op = problem.derivative
     offsets = sample_points(rng, op, n, result.beta, radius=result.u_radius)
@@ -263,7 +263,7 @@ def _cmd_holder_probe(config: dict, prefix: str, rng) -> int:
     op = operator_from_descriptor(_require(config, "operator"))
     beta = perturbation_from_descriptor(_require(config, "perturbation"), op.norm_kind)
     policy = _policy(config)
-    n = _samples(config)
+    n = _integer(config, "samples", 1)
     bwd = solve_inverse_conjugacy(op, beta, policy)
     theta = config.get("theta")
     diameter = float(config.get("domain_diameter", 0.9))
@@ -293,7 +293,7 @@ def run(command: str, config: dict, prefix: str) -> int:
         raise ConfigError(f"tol must be positive, got {config['tol']}")
     config.setdefault("samples", DEFAULTS["samples"])
     config.setdefault("seed", DEFAULTS["seed"])
-    rng = np.random.default_rng(int(config["seed"]))
+    rng = np.random.default_rng(_integer(config, "seed", 0))
     return _COMMANDS[command](config, prefix, rng)
 
 
@@ -332,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     except IterationLimitError as exc:
         print(f"ghlin {args.command}: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, RuntimeError) as exc:
+    except (ValueError, KeyError, RuntimeError, TypeError) as exc:
         print(f"ghlin {args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -277,9 +277,6 @@ class ConjugacyMap:
         """The offset H(x) - x: ``displacements`` of one point."""
         return self.displacements([x])[0]
 
-    def __call__(self, x: StateVector) -> StateVector:
-        return x + self.displacement(x)
-
     def covers(self, x: StateVector) -> bool:
         """Whether ``certified_error`` is quoted at x."""
         return self.eval_radius is None or norm(x, self.op.norm_kind) <= self.eval_radius
@@ -298,7 +295,7 @@ class ConjugacyMap:
         x = pack(points)
         if self.direction == FORWARD:  # source beta on the orbit of T
             return _picard_lattice(
-                op, op.step, op.step_inverse, beta.rows, x, self.terms, self.depth, beta.reads
+                op, op.step, op.step_inverse, beta.batch, x, self.terms, self.depth, beta.reads
             ).unpack()
         inverse_tols = iter(self._inverse_tols)
 
@@ -307,7 +304,7 @@ class ConjugacyMap:
 
         # source -beta on the orbit of T + beta; negating the value is exact
         return (-_picard_lattice(
-            op, partial(perturbed_apply, op, beta), r_invert, beta.rows, x,
+            op, partial(perturbed_apply, op, beta), r_invert, beta.batch, x,
             self.terms, self.depth, beta.reads,
         )).unpack()
 
@@ -435,14 +432,14 @@ def eval_H(cmap: ConjugacyMap, x: StateVector) -> StateVector:
     """Apply the forward conjugacy: x + displacement."""
     if cmap.direction != FORWARD:
         raise ValueError("eval_H needs a forward conjugacy map")
-    return cmap(x)
+    return x + cmap.displacement(x)
 
 
 def eval_H_prime(cmap: ConjugacyMap, x: StateVector) -> StateVector:
     """Apply the backward conjugacy: x + displacement."""
     if cmap.direction != BACKWARD:
         raise ValueError("eval_H_prime needs a backward conjugacy map")
-    return cmap(x)
+    return x + cmap.displacement(x)
 
 
 def _status(bound: float, covered: bool) -> str:

@@ -312,7 +312,8 @@ class LinearizationResult:
 
     def linearized(self, y: StateVector) -> StateVector:
         """Coordinates in which the map acts linearly: K(y - p)."""
-        return self.backward(y - self.fixed_point)
+        u = y - self.fixed_point
+        return u + self.backward.displacement(u)
 
     def verify(self, ys: Sequence[StateVector]) -> VerificationReport:
         """Residuals |H(F(y) - p) - DF_p(H(y - p))| with H the backward map, in one call.

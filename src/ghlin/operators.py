@@ -131,14 +131,6 @@ class WeightSpec:
             return got
         return self.left_tail if n < self._lo else self.right_tail
 
-    def describe(self) -> dict:
-        return {
-            "kind": "shift",
-            "left_tail": self.left_tail,
-            "right_tail": self.right_tail,
-            "core": {str(i): v for i, v in sorted(self.core.items())},
-        }
-
     @staticmethod
     def from_descriptor(obj: dict) -> "WeightSpec":
         return WeightSpec(
@@ -353,9 +345,6 @@ class ShiftOperator:
         """(spectral radius on M, spectral radius of the inverse on N)."""
         return abs(self.weights.left_tail), 1.0 / abs(self.weights.right_tail)
 
-    def describe(self) -> dict:
-        return self.weights.describe()
-
 
 class MatrixOperator:
     """Invertible matrix with spectrum off the unit circle.
@@ -472,9 +461,6 @@ class MatrixOperator:
         rho_m = float(np.max(mods[mods < 1.0])) if np.any(mods < 1.0) else 0.0
         rho_n = float(np.max(1.0 / mods[mods > 1.0])) if np.any(mods > 1.0) else 0.0
         return rho_m, rho_n
-
-    def describe(self) -> dict:
-        return {"kind": "matrix", "rows": self.matrix.tolist()}
 
 
 GHOperator = ShiftOperator | MatrixOperator

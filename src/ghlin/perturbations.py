@@ -5,7 +5,7 @@ sup norm and the Lipschitz constant, derived in closed form.  The sine and
 saturating perturbations share one coordinatewise builder, x -> a*f(r*x_n)
 on an index window or on every coordinate.
 
-Every perturbation also acts on a ``Batch`` of points (``rows``).  The
+Every perturbation also acts on a ``Batch`` of points (``batch``).  The
 builders here give a row-batch form that computes each row exactly as the
 single-point map does: the coordinatewise builder calls its scalar f on the
 window entries, the constant and zero maps broadcast, and the cutoff takes
@@ -99,10 +99,6 @@ class Perturbation:
     def __call__(self, x: StateVector) -> StateVector:
         return _at_point(self.batch, x)
 
-    def rows(self, b: Batch) -> Batch:
-        """The map on every row of a 2-d batch."""
-        return self.batch(b)
-
     @property
     def is_zero(self) -> bool:
         return self.sup_bound == 0.0
@@ -146,6 +142,8 @@ def _coordinatewise(f, a: float, r: float, idx, norm_kind: NormKind) -> Perturba
 
     For |f| <= 1 with Lip(f) <= 1 the certified bounds are sup a (times
     |W|^(1/p) for an l^p ambient norm) and Lipschitz constant a*r.
+    Without a window the row-batch form maps every column of either backend
+    in place; since f(0) = 0, a sparse coordinate off its columns stays zero.
     """
     cols = None if idx is None else np.array(idx, dtype=np.int64)
 
@@ -154,12 +152,10 @@ def _coordinatewise(f, a: float, r: float, idx, norm_kind: NormKind) -> Perturba
         return a * np.array(list(map(f, (r * v).ravel().tolist()))).reshape(v.shape)
 
     def batch(b: Batch) -> Batch:
-        if b.cols is not None:
-            if cols is None:
-                return Batch(entrywise(b.rows), b.cols)
-            return Batch(entrywise(b.on(cols).rows), cols)
         if idx is None:
-            return Batch(entrywise(b.rows))
+            return Batch(entrywise(b.rows), b.cols)
+        if b.cols is not None:
+            return Batch(entrywise(b.on(cols).rows), cols)
         dim = b.rows.shape[-1]
         inside = cols[(cols >= 0) & (cols < dim)]
         out = np.zeros(b.rows.shape)
@@ -290,7 +286,7 @@ def cutoff(
 def perturbed_apply(op: GHOperator, beta: Perturbation, x: StateVector | Batch):
     """Evaluate (T + beta)(x) at a point, or at every row of a batch."""
     if isinstance(x, Batch):
-        return op.step(x) + beta.rows(x)
+        return op.step(x) + beta.batch(x)
     return op.apply(x) + beta(x)
 
 
@@ -336,7 +332,7 @@ def _solve_rows(op: GHOperator, beta: Perturbation, y: Batch, tol: float) -> Bat
     pending = np.arange(count)  # original row of each row still iterating
     solved = []
     for _ in range(INVERSE_MAX_ITER):
-        x_next = op.step_inverse(y - beta.rows(x))
+        x_next = op.step_inverse(y - beta.batch(x))
         done = row_norms(op.step(x - x_next), op.norm_kind) <= tol
         if done.any():
             solved.append((pending[done], x[done]))

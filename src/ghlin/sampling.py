@@ -12,7 +12,7 @@ import numpy as np
 
 from .operators import GHOperator, MatrixOperator
 from .perturbations import Perturbation
-from .vectors import DenseVector, NormKind, SparseVector, StateVector, norm
+from .vectors import Batch, DenseVector, NormKind, SparseVector, StateVector, norm, row_norms
 
 __all__ = ["sample_window", "sample_points", "sample_pairs"]
 
@@ -31,13 +31,10 @@ def sample_window(beta: Perturbation | None) -> tuple[int, int]:
     return -WINDOW_SLACK, WINDOW_SLACK
 
 
-def _ball_point(rng: np.random.Generator, count: int, kind: NormKind) -> np.ndarray:
-    coords = rng.uniform(-1.0, 1.0, size=count)
-    if not kind.is_sup:
-        size = float(np.sum(np.abs(coords) ** kind.p) ** (1.0 / kind.p))
-        if size > 1.0:
-            coords = coords / size
-    return coords
+def _ball_points(rng: np.random.Generator, n: int, count: int, kind: NormKind) -> np.ndarray:
+    # n uniform draws from the unit cube, each row scaled into the unit ball
+    coords = rng.uniform(-1.0, 1.0, size=(n, count))
+    return coords / np.maximum(row_norms(Batch(coords), kind), 1.0)[:, None]
 
 
 def sample_points(
@@ -48,18 +45,12 @@ def sample_points(
     radius: float = 1.0,
 ) -> list[StateVector]:
     """n points in the ambient ball of the given radius, backend-matched to op."""
-    kind = op.norm_kind
-    out: list[StateVector] = []
     if isinstance(op, MatrixOperator):
-        for _ in range(n):
-            out.append(DenseVector(radius * _ball_point(rng, op.dim, kind)))
-        return out
+        return [DenseVector(radius * row) for row in _ball_points(rng, n, op.dim, op.norm_kind)]
     lo, hi = sample_window(beta)
     idx = range(lo, hi + 1)
-    for _ in range(n):
-        coords = radius * _ball_point(rng, len(idx), kind)
-        out.append(SparseVector({i: v for i, v in zip(idx, coords)}))
-    return out
+    rows = _ball_points(rng, n, len(idx), op.norm_kind)
+    return [SparseVector(zip(idx, radius * row)) for row in rows]
 
 
 def sample_pairs(

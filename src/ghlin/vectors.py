@@ -28,7 +28,6 @@ __all__ = [
     "DenseVector",
     "StateVector",
     "norm",
-    "axpy",
     "zero_like",
     "Batch",
     "pack",
@@ -36,7 +35,6 @@ __all__ = [
     "merge_rows",
     "zero_rows",
     "row_norms",
-    "vector_to_json",
     "vector_from_json",
 ]
 
@@ -246,30 +244,6 @@ def _lp_fsum(values: list[float], p: float) -> float:
         return top * math.fsum((x / top) ** p for x in values) ** (1.0 / p)
 
 
-def _lp_sum(values: np.ndarray, p: float) -> float:
-    # l^p norm of a magnitude array by np.sum, rescaled only on overflow
-    with np.errstate(over="ignore"):
-        total = np.sum(values**p)
-    if np.isinf(total) and np.all(np.isfinite(values)):
-        top = np.max(values)
-        return float(top * np.sum((values / top) ** p) ** (1.0 / p))
-    return float(total ** (1.0 / p))
-
-
-def axpy(a: float, x: StateVector, y: StateVector) -> StateVector:
-    """Return a*x + y.  Backends (and dense dimensions) must match."""
-    if isinstance(x, SparseVector) and isinstance(y, SparseVector):
-        if a == 0.0:
-            return _sparse_raw(dict(y.items()))
-        return _sparse_raw(_add_coords(y._coords, x._coords, a))
-    if isinstance(x, DenseVector) and isinstance(y, DenseVector):
-        _check_dims(x, y)
-        return _dense_raw(a * x.array + y.array)
-    raise ValueError(
-        f"backend mismatch: {type(x).__name__} cannot combine with {type(y).__name__}"
-    )
-
-
 def zero_like(v: StateVector) -> StateVector:
     if isinstance(v, SparseVector):
         return _sparse_raw({})
@@ -417,28 +391,21 @@ def row_norms(b: Batch, kind: NormKind = SUP_NORM) -> np.ndarray:
     """The ambient norm of each row of a 2-d batch; 0 exactly on an all-zero row.
 
     The sup norm is the exact largest magnitude, NaN if any entry is NaN.
-    Sparse l^p sums use ``math.fsum``, so they do not depend on coordinate
-    order.  An l^p sum that overflows is redone scaled by the largest
-    magnitude; every norm that does not overflow is the direct sum.
+    Every l^p sum, dense or sparse, is one correctly rounded ``math.fsum``
+    of the nonzero powers, so a point's norm depends neither on its backend
+    nor on its coordinate order.  An l^p sum that overflows is redone
+    scaled by the largest magnitude; every norm that does not overflow is
+    the direct sum.
     """
     magnitudes = np.abs(b.rows)
     if kind.is_sup:
         if not magnitudes.shape[-1]:
             return np.zeros(len(b))
         return magnitudes.max(axis=-1)
-    if b.cols is None:
-        return np.array([_lp_sum(row, kind.p) for row in magnitudes])
     return np.array(
         [_lp_fsum(values, kind.p) if (values := [x for x in row.tolist() if x]) else 0.0
          for row in magnitudes]
     )
-
-
-def vector_to_json(v: StateVector):
-    """Sparse vectors serialize to {"index": value} objects, dense to arrays."""
-    if isinstance(v, SparseVector):
-        return {str(i): val for i, val in sorted(v.items())}
-    return list(map(float, v.array))
 
 
 def vector_from_json(obj) -> StateVector:

@@ -151,7 +151,7 @@ def test_masked_inverse_rows_take_their_own_iteration_counts():
 
     def batch(b):
         active.append(len(b))
-        return sine.rows(b)
+        return sine.batch(b)
 
     beta = Perturbation(None, sine.sup_bound, sine.lip_bound, sine.support_window, batch, sine.reads)
     ys = [DenseVector([s]) for s in (1e-12, 1e-9, 1e-6, 1e-3, 1.0, -3.0, 0.0)]

@@ -459,3 +459,33 @@ def test_holder_probe_uses_the_configured_theta(tmp_path, capsys):
         assert main(["holder-probe", "--config", cfg, "--out", str(tmp_path / "run")]) == expected
     assert "theta must lie in (0, 1]" in capsys.readouterr().err
     assert read_report(tmp_path, "run")["theta"] == 0.1
+
+
+SINE = {"kind": "sine", "amplitude": 0.05, "frequency": 1.0, "window": [-1, 1]}
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("conjugate", {"operator": {**SHIFT, "t": "0.55"}, "perturbation": SINE}),
+        ("conjugate", {"operator": SHIFT, "perturbation": {**SINE, "window": 5}}),
+        ("conjugate", {"operator": SHIFT, "perturbation": {**SINE, "amplitude": "0.05"}}),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "gamma": [0.2]}),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "seed": None}),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "seed": True}),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "seed": 1.5}),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "seed": "7"}),
+        ("linearize", {"problem": {**QUADRATIC, "theta": "0.3"}}),
+    ],
+    ids=["t-string", "window-int", "amplitude-string", "gamma-list",
+         "seed-null", "seed-true", "seed-float", "seed-string", "theta-string"],
+)
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, config):
+    # exit 1 means a bound was exceeded; a malformed value is a bad config
+    config = {"gamma": 0.2, "samples": 3, **config}
+    code = main([command, "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ghlin {command}: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -343,14 +343,12 @@ def test_admissible_eps_halves_with_c(rng):
 
 
 def test_operator_descriptor_round_trip():
-    spec = WeightSpec(0.5, 2.0, core={0: 0.9})
-    op = make_shift(spec)
-    rebuilt = operator_from_descriptor(op.describe())
-    assert rebuilt.weights == spec
+    shift = {"kind": "shift", "left_tail": 0.5, "right_tail": 2.0, "core": {"0": 0.9}}
+    rebuilt = operator_from_descriptor(shift)
+    assert rebuilt.weights == WeightSpec(0.5, 2.0, core={0: 0.9})
 
-    op2 = make_matrix_operator([[0.5, 0.0], [0.0, 3.0]])
-    rebuilt2 = operator_from_descriptor(op2.describe())
-    assert np.allclose(rebuilt2.matrix, op2.matrix)
+    rebuilt2 = operator_from_descriptor({"kind": "matrix", "rows": [[0.5, 0.0], [0.0, 3.0]]})
+    assert np.allclose(rebuilt2.matrix, [[0.5, 0.0], [0.0, 3.0]])
 
 
 def test_constants_report_shape():

@@ -9,11 +9,8 @@ from ghlin import (
     DenseVector,
     NormKind,
     SparseVector,
-    axpy,
     norm,
     vector_from_json,
-    vector_to_json,
-    zero_like,
 )
 from conftest import random_sparse
 
@@ -54,6 +51,16 @@ def test_norm_of_a_vector_with_a_nan_coordinate_is_nan(kind):
         assert math.isnan(norm(v, kind))
 
 
+def test_lp_norm_does_not_depend_on_the_backend():
+    # dense and sparse rows share one correctly rounded sum
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        v = rng.uniform(-1.0, 1.0, int(rng.integers(2, 12)))
+        dense, sparse = DenseVector(v), SparseVector(enumerate(v))
+        for p in (1.0, 1.5, 2.0, 3.0):
+            assert norm(dense, NormKind.lp(p)) == norm(sparse, NormKind.lp(p))
+
+
 def test_norm_sup_picks_largest_coordinate():
     v = SparseVector({0: 3.0, 2: 4.0})
     assert norm(v, NormKind.sup()) == 4.0
@@ -65,28 +72,23 @@ def test_norm_empty_support_is_zero():
 
 
 def test_axpy_cancellation_prunes_entry():
-    out = axpy(1.0, SparseVector({0: 1.0}), SparseVector({0: -1.0}))
+    out = 1.0 * SparseVector({0: 1.0}) + SparseVector({0: -1.0})
     assert out.to_dict() == {}
 
 
 def test_axpy_zero_scale_keeps_y():
-    out = axpy(0.0, SparseVector({0: 123.0}), SparseVector({5: 2.0}))
+    out = 0.0 * SparseVector({0: 123.0}) + SparseVector({5: 2.0})
     assert out.to_dict() == {5: 2.0}
 
 
 def test_axpy_disjoint_supports():
-    out = axpy(2.0, SparseVector({1: 1.0}), SparseVector({2: 3.0}))
+    out = 2.0 * SparseVector({1: 1.0}) + SparseVector({2: 3.0})
     assert out.to_dict() == {1: 2.0, 2: 3.0}
-
-
-def test_axpy_backend_mismatch_raises():
-    with pytest.raises(ValueError, match="backend mismatch"):
-        axpy(1.0, SparseVector({0: 1.0}), DenseVector([1.0]))
 
 
 def test_dense_dimension_mismatch_raises():
     with pytest.raises(ValueError, match="dimension mismatch"):
-        axpy(1.0, DenseVector([1.0]), DenseVector([1.0, 2.0]))
+        1.0 * DenseVector([1.0]) + DenseVector([1.0, 2.0])
 
 
 def test_axpy_never_stores_zeros(rng):
@@ -94,7 +96,7 @@ def test_axpy_never_stores_zeros(rng):
         x = random_sparse(rng)
         y = random_sparse(rng)
         a = rng.uniform(-3, 3)
-        out = axpy(a, x, y)
+        out = a * x + y
         assert all(v != 0.0 for _, v in out.items())
 
 
@@ -115,7 +117,7 @@ def test_norm_triangle_inequality(rng):
         for _ in range(100):
             x, y = random_sparse(rng), random_sparse(rng)
             a = rng.uniform(-3, 3)
-            lhs = norm(axpy(a, x, y), kind)
+            lhs = norm(a * x + y, kind)
             assert lhs <= abs(a) * norm(x, kind) + norm(y, kind) + 1e-12
 
 
@@ -124,13 +126,6 @@ def test_norm_kind_validation():
         NormKind.lp(0.5)
     with pytest.raises(ValueError):
         NormKind.lp(float("inf"))
-
-
-def test_operator_arithmetic_matches_axpy(rng):
-    x, y = random_sparse(rng), random_sparse(rng)
-    assert (x + y).to_dict() == axpy(1.0, x, y).to_dict()
-    assert (y - x).to_dict() == axpy(-1.0, x, y).to_dict()
-    assert (2.5 * x).to_dict() == axpy(2.5, x, zero_like(x)).to_dict()
 
 
 def test_dense_vectors_are_read_only():
@@ -148,14 +143,8 @@ def test_memo_keys_separate_neighbouring_floats():
 
 
 def test_sparse_json_round_trip():
-    v = SparseVector({-3: 1.5, 7: -2.0})
-    encoded = vector_to_json(v)
-    assert encoded == {"-3": 1.5, "7": -2.0}
-    assert vector_from_json(encoded) == v
+    assert vector_from_json({"-3": 1.5, "7": -2.0}) == SparseVector({-3: 1.5, 7: -2.0})
 
 
 def test_dense_json_round_trip():
-    v = DenseVector([0.5, -1.0])
-    encoded = vector_to_json(v)
-    assert encoded == [0.5, -1.0]
-    assert vector_from_json(encoded) == v
+    assert vector_from_json([0.5, -1.0]) == DenseVector([0.5, -1.0])
