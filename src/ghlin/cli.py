@@ -51,13 +51,9 @@ from .operators import (
     make_matrix_operator,
     operator_from_descriptor,
 )
-from .perturbations import (
-    IterationLimitError,
-    perturbation_from_descriptor,
-    sine_perturbation,
-)
+from .perturbations import IterationLimitError, perturbation_from_descriptor
 from .sampling import sample_pairs, sample_points
-from .vectors import DenseVector, SparseVector
+from .vectors import DenseVector, SparseVector, _number
 
 __all__ = ["main", "run"]
 
@@ -111,7 +107,7 @@ def _integer(config: dict, key: str, least: int) -> int:
 
 
 def _policy(config: dict) -> SeriesPolicy:
-    return SeriesPolicy(tol=float(config.get("tol", DEFAULTS["tol"])))
+    return SeriesPolicy(tol=_number(config, "tol", DEFAULTS["tol"]))
 
 
 def _cmd_gh_check(config: dict, prefix: str, rng) -> int:
@@ -133,7 +129,7 @@ def _cmd_gh_check(config: dict, prefix: str, rng) -> int:
 
 def _cmd_constants(config: dict, prefix: str, rng) -> int:
     op = operator_from_descriptor(_require(config, "operator"))
-    gamma = float(config.get("gamma", 0.5))
+    gamma = _number(config, "gamma", 0.5)
     payload = {"command": "constants", **constants_report(op), "gamma": gamma}
     payload["eps"] = admissible_eps(op, gamma)
     _write_report(prefix, payload)
@@ -143,9 +139,10 @@ def _cmd_constants(config: dict, prefix: str, rng) -> int:
 def _cmd_conjugate(config: dict, prefix: str, rng) -> int:
     op = operator_from_descriptor(_require(config, "operator"))
     beta = perturbation_from_descriptor(_require(config, "perturbation"), op.norm_kind)
-    gamma = float(_require(config, "gamma"))
+    _require(config, "gamma")
+    gamma = _number(config, "gamma")
     policy = _policy(config)
-    picard_tol = float(config.get("picard_tol", DEFAULTS["picard_tol"]))
+    picard_tol = _number(config, "picard_tol", DEFAULTS["picard_tol"])
     n = _integer(config, "samples", 1)
     fwd = solve_conjugacy(op, beta, gamma, policy, picard_tol)
     bwd = solve_inverse_conjugacy(op, beta, policy)
@@ -182,14 +179,12 @@ def _cmd_conjugate(config: dict, prefix: str, rng) -> int:
 
 def _problem_from_descriptor(obj: dict) -> LinearizationProblem:
     kind = obj.get("kind")
-    gamma = float(obj.get("gamma", 0.5))
-    cutoff_r = float(obj.get("cutoff_r", 0.01))
-    theta = obj.get("theta")
+    gamma = _number(obj, "gamma", 0.5)
+    cutoff_r = _number(obj, "cutoff_r", 0.01)
+    theta = _number(obj, "theta", None)
     if kind == "quadratic_1d":
-        slope = float(obj["slope"])
-        quad = float(obj["quad"])
-        p = float(obj.get("p", 0.0))
-        op = make_matrix_operator([[slope]], t=obj.get("t"))
+        slope, quad, p = _number(obj, "slope"), _number(obj, "quad"), _number(obj, "p", 0.0)
+        op = make_matrix_operator([[slope]], t=_number(obj, "t", None))
 
         def func(x):
             u = x.array[0] - p
@@ -206,9 +201,7 @@ def _problem_from_descriptor(obj: dict) -> LinearizationProblem:
         )
     if kind == "shift_plus_sine":
         op = operator_from_descriptor(obj["operator"])
-        lo, hi = obj["window"]
-        amp, freq = float(obj["amplitude"]), float(obj["frequency"])
-        wave = sine_perturbation(amp, freq, range(int(lo), int(hi) + 1), op.norm_kind)
+        wave = perturbation_from_descriptor({**obj, "kind": "sine"}, op.norm_kind)
 
         def func(x):
             return op.apply(x) + wave(x)
@@ -219,20 +212,17 @@ def _problem_from_descriptor(obj: dict) -> LinearizationProblem:
             derivative=op,
             gamma=gamma,
             cutoff_r=cutoff_r,
-            nonlinearity_lip=lambda rho: amp * freq,
+            nonlinearity_lip=lambda rho: wave.lip_bound,
             theta=theta,
         )
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
 def _cmd_linearize(config: dict, prefix: str, rng) -> int:
-    descriptor = dict(_require(config, "problem"))
-    for key in ("gamma", "theta", "cutoff_r"):
-        if key in config and key not in descriptor:
-            descriptor[key] = config[key]
-    problem = _problem_from_descriptor(descriptor)
+    shared = {key: config[key] for key in ("gamma", "theta", "cutoff_r") if key in config}
+    problem = _problem_from_descriptor({**shared, **_require(config, "problem")})
     policy = _policy(config)
-    picard_tol = float(config.get("picard_tol", DEFAULTS["picard_tol"]))
+    picard_tol = _number(config, "picard_tol", DEFAULTS["picard_tol"])
     n = _integer(config, "samples", 1)
     result = linearize(problem, policy, picard_tol)
     op = problem.derivative
@@ -265,9 +255,8 @@ def _cmd_holder_probe(config: dict, prefix: str, rng) -> int:
     policy = _policy(config)
     n = _integer(config, "samples", 1)
     bwd = solve_inverse_conjugacy(op, beta, policy)
-    theta = config.get("theta")
-    diameter = float(config.get("domain_diameter", 0.9))
-    cert = _default_certificate(op, beta, diameter, None if theta is None else float(theta))
+    diameter = _number(config, "domain_diameter", 0.9)
+    cert = _default_certificate(op, beta, diameter, _number(config, "theta", None))
     pairs = sample_pairs(rng, op, n, diameter, beta)
     report = empirical_holder(bwd, cert, pairs)
     values = bwd.displacements([x for x, _ in pairs])
@@ -287,9 +276,9 @@ _COMMANDS = {
 
 def run(command: str, config: dict, prefix: str) -> int:
     """Validate the merged config and dispatch; returns the exit code."""
-    if "gamma" in config and not (0.0 < float(config["gamma"]) < 1.0):
+    if "gamma" in config and not 0.0 < _number(config, "gamma") < 1.0:
         raise ConfigError(f"gamma must lie in (0, 1), got {config['gamma']}")
-    if "tol" in config and not float(config["tol"]) > 0.0:
+    if "tol" in config and not _number(config, "tol") > 0.0:
         raise ConfigError(f"tol must be positive, got {config['tol']}")
     config.setdefault("samples", DEFAULTS["samples"])
     config.setdefault("seed", DEFAULTS["seed"])

@@ -66,7 +66,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
-from .operators import CertificationError, GHOperator, admissible_eps, _require_constants
+from .operators import CertificationError, GHOperator, admissible_eps
 from .perturbations import (
     Perturbation,
     _require_contraction,
@@ -122,7 +122,7 @@ class SeriesPolicy:
 
 def truncation_tail_bound(op: GHOperator, source_sup: float, terms: int) -> float:
     """Certified bound on everything dropped after K + 1 terms of each series."""
-    k = _require_constants(op)
+    k = op.constants
     return (
         k.c * k.d * source_sup * k.t ** (terms + 1) * (1.0 + k.t) / (1.0 - k.t)
     )
@@ -132,7 +132,7 @@ def truncation_terms(op: GHOperator, source_sup: float, policy: SeriesPolicy) ->
     """Smallest K whose combined tail bound meets the policy tolerance."""
     if source_sup == 0.0:
         return 0
-    k = _require_constants(op)
+    k = op.constants
     lead = k.c * k.d * source_sup * (1.0 + k.t) / (1.0 - k.t)
     if lead <= policy.tol:
         terms = 0
@@ -349,7 +349,7 @@ def solve_conjugacy(
             f"distance of the conjugacy could not be kept below gamma"
         )
     _require_contraction(op, beta)
-    k = _require_constants(op)
+    k = op.constants
     gain = k.c * k.d * (1.0 + k.t) / (1.0 - k.t)
     q = gain * beta.lip_bound
     first_step = gain * beta.sup_bound
@@ -392,7 +392,7 @@ def solve_inverse_conjugacy(
     |h| <= gamma < 1).
     """
     _require_contraction(op, beta)
-    k = _require_constants(op)
+    k = op.constants
     terms = truncation_terms(op, beta.sup_bound, policy)
     lip_inv = op.norm_Tinv / (1.0 - op.norm_Tinv * beta.lip_bound)
     radius = eval_radius = max(2.0, op.norm_T + beta.sup_bound)

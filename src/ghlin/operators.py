@@ -45,10 +45,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .vectors import (
     SUP_NORM,
@@ -58,7 +57,7 @@ from .vectors import (
     SparseVector,
     StateVector,
 )
-from .vectors import _at_point, _dense_raw, _sparse_raw  # internal fast paths
+from .vectors import _at_point, _dense_raw, _number, _numbers, _sparse_raw
 
 __all__ = [
     "CertificationError",
@@ -133,10 +132,11 @@ class WeightSpec:
 
     @staticmethod
     def from_descriptor(obj: dict) -> "WeightSpec":
+        core = obj.get("core", {})
         return WeightSpec(
-            left_tail=float(obj["left_tail"]),
-            right_tail=float(obj["right_tail"]),
-            core={int(k): float(v) for k, v in obj.get("core", {}).items()},
+            left_tail=_number(obj, "left_tail"),
+            right_tail=_number(obj, "right_tail"),
+            core=dict(zip(map(int, core), _numbers(list(core.values()), "core weight").tolist())),
         )
 
 
@@ -194,10 +194,11 @@ class ShiftOperator:
     (T^{-1} y)_n = y_{n-1} / w_n, both exact on the stored support.
     Operator norms in the ambient norm are exact suprema / infima of weight
     products; they do not depend on p, so one formula serves every l^p and
-    the sup norm.
+    the sup norm.  The constructor certifies the decay constants at ``t``
+    as its last step; ``make_shift`` checks the splitting criterion first.
     """
 
-    def __init__(self, weights: WeightSpec, norm_kind: NormKind = SUP_NORM):
+    def __init__(self, weights: WeightSpec, norm_kind: NormKind = SUP_NORM, t: float | None = None):
         self.weights = weights
         lo, hi = weights.window
         core = [weights.core[i] for i in range(lo, hi + 1)]
@@ -214,7 +215,7 @@ class ShiftOperator:
         self.norm_P_N = 1.0
         self.m_is_trivial = False
         self.n_is_trivial = False
-        self.constants: _Constants | None = None
+        estimate_constants(self, t)
 
     def _weight(self, idx: np.ndarray) -> np.ndarray:
         """The weights w_i at the indices ``idx``, read from one weight array."""
@@ -352,7 +353,8 @@ class MatrixOperator:
     M is the invariant subspace for eigenvalues inside the unit disc and N
     the one for eigenvalues outside; P_M, P_N are the spectral projections.
     Operator norms are induced matrix norms in the ambient norm (available
-    for p in {1, 2} and sup).
+    for p in {1, 2} and sup).  The constructor certifies the decay constants
+    at ``t`` as its last step; ``make_matrix_operator`` computes the splitting.
     """
 
     def __init__(
@@ -362,6 +364,7 @@ class MatrixOperator:
         proj_M: np.ndarray,
         eigenvalues: np.ndarray,
         norm_kind: NormKind = SUP_NORM,
+        t: float | None = None,
     ):
         self.matrix = matrix
         self.matrix_inv = matrix_inv
@@ -382,7 +385,7 @@ class MatrixOperator:
         self.norm_Tinv_on_N = self._induced(self.a_N)
         self.norm_P_M = self._induced(proj_M)
         self.norm_P_N = self._induced(self.proj_N_matrix)
-        self.constants: _Constants | None = None
+        estimate_constants(self, t)
 
     def _induced(self, a: np.ndarray) -> float:
         return float(np.linalg.norm(a, ord=self._ord))
@@ -486,17 +489,11 @@ def make_shift(
     if not report.holds:
         sides = []
         if report.left_margin >= 1.0:
-            sides.append(
-                f"left weight-product limit {report.left_margin} is not < 1"
-            )
+            sides.append(f"left weight-product limit {report.left_margin} is not < 1")
         if report.right_margin <= 1.0:
-            sides.append(
-                f"right weight-product limit {report.right_margin} is not > 1"
-            )
+            sides.append(f"right weight-product limit {report.right_margin} is not > 1")
         raise CertificationError("splitting criterion fails: " + "; ".join(sides))
-    op = ShiftOperator(weights, norm_kind)
-    estimate_constants(op, t)
-    return op
+    return ShiftOperator(weights, norm_kind, t)
 
 
 def make_matrix_operator(
@@ -510,7 +507,8 @@ def make_matrix_operator(
     with modulus within ``UNIT_CIRCLE_TOL`` of 1 is rejected, as is a
     singular matrix.  Mixed spectra are split through a sorted real Schur
     form; the projection is then recovered from a Sylvester solve, which
-    also covers defective eigenvalue blocks.
+    also covers defective eigenvalue blocks.  Only this branch needs scipy.
+    The operator comes with its decay constants certified at ``t``.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -533,6 +531,8 @@ def make_matrix_operator(
     elif np.all(mods > 1.0):
         proj_M = np.zeros((n, n))
     else:
+        import scipy.linalg  # only a mixed spectrum needs it, and it is most of `import ghlin`
+
         u, q, sdim = scipy.linalg.schur(
             a, output="real", sort=lambda re, im: re * re + im * im < 1.0
         )
@@ -557,19 +557,19 @@ def make_matrix_operator(
     if float(np.abs(proj_M @ a_inv @ proj_N).max()) > SPLITTING_TOL * scale:
         raise CertificationError("splitting is not backward invariant beyond tolerance")
 
-    op = MatrixOperator(a, a_inv, proj_M, eigs, norm_kind)
-    estimate_constants(op, t)
-    return op
+    return MatrixOperator(a, a_inv, proj_M, eigs, norm_kind, t)
 
 
 def estimate_constants(op: GHOperator, t: float | None = None) -> tuple[float, float, float]:
-    """Install certified decay constants (c, t, d) on the operator.
+    """Certify decay constants (c, t, d) at t and install them on the operator.
 
-    With A_M = T P_M and A_N = T^{-1} P_N, the certification window is the
-    first n_max at which both |A_M^n| <= t^n and |A_N^n| <= t^n; then
-    c = max_{n <= n_max} max(|A_M^n|, |A_N^n|) / t^n works for every power
-    by submultiplicativity, and d = max(|P_M|, |P_N|).  The search stops
-    after ``DECAY_WINDOW_CAP`` steps or once t^n underflows.
+    Both operator constructors call it last, so every operator carries its
+    constants; a later call re-certifies at another t.  With A_M = T P_M and
+    A_N = T^{-1} P_N, the certification window is the first n_max at which
+    both |A_M^n| <= t^n and |A_N^n| <= t^n; then c = max_{n <= n_max}
+    max(|A_M^n|, |A_N^n|) / t^n works for every power by
+    submultiplicativity, and d = max(|P_M|, |P_N|).  The search stops after
+    ``DECAY_WINDOW_CAP`` steps or once t^n underflows.
     """
     rho_m, rho_n = op.stable_spectral_radii()
     rho = max(rho_m, rho_n)
@@ -605,12 +605,6 @@ def _decay_window(op: GHOperator, t: float) -> tuple[int, float]:
     )
 
 
-def _require_constants(op: GHOperator) -> _Constants:
-    if op.constants is None:
-        raise ValueError("operator has no certified constants; run estimate_constants")
-    return op.constants
-
-
 def admissible_eps(op: GHOperator, gamma: float) -> float:
     """Largest certified perturbation size for a target identity distance gamma.
 
@@ -619,13 +613,12 @@ def admissible_eps(op: GHOperator, gamma: float) -> float:
     """
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie in (0, 1), got {gamma}")
-    k = _require_constants(op)
+    k = op.constants
     return gamma * (1.0 - k.t) / (k.c * k.d * (1.0 + k.t))
 
 
 def constants_report(op: GHOperator) -> dict:
-    k = _require_constants(op)
-    return {"c": k.c, "t": k.t, "d": k.d, "n_max": k.n_max}
+    return asdict(op.constants)
 
 
 def operator_from_descriptor(obj: dict, norm_kind: NormKind | None = None) -> GHOperator:
@@ -639,10 +632,10 @@ def operator_from_descriptor(obj: dict, norm_kind: NormKind | None = None) -> GH
         norm_kind = (
             NormKind.from_descriptor(obj["norm"]) if "norm" in obj else SUP_NORM
         )
-    t = obj.get("t")
+    t = _number(obj, "t", None)
     kind = obj.get("kind")
     if kind == "shift":
         return make_shift(WeightSpec.from_descriptor(obj), norm_kind, t)
     if kind == "matrix":
-        return make_matrix_operator(obj["rows"], norm_kind, t)
+        return make_matrix_operator(_numbers(obj["rows"], "rows entry"), norm_kind, t)
     raise ValueError(f"unknown operator kind {kind!r}")

@@ -39,7 +39,7 @@ from .vectors import (
     row_norms,
     zero_rows,
 )
-from .vectors import _at_point, _row_wise
+from .vectors import _at_point, _number, _row_wise, _window, vector_from_json
 
 __all__ = [
     "Perturbation",
@@ -132,16 +132,12 @@ def constant_perturbation(b: StateVector, norm_kind: NormKind = SUP_NORM) -> Per
     )
 
 
-def _window_sup_scale(count: int, norm_kind: NormKind) -> float:
-    # sup norm of a vector with `count` entries of unit size
-    return 1.0 if norm_kind.is_sup else float(count) ** (1.0 / norm_kind.p)
-
-
 def _coordinatewise(f, a: float, r: float, idx, norm_kind: NormKind) -> Perturbation:
     """x -> a*f(r*x_n) on the sorted index window idx, or on every coordinate.
 
     For |f| <= 1 with Lip(f) <= 1 the certified bounds are sup a (times
-    |W|^(1/p) for an l^p ambient norm) and Lipschitz constant a*r.
+    |W|^(1/p) for an l^p ambient norm, which needs a window) and Lipschitz
+    constant a*r.
     Without a window the row-batch form maps every column of either backend
     in place; since f(0) = 0, a sparse coordinate off its columns stays zero.
     """
@@ -164,7 +160,7 @@ def _coordinatewise(f, a: float, r: float, idx, norm_kind: NormKind) -> Perturba
 
     return Perturbation(
         func=None,
-        sup_bound=a * _window_sup_scale(1 if idx is None else len(idx), norm_kind),
+        sup_bound=a if norm_kind.is_sup else a * float(len(idx)) ** (1.0 / norm_kind.p),
         lip_bound=a * r,
         support_window=(idx[0], idx[-1]) if idx else None,
         batch=batch,
@@ -356,18 +352,12 @@ def perturbation_from_descriptor(obj: dict, norm_kind: NormKind = SUP_NORM) -> P
     if kind == "zero":
         return zero_perturbation()
     if kind == "constant":
-        from .vectors import vector_from_json
-
         return constant_perturbation(vector_from_json(obj["vector"]), norm_kind)
     if kind == "sine":
-        lo, hi = obj["window"]
-        return sine_perturbation(
-            obj["amplitude"], obj["frequency"], range(int(lo), int(hi) + 1), norm_kind
-        )
+        amp, freq = _number(obj, "amplitude"), _number(obj, "frequency")
+        return sine_perturbation(amp, freq, _window(obj), norm_kind)
     if kind == "saturating":
-        window = obj.get("window")
-        if window is not None:
-            lo, hi = window
-            window = range(int(lo), int(hi) + 1)
-        return saturating_perturbation(obj["amplitude"], obj["scale"], window, norm_kind)
+        amp, scale = _number(obj, "amplitude"), _number(obj, "scale")
+        window = None if obj.get("window") is None else _window(obj)
+        return saturating_perturbation(amp, scale, window, norm_kind)
     raise ValueError(f"unknown perturbation kind {kind!r}")

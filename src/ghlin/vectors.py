@@ -71,7 +71,7 @@ class NormKind:
         if obj.get("kind") == "sup":
             return NormKind.sup()
         if obj.get("kind") == "lp":
-            return NormKind.lp(obj["p"])
+            return NormKind(_number(obj, "p"))
         raise ValueError(f"unknown norm descriptor {obj!r}")
 
 
@@ -408,9 +408,36 @@ def row_norms(b: Batch, kind: NormKind = SUP_NORM) -> np.ndarray:
     )
 
 
+def _number(obj: dict, key: str, *default):
+    """``obj[key]``, a JSON number (an int or a float, not a bool), as a float.
+
+    ``default`` if given and ``key`` is absent; any other value raises ValueError naming the key.
+    """
+    if default and key not in obj:
+        return default[0]
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, key: str) -> np.ndarray:
+    """A JSON array of numbers, nested to any depth, as a float array (entries by ``_number``)."""
+    entries = np.array(value, dtype=object)
+    return np.reshape([_number({key: v}, key) for v in entries.flat], entries.shape)
+
+
+def _window(obj: dict) -> range:
+    """The index window ``obj["window"]``, a JSON array [lo, hi] of two integers."""
+    window = obj["window"]
+    if type(window) is not list or len(window) != 2 or any(type(i) is not int for i in window):
+        raise ValueError(f"window must be [lo, hi] with integers lo and hi, got {window!r}")
+    return range(window[0], window[1] + 1)
+
+
 def vector_from_json(obj) -> StateVector:
     if isinstance(obj, dict):
-        return SparseVector({int(k): float(val) for k, val in obj.items()})
+        return SparseVector(zip(map(int, obj), _numbers(list(obj.values()), "vector entry")))
     if isinstance(obj, list):
-        return DenseVector(obj)
+        return DenseVector(_numbers(obj, "vector entry"))
     raise ValueError(f"cannot read a vector from {type(obj).__name__}")

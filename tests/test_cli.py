@@ -3,6 +3,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -462,25 +465,48 @@ def test_holder_probe_uses_the_configured_theta(tmp_path, capsys):
 
 
 SINE = {"kind": "sine", "amplitude": 0.05, "frequency": 1.0, "window": [-1, 1]}
+DIAGONAL = {"kind": "matrix", "rows": [[0.5, 0.0], [0.0, 3.0]], "t": 0.6}
+SHIFT_PLUS_SINE = {
+    "kind": "shift_plus_sine", "operator": SHIFT, "amplitude": 0.01, "frequency": 1.0,
+    "window": [-1, 1], "gamma": 0.5, "cutoff_r": 0.01,
+}
 
 
 @pytest.mark.parametrize(
-    "command, config",
+    "command, config, key",
     [
-        ("conjugate", {"operator": {**SHIFT, "t": "0.55"}, "perturbation": SINE}),
-        ("conjugate", {"operator": SHIFT, "perturbation": {**SINE, "window": 5}}),
-        ("conjugate", {"operator": SHIFT, "perturbation": {**SINE, "amplitude": "0.05"}}),
-        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "gamma": [0.2]}),
-        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "seed": None}),
-        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "seed": True}),
-        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "seed": 1.5}),
-        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "seed": "7"}),
-        ("linearize", {"problem": {**QUADRATIC, "theta": "0.3"}}),
+        ("conjugate", {"operator": {**SHIFT, "t": "0.55"}, "perturbation": SINE}, "t"),
+        ("conjugate", {"operator": SHIFT, "perturbation": {**SINE, "window": 5}}, "window"),
+        ("conjugate", {"operator": SHIFT, "perturbation": {**SINE, "amplitude": "0.05"}},
+         "amplitude"),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "gamma": [0.2]}, "gamma"),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "seed": None}, "seed"),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "seed": True}, "seed"),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "seed": 1.5}, "seed"),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "seed": "7"}, "seed"),
+        ("linearize", {"problem": {**QUADRATIC, "theta": "0.3"}}, "theta"),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "gamma": "0.2"}, "gamma"),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "tol": "1e-5"}, "tol"),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "picard_tol": "5e-4"},
+         "picard_tol"),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "tol": True}, "tol"),
+        ("conjugate", {"operator": SHIFT, "perturbation": {**SINE, "window": [-1.5, 1.7]}},
+         "window"),
+        ("conjugate", {"operator": {**SHIFT, "left_tail": "0.5"}, "perturbation": SINE},
+         "left_tail"),
+        ("constants", {"operator": {**DIAGONAL, "rows": [["0.5", 0.0], [0.0, 3.0]]}}, "rows"),
+        ("linearize", {"problem": {**SHIFT_PLUS_SINE, "window": [-1.5, 1.5]}}, "window"),
+        ("linearize", {"problem": {**QUADRATIC, "slope": "0.5"}}, "slope"),
+        ("conjugate", {"operator": SHIFT, "perturbation": {**SINE, "frequency": "1.0"}},
+         "frequency"),
     ],
     ids=["t-string", "window-int", "amplitude-string", "gamma-list",
-         "seed-null", "seed-true", "seed-float", "seed-string", "theta-string"],
+         "seed-null", "seed-true", "seed-float", "seed-string", "theta-string",
+         "gamma-string", "tol-string", "picard_tol-string", "tol-true", "window-fractional",
+         "left_tail-string", "rows-string", "problem-window-fractional", "slope-string",
+         "frequency-string"],
 )
-def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, config):
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, config, key):
     # exit 1 means a bound was exceeded; a malformed value is a bad config
     config = {"gamma": 0.2, "samples": 3, **config}
     code = main([command, "--config", write_config(tmp_path, "c.json", config),
@@ -489,3 +515,44 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, confi
     err = capsys.readouterr().err
     assert err.startswith(f"ghlin {command}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert key in err
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("gh-check", {"operator": DIAGONAL}, "gh-check needs a shift operator"),
+        ("linearize", {"problem": {**QUADRATIC, "kind": "cubic_1d"}}, "unknown problem kind"),
+        ("constants", {"operator": {**SHIFT, "kind": "rotation"}}, "unknown operator kind"),
+        ("constants", {"operator": {**SHIFT, "norm": {"kind": "l3"}}}, "unknown norm"),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "gamma": 1.5}, "gamma must lie"),
+        ("conjugate", {"operator": SHIFT, "perturbation": SINE, "tol": 0}, "tol must be positive"),
+    ],
+    ids=["gh-check-matrix", "problem-kind", "operator-kind", "norm-kind", "gamma-range",
+         "tol-zero"],
+)
+def test_unsupported_config_exits_2(tmp_path, capsys, command, config, message):
+    config = {"gamma": 0.2, "samples": 3, **config}
+    code = main([command, "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ghlin {command}: ") and message in err
+
+
+def test_sparse_and_one_sided_runs_do_not_import_scipy(tmp_path):
+    # scipy splits a mixed matrix spectrum and nothing else; it is most of the start-up time
+    conjugate = {"operator": SHIFT, "perturbation": SINE, "gamma": 0.2, "samples": 3}
+    linearize_ = {"problem": QUADRATIC, "tol": 1e-10, "picard_tol": 1e-10, "samples": 3}
+    script = (
+        "import sys\n"
+        "from ghlin import cli\n"
+        f"codes = cli.run('conjugate', {conjugate!r}, {str(tmp_path / 'c')!r}), "
+        f"cli.run('linearize', {linearize_!r}, {str(tmp_path / 'l')!r})\n"
+        "assert codes == (0, 0), codes\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr

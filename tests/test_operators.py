@@ -119,11 +119,9 @@ def test_shift_apply_inverse_general_weights(rng):
 
 
 def test_shift_all_weights_two_action():
-    # bypass the criterion to check the raw action of a constant-weight shift
-    from ghlin.operators import ShiftOperator
-
-    op = ShiftOperator(WeightSpec(2.0, 2.0))
-    assert op.apply(SparseVector({0: 1.0})).to_dict() == {-1: 2.0}
+    # the weight-2 right tail of a valid shift: (T x)_{n-1} = w_n x_n with w_n = 2 for n >= 1
+    op = make_shift(WeightSpec(0.5, 2.0))
+    assert op.apply(SparseVector({1: 1.0, 5: 3.0})).to_dict() == {0: 2.0, 4: 6.0}
 
 
 def test_shift_splitting_is_exactly_invariant(rng):
