@@ -26,6 +26,7 @@ import csv
 import json
 import sys
 from datetime import datetime, timezone
+from functools import partial
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .operators import (
 )
 from .perturbations import IterationLimitError, perturbation_from_descriptor
 from .sampling import sample_pairs, sample_points
-from .vectors import DenseVector, SparseVector, _number
+from .vectors import Batch, DenseVector, SparseVector, _at_point, _number, _object
 
 __all__ = ["main", "run"]
 
@@ -64,10 +65,11 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(config: dict, key: str):
+def _require(config: dict, key: str, read=_object):
+    # config[key], read by ``read`` (a descriptor object by default); it must be present
     if key not in config:
         raise ConfigError(f"config key '{key}' is required for this command")
-    return config[key]
+    return read(config, key)
 
 
 def _load_config(path: str) -> dict:
@@ -139,8 +141,7 @@ def _cmd_constants(config: dict, prefix: str, rng) -> int:
 def _cmd_conjugate(config: dict, prefix: str, rng) -> int:
     op = operator_from_descriptor(_require(config, "operator"))
     beta = perturbation_from_descriptor(_require(config, "perturbation"), op.norm_kind)
-    _require(config, "gamma")
-    gamma = _number(config, "gamma")
+    gamma = _require(config, "gamma", _number)
     policy = _policy(config)
     picard_tol = _number(config, "picard_tol", DEFAULTS["picard_tol"])
     n = _integer(config, "samples", 1)
@@ -182,40 +183,36 @@ def _problem_from_descriptor(obj: dict) -> LinearizationProblem:
     gamma = _number(obj, "gamma", 0.5)
     cutoff_r = _number(obj, "cutoff_r", 0.01)
     theta = _number(obj, "theta", None)
+    # each kind gives its map F as a row form; F at one point is a batch of one
     if kind == "quadratic_1d":
         slope, quad, p = _number(obj, "slope"), _number(obj, "quad"), _number(obj, "p", 0.0)
         op = make_matrix_operator([[slope]], t=_number(obj, "t", None))
+        fixed_point, lip = DenseVector([p]), lambda rho: 2.0 * abs(quad) * rho
 
-        def func(x):
-            u = x.array[0] - p
-            return DenseVector([slope * u + quad * u * u + p])
+        def batch(b):
+            u = b.rows - p
+            return Batch(slope * u + quad * u * u + p)
 
-        return LinearizationProblem(
-            func=func,
-            fixed_point=DenseVector([p]),
-            derivative=op,
-            gamma=gamma,
-            cutoff_r=cutoff_r,
-            nonlinearity_lip=lambda rho: 2.0 * abs(quad) * rho,
-            theta=theta,
-        )
-    if kind == "shift_plus_sine":
-        op = operator_from_descriptor(obj["operator"])
+    elif kind == "shift_plus_sine":
+        op = operator_from_descriptor(_object(obj, "operator"))
         wave = perturbation_from_descriptor({**obj, "kind": "sine"}, op.norm_kind)
+        fixed_point, lip = SparseVector({}), lambda rho: wave.lip_bound
 
-        def func(x):
-            return op.apply(x) + wave(x)
+        def batch(b):
+            return op.step(b) + wave.batch(b)
 
-        return LinearizationProblem(
-            func=func,
-            fixed_point=SparseVector({}),
-            derivative=op,
-            gamma=gamma,
-            cutoff_r=cutoff_r,
-            nonlinearity_lip=lambda rho: wave.lip_bound,
-            theta=theta,
-        )
-    raise ConfigError(f"unknown problem kind {kind!r}")
+    else:
+        raise ConfigError(f"unknown problem kind {kind!r}")
+    return LinearizationProblem(
+        func=partial(_at_point, batch),
+        fixed_point=fixed_point,
+        derivative=op,
+        gamma=gamma,
+        cutoff_r=cutoff_r,
+        nonlinearity_lip=lip,
+        theta=theta,
+        batch=batch,
+    )
 
 
 def _cmd_linearize(config: dict, prefix: str, rng) -> int:

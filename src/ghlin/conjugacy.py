@@ -73,7 +73,7 @@ from .perturbations import (
     perturbed_apply,
     solve_perturbed_inverse,
 )
-from .vectors import Batch, SparseVector, StateVector, norm, pack, stack, zero_like
+from .vectors import Batch, SparseVector, StateVector, norm, pack, row_norms, stack, zero_like
 from .vectors import _at_point, _row_wise
 
 __all__ = [
@@ -277,9 +277,10 @@ class ConjugacyMap:
         """The offset H(x) - x: ``displacements`` of one point."""
         return self.displacements([x])[0]
 
-    def covers(self, x: StateVector) -> bool:
-        """Whether ``certified_error`` is quoted at x."""
-        return self.eval_radius is None or norm(x, self.op.norm_kind) <= self.eval_radius
+    def covers(self, points: Sequence[StateVector]) -> bool:
+        """Whether ``certified_error`` is quoted at every one of the points."""
+        radius = self.eval_radius
+        return radius is None or all(s <= radius for s in _norms(points, self.op.norm_kind))
 
     def _chunk_size(self, points) -> int:
         # points per lattice call: the orbit has at most depth*(2K + 1) + 1
@@ -448,8 +449,22 @@ def _status(bound: float, covered: bool) -> str:
     return CERTIFIED if math.isfinite(bound) and covered else UNCERTIFIED
 
 
+class _CheckReport:
+    """The pass rule and the JSON form (without ``per_point``) of a check report."""
+
+    @property
+    def passed(self) -> bool:
+        return self.status == CERTIFIED and self.max_residual <= self.certified_bound
+
+    def to_dict(self) -> dict:
+        out = {key: value for key, value in vars(self).items() if key != "per_point"}
+        if self.status != CERTIFIED:
+            out["certified_bound"] = None
+        return {**out, "passed": self.passed}
+
+
 @dataclass
-class VerificationReport:
+class VerificationReport(_CheckReport):
     """Observed identity residuals against the map's own certified bound.
 
     ``status`` is ``"uncertified"`` when the bound is not finite or a map was
@@ -463,20 +478,6 @@ class VerificationReport:
     certified_bound: float
     status: str = CERTIFIED
     per_point: list[float] = field(repr=False, default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return self.status == CERTIFIED and self.max_residual <= self.certified_bound
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n_samples": self.n_samples,
-            "max_residual": self.max_residual,
-            "certified_bound": self.certified_bound if self.status == CERTIFIED else None,
-            "status": self.status,
-            "passed": self.passed,
-        }
 
 
 def verify_conjugacy(cmap: ConjugacyMap, samples: Sequence[StateVector]) -> VerificationReport:
@@ -499,24 +500,31 @@ def verify_conjugacy(cmap: ConjugacyMap, samples: Sequence[StateVector]) -> Veri
 
 def _identity_check(cmap, images, points, outer, bound: float) -> VerificationReport:
     # residuals |H(u) - outer(H(x))| over pairs of images u and points x, from one
-    # displacements call; certified when the bound is finite and every point is covered
+    # displacements call and one row_norms call; certified when the bound is
+    # finite and every point is covered
     values = cmap.displacements(images + points)
-    residuals = [
-        norm((u + h_u) - outer(x + h_x), cmap.op.norm_kind)
+    gaps = [
+        (u + h_u) - outer(x + h_x)
         for u, x, h_u, h_x in zip(images, points, values, values[len(points):])
     ]
+    residuals = _norms(gaps, cmap.op.norm_kind)
     return VerificationReport(
         kind=cmap.direction,
         n_samples=len(residuals),
         max_residual=max(residuals, default=0.0),
         certified_bound=bound,
-        status=_status(bound, all(cmap.covers(p) for p in images + points)),
+        status=_status(bound, cmap.covers(images + points)),
         per_point=residuals,
     )
 
 
+def _norms(vectors: Sequence[StateVector], kind) -> list[float]:
+    # the norm of each vector, from one row_norms call
+    return row_norms(pack(vectors), kind).tolist() if vectors else []
+
+
 @dataclass
-class InversePairReport:
+class InversePairReport(_CheckReport):
     """Residuals of H_back o H_fwd = I and H_fwd o H_back = I over samples.
 
     ``status`` has the meaning of ``VerificationReport.status``.
@@ -532,20 +540,6 @@ class InversePairReport:
     @property
     def max_residual(self) -> float:
         return max(self.max_residual_left, self.max_residual_right)
-
-    @property
-    def passed(self) -> bool:
-        return self.status == CERTIFIED and self.max_residual <= self.certified_bound
-
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "max_residual_left": self.max_residual_left,
-            "max_residual_right": self.max_residual_right,
-            "certified_bound": self.certified_bound if self.status == CERTIFIED else None,
-            "status": self.status,
-            "passed": self.passed,
-        }
 
 
 def verify_inverse_pair(
@@ -592,22 +586,16 @@ def verify_inverse_pair(
     kind = fwd.op.norm_kind
     there = [x + h for x, h in zip(samples, fwd.displacements(samples))]
     back = [x + h for x, h in zip(samples, bwd.displacements(samples))]
-    pairs = [
-        (norm((u + h_u) - x, kind), norm((v + h_v) - x, kind))
-        for x, u, v, h_u, h_v in zip(
-            samples, there, back, bwd.displacements(there), fwd.displacements(back)
-        )
-    ]
-    covered = all(fwd.covers(p) for p in samples + back) and all(
-        bwd.covers(p) for p in samples + there
-    )
+    left = _norms([(u + h) - x for x, u, h in zip(samples, there, bwd.displacements(there))], kind)
+    right = _norms([(v + h) - x for x, v, h in zip(samples, back, fwd.displacements(back))], kind)
+    covered = fwd.covers(samples + back) and bwd.covers(samples + there)
     return InversePairReport(
-        n_samples=len(pairs),
-        max_residual_left=max((p[0] for p in pairs), default=0.0),
-        max_residual_right=max((p[1] for p in pairs), default=0.0),
+        n_samples=len(samples),
+        max_residual_left=max(left, default=0.0),
+        max_residual_right=max(right, default=0.0),
         certified_bound=bound,
         status=_status(bound, covered),
-        per_point=pairs,
+        per_point=list(zip(left, right)),
     )
 
 

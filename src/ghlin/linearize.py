@@ -27,12 +27,14 @@ from .conjugacy import (
     SeriesPolicy,
     VerificationReport,
     _identity_check,
+    _norms,
     solve_conjugacy,
     solve_inverse_conjugacy,
 )
 from .operators import GHOperator, admissible_eps
 from .perturbations import CutoffProfile, Perturbation, cutoff, zero_perturbation
-from .vectors import StateVector, norm, zero_like
+from .vectors import Batch, StateVector, norm, pack, zero_like
+from .vectors import _at_point, _row_wise
 
 __all__ = [
     "HolderCertificate",
@@ -228,16 +230,13 @@ def empirical_holder(
                 f"pair distance {dist} exceeds the certificate diameter "
                 f"{cert.domain_diameter}"
             )
-        if not (cmap.covers(x) and cmap.covers(y)):
-            raise ValueError(
-                f"pair point outside the map's eval_radius {cmap.eval_radius}"
-            )
         kept.append((x, y, dist))
-    values = cmap.displacements([x for x, _, _ in kept] + [y for _, y, _ in kept])
-    ratios = [
-        norm(h_x - h_y, kind) / dist**cert.theta
-        for (_, _, dist), h_x, h_y in zip(kept, values, values[len(kept):])
-    ]
+    ends = [x for x, _, _ in kept] + [y for _, y, _ in kept]
+    if not cmap.covers(ends):
+        raise ValueError(f"pair point outside the map's eval_radius {cmap.eval_radius}")
+    values = cmap.displacements(ends)
+    gaps = _norms([h_x - h_y for h_x, h_y in zip(values, values[len(kept):])], kind)
+    ratios = [gap / dist**cert.theta for gap, (_, _, dist) in zip(gaps, kept)]
     min_dist = min((dist for _, _, dist in kept), default=math.inf)
     inflation = (
         0.0
@@ -262,7 +261,10 @@ class LinearizationProblem:
     ``derivative`` is the operator DF_p (validated generalized hyperbolic at
     construction of the operator).  ``nonlinearity_lip`` must return, for a
     radius rho, a certified Lipschitz constant of F(x + p) - p - DF_p x on
-    the ball of radius rho.
+    the ball of radius rho.  ``batch`` is F on the rows of a 2-d ``Batch``
+    (by default ``func`` on each row); ``linearize`` evaluates F only
+    through it, so F(p) = p is checked on it, and ``verify`` evaluates F
+    through ``func``.
     """
 
     func: Callable[[StateVector], StateVector]
@@ -272,14 +274,16 @@ class LinearizationProblem:
     cutoff_r: float
     nonlinearity_lip: Callable[[float], float]
     theta: float | None = None
+    batch: Callable[[Batch], Batch] | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.gamma < 1.0):
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not (self.cutoff_r > 0.0 and math.isfinite(self.cutoff_r)):
             raise ValueError(f"cutoff_r must be positive and finite, got {self.cutoff_r}")
+        self.batch = self.batch or _row_wise(self.func)
         drift = norm(
-            self.func(self.fixed_point) - self.fixed_point,
+            _at_point(self.batch, self.fixed_point) - self.fixed_point,
             self.derivative.norm_kind,
         )
         if drift > 1e-10:
@@ -361,10 +365,10 @@ def linearize(
     certified on the inner ball only, where the cutoff is the identity.
     """
     op = problem.derivative
-    p = problem.fixed_point
+    p = pack([problem.fixed_point])
 
-    def nonlinearity(u: StateVector) -> StateVector:
-        return problem.func(u + p) - p - op.apply(u)
+    def nonlinearity(u: Batch) -> Batch:
+        return problem.batch(u + p) - p - op.step(u)
 
     eps = min(
         admissible_eps(op, problem.gamma),
@@ -387,11 +391,8 @@ def linearize(
         beta = zero_perturbation()
     else:
         beta = cutoff(
-            nonlinearity,
-            lip_ball,
-            CutoffProfile(r),
-            norm_kind=op.norm_kind,
-            zero=zero_like(p),
+            None, lip_ball, CutoffProfile(r), op.norm_kind,
+            zero=zero_like(problem.fixed_point), alpha_batch=nonlinearity,
         )
     forward = solve_conjugacy(op, beta, problem.gamma, policy, picard_tol)
     backward = solve_inverse_conjugacy(op, beta, policy)

@@ -57,7 +57,7 @@ from .vectors import (
     SparseVector,
     StateVector,
 )
-from .vectors import _at_point, _dense_raw, _number, _numbers, _sparse_raw
+from .vectors import _at_point, _dense_raw, _number, _numbers, _object, _sparse_raw
 
 __all__ = [
     "CertificationError",
@@ -132,7 +132,7 @@ class WeightSpec:
 
     @staticmethod
     def from_descriptor(obj: dict) -> "WeightSpec":
-        core = obj.get("core", {})
+        core = _object(obj, "core", {})
         return WeightSpec(
             left_tail=_number(obj, "left_tail"),
             right_tail=_number(obj, "right_tail"),
@@ -630,7 +630,7 @@ def operator_from_descriptor(obj: dict, norm_kind: NormKind | None = None) -> GH
     """
     if norm_kind is None:
         norm_kind = (
-            NormKind.from_descriptor(obj["norm"]) if "norm" in obj else SUP_NORM
+            NormKind.from_descriptor(_object(obj, "norm")) if "norm" in obj else SUP_NORM
         )
     t = _number(obj, "t", None)
     kind = obj.get("kind")

@@ -9,8 +9,9 @@ Every perturbation also acts on a ``Batch`` of points (``batch``).  The
 builders here give a row-batch form that computes each row exactly as the
 single-point map does: the coordinatewise builder calls its scalar f on the
 window entries, the constant and zero maps broadcast, and the cutoff takes
-row norms and calls alpha per row.  A perturbation built from a plain
-function runs it on each row.
+the row norms, makes one call of alpha's row form on the rows inside its
+outer ball and scales them by chi in one product.  A perturbation (or a
+cutoff's alpha) given only as a plain function runs it on each row.
 
 The cutoff construction turns a locally Lipschitz nonlinearity vanishing at
 the origin into a globally small bounded Lipschitz map that agrees with it
@@ -223,21 +224,19 @@ class CutoffProfile:
     def outer(self) -> float:
         return 2.0 * self.r
 
-    def value(self, s: float) -> float:
-        if s <= self.r:
-            return 1.0
-        if s >= self.outer:
-            return 0.0
-        return (self.outer - s) / self.r
+    def chi(self, s: np.ndarray) -> np.ndarray:
+        """The profile at each radius in s: (2r - s) / r clipped to [0, 1], NaN at NaN."""
+        return np.minimum((self.outer - np.minimum(s, self.outer)) / self.r, 1.0)
 
 
 def cutoff(
-    alpha: Callable[[StateVector], StateVector],
+    alpha: Callable[[StateVector], StateVector] | None,
     alpha_lip_on_ball: float,
     profile: CutoffProfile,
     norm_kind: NormKind = SUP_NORM,
     *,
     zero: StateVector,
+    alpha_batch: Callable[[Batch], Batch] | None = None,
 ) -> Perturbation:
     """Globalize a local nonlinearity with alpha(0) = 0 by a radial cutoff.
 
@@ -249,27 +248,30 @@ def cutoff(
         Lip bound  = 3 * L       (L from alpha, 2r*L*(1/r) from the profile).
 
     beta agrees with alpha exactly on the ball of radius r and vanishes
-    outside radius 2r.  ``zero`` is the origin of alpha's backend, where
-    alpha(0) = 0 is checked.
+    outside radius 2r.  ``alpha_batch`` is alpha on the rows of a 2-d
+    ``Batch`` (by default ``alpha`` on each row), and alpha may be given by
+    it alone; beta's row form makes one ``alpha_batch`` call per batch, on
+    the rows inside radius 2r.  ``zero`` is the origin of alpha's backend,
+    where alpha(0) = 0 is checked.
     """
     if alpha_lip_on_ball <= 0.0:
         raise ValueError(f"alpha_lip_on_ball must be > 0, got {alpha_lip_on_ball}")
-    a0 = norm(alpha(zero), norm_kind)
+    if alpha is None and alpha_batch is None:
+        raise ValueError("a cutoff needs alpha or alpha_batch")
+    alpha_batch = alpha_batch or _row_wise(alpha)
+    a0 = norm(_at_point(alpha_batch, zero), norm_kind)
     if a0 > 1e-9:
         raise ValueError(f"alpha(0) must vanish; measured norm {a0}")
     r = profile.r
     lip = alpha_lip_on_ball
 
     def batch(b: Batch) -> Batch:
-        chis = [profile.value(s) for s in row_norms(b, norm_kind).tolist()]
-        live = np.flatnonzero(chis)  # rows inside the outer ball
+        chi = profile.chi(row_norms(b, norm_kind))
+        live = np.flatnonzero(chi)  # rows inside the outer ball
         if not len(live):
             return zero_rows(b)
-        out = []
-        for x, chi in zip(b[live].unpack(), (chis[i] for i in live)):
-            val = alpha(x)
-            out.append(val if chi == 1.0 else chi * val)
-        return merge_rows([(live, pack(out))], len(b))
+        values = alpha_batch(b[live])
+        return merge_rows([(live, Batch(chi[live, None] * values.rows, values.cols))], len(b))
 
     return Perturbation(
         func=None,

@@ -421,6 +421,16 @@ def _number(obj: dict, key: str, *default):
     return float(value)
 
 
+def _object(obj: dict, key: str, *default) -> dict:
+    """``obj[key]``, a JSON object such as a descriptor; ``default`` and errors as in ``_number``."""
+    if default and key not in obj:
+        return default[0]
+    value = obj[key]
+    if not isinstance(value, dict):
+        raise ValueError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
 def _numbers(value, key: str) -> np.ndarray:
     """A JSON array of numbers, nested to any depth, as a float array (entries by ``_number``)."""
     entries = np.array(value, dtype=object)

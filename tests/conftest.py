@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from ghlin import SparseVector, WeightSpec
+from ghlin import DenseVector, SparseVector, WeightSpec, norm, zero_like
 
 
 def random_sparse(rng: np.random.Generator, window=range(-5, 6), density=0.7) -> SparseVector:
@@ -49,6 +50,34 @@ def brute_force_margins(spec: WeightSpec, k_max: int = 500, n: int = 200) -> tup
     left = 2.0 * log_sup_left(n) - log_sup_left(n // 2)
     right = 2.0 * log_inf_right(n) - log_inf_right(n // 2)
     return math.exp(left), math.exp(right)
+
+
+@st.composite
+def banded_points(draw, zero, kind, r: float) -> list:
+    """Points of zero's backend with norms about 0.5r, 1.5r and 3r, then up to three in [0, 4r].
+
+    Under a radial cutoff at r the first three have chi = 1, 0 < chi < 1 and
+    chi = 0.  Sparse points have four coordinates on a drawn index run.
+    """
+    bands = [0.5, 1.5, 3.0] + draw(st.lists(st.floats(0.0, 4.0), max_size=3))
+    points = []
+    for band in bands:
+        dim = zero.dim if isinstance(zero, DenseVector) else 4
+        values = draw(st.lists(st.integers(-1000, 1000), min_size=dim, max_size=dim).filter(any))
+        if isinstance(zero, DenseVector):
+            x = DenseVector(values)
+        else:
+            x = SparseVector(zip(range(lo := draw(st.integers(-3, 3)), lo + dim), values))
+        points.append(x * (band * r / norm(x, kind)))
+    return points
+
+
+def cut_at_point(alpha, x, kind, r: float):
+    """chi(|x|) * alpha(x) at one point, with the radial cutoff chi written out per point."""
+    s = norm(x, kind)
+    if s >= 2.0 * r:
+        return zero_like(x)
+    return alpha(x) if s <= r else ((2.0 * r - s) / r) * alpha(x)
 
 
 @pytest.fixture

@@ -499,12 +499,20 @@ SHIFT_PLUS_SINE = {
         ("linearize", {"problem": {**QUADRATIC, "slope": "0.5"}}, "slope"),
         ("conjugate", {"operator": SHIFT, "perturbation": {**SINE, "frequency": "1.0"}},
          "frequency"),
+        ("gh-check", {"operator": 5}, "operator"),
+        ("conjugate", {"operator": SHIFT, "perturbation": 5}, "perturbation"),
+        ("conjugate", {"operator": 5, "perturbation": SINE}, "operator"),
+        ("linearize", {"problem": 5}, "problem"),
+        ("linearize", {"problem": {**SHIFT_PLUS_SINE, "operator": [SHIFT]}}, "operator"),
+        ("constants", {"operator": {**SHIFT, "norm": "sup"}}, "norm"),
+        ("constants", {"operator": {**SHIFT, "core": [0.3]}}, "core"),
     ],
     ids=["t-string", "window-int", "amplitude-string", "gamma-list",
          "seed-null", "seed-true", "seed-float", "seed-string", "theta-string",
          "gamma-string", "tol-string", "picard_tol-string", "tol-true", "window-fractional",
          "left_tail-string", "rows-string", "problem-window-fractional", "slope-string",
-         "frequency-string"],
+         "frequency-string", "gh-check-operator-int", "perturbation-int", "operator-int",
+         "problem-int", "problem-operator-list", "norm-string", "core-list"],
 )
 def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, config, key):
     # exit 1 means a bound was exceeded; a malformed value is a bad config

@@ -1,14 +1,19 @@
 """Holder certification and the fixed-point linearization workflow."""
 
+import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghlin import (
     DenseVector,
     HolderCertificate,
     LinearizationProblem,
+    NormKind,
     SeriesPolicy,
     empirical_holder,
     holder_constant,
@@ -19,9 +24,13 @@ from ghlin import (
     sine_perturbation,
     solve_inverse_conjugacy,
     theta_bound,
+    zero_like,
     zero_perturbation,
 )
-from ghlin.sampling import sample_pairs
+from ghlin.cli import _problem_from_descriptor
+from ghlin.sampling import sample_pairs, sample_points
+from ghlin.vectors import Batch, _at_point, pack
+from conftest import banded_points, cut_at_point
 
 
 def test_theta_bound_balanced_diagonal():
@@ -273,3 +282,104 @@ def test_non_finite_cutoff_radius_is_rejected(cutoff_r):
     # halving NaN or inf never takes the radius below CUTOFF_R_MIN
     with pytest.raises(ValueError, match="cutoff_r"):
         quadratic_problem(cutoff_r=cutoff_r)
+
+
+# -- the row form of the map ---------------------------------------------------
+
+
+def quadratic_rows(p):
+    # the CLI's quadratic_1d against this file's scalar form of the same map
+    problem = _problem_from_descriptor({
+        "kind": "quadratic_1d", "slope": 0.5, "quad": 1.3, "p": p, "t": 0.6,
+        "gamma": 0.5, "cutoff_r": 0.01,
+    })
+    return problem, quadratic_problem(quad=1.3, p=p).func
+
+
+def shift_plus_sine_rows(kind):
+    # the CLI's shift_plus_sine against its map T x + sine(x) at one point
+    operator = {"kind": "shift", "left_tail": 0.5, "right_tail": 2.0, "core": {"0": 0.3},
+                "t": 0.55}
+    if not kind.is_sup:
+        operator["norm"] = {"kind": "lp", "p": kind.p}
+    problem = _problem_from_descriptor({
+        "kind": "shift_plus_sine", "operator": operator, "window": [-1, 1],
+        "amplitude": 1e-4, "frequency": 1.0, "gamma": 0.2, "cutoff_r": 0.01,
+    })
+    op, wave = problem.derivative, sine_perturbation(1e-4, 1.0, range(-1, 2), kind)
+    return problem, lambda x: op.apply(x) + wave(x)
+
+
+def diagonal_rows():
+    # F(p + u) = p + D u + (u_1^2, u_0 u_1) under l^2; D is diagonal, so the
+    # batched product T u rounds as the one-row product does
+    p, d = np.array([0.1, -0.2]), np.array([0.5, 3.0])
+
+    def batch(b):
+        u = b.rows - p
+        return Batch(p + d * u + np.stack([u[:, 1] * u[:, 1], u[:, 0] * u[:, 1]], axis=-1))
+
+    def func(x):
+        u = x.array - p
+        return DenseVector(p + d * u + np.array([u[1] * u[1], u[0] * u[1]]))
+
+    problem = LinearizationProblem(
+        func=partial(_at_point, batch),
+        fixed_point=DenseVector(p),
+        derivative=make_matrix_operator(np.diag(d), NormKind.lp(2), t=0.6),
+        gamma=0.5,
+        cutoff_r=0.01,
+        nonlinearity_lip=lambda rho: 2.25 * rho,  # the Jacobian's Frobenius norm <= sqrt(5) rho
+        batch=batch,
+    )
+    return problem, func
+
+
+ROW_FORMS = [
+    pytest.param(partial(quadratic_rows, 0.0), id="quadratic"),
+    pytest.param(partial(quadratic_rows, 0.3), id="quadratic-translated"),
+    pytest.param(partial(shift_plus_sine_rows, NormKind.sup()), id="shift_plus_sine-sup"),
+    pytest.param(partial(shift_plus_sine_rows, NormKind.lp(2)), id="shift_plus_sine-l2"),
+    pytest.param(diagonal_rows, id="diagonal-l2"),
+]
+ROW_POLICY = SeriesPolicy(tol=1e-8)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("build", ROW_FORMS)
+def test_linearized_cutoff_rows_equal_single_points(data, build):
+    # beta's rows are the bits of chi(|u|) * (F(u + p) - p - T u) worked out at each point
+    problem, func = build()
+    result = linearize(problem, ROW_POLICY, picard_tol=1e-6)
+    op, p, r = problem.derivative, problem.fixed_point, result.u_radius
+    offsets = data.draw(banded_points(zero_like(p), op.norm_kind, r))
+
+    def nonlinearity(u):
+        return func(u + p) - p - op.apply(u)
+
+    expected = [cut_at_point(nonlinearity, u, op.norm_kind, r) for u in offsets]
+    assert result.beta.batch(pack(offsets)).unpack() == expected
+
+
+@pytest.mark.parametrize("build", ROW_FORMS)
+def test_linearize_with_and_without_row_form(rng, build):
+    problem, func = build()
+    results = [
+        linearize(pr, ROW_POLICY, picard_tol=1e-6)
+        for pr in (problem, dataclasses.replace(problem, func=func, batch=None))
+    ]
+    assert results[0].u_radius == results[1].u_radius
+    assert results[0].report() == results[1].report()
+    op, p = problem.derivative, problem.fixed_point
+    offsets = sample_points(rng, op, 12, results[0].beta, radius=results[0].u_radius)
+    reports = [result.verify([u + p for u in offsets]) for result in results]
+    assert reports[0].per_point == reports[1].per_point
+    assert reports[0].passed and reports[1].passed
+
+
+def test_row_form_that_misses_the_fixed_point_is_rejected():
+    # F(p) = p is checked on the row form, which is what linearize evaluates
+    problem = quadratic_problem(p=0.3)
+    with pytest.raises(ValueError, match="fixed point"):
+        dataclasses.replace(problem, batch=lambda b: Batch(0.5 * b.rows + 0.15 + 1e-6))

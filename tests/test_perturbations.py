@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghlin import (
     ContractionError,
@@ -22,7 +24,8 @@ from ghlin import (
     solve_perturbed_inverse,
     zero_perturbation,
 )
-from conftest import random_sparse
+from ghlin.vectors import Batch, pack
+from conftest import banded_points, cut_at_point, random_sparse
 
 
 def test_constant_perturbation_bounds():
@@ -131,6 +134,48 @@ def test_cutoff_rejects_nonvanishing_origin():
 def test_cutoff_rejects_nonpositive_lipschitz():
     with pytest.raises(ValueError, match="alpha_lip_on_ball"):
         cutoff(square_1d, 0.0, CutoffProfile(0.01), zero=DenseVector([0.0]))
+
+
+def test_cutoff_needs_alpha_or_its_row_form():
+    with pytest.raises(ValueError, match="alpha or alpha_batch"):
+        cutoff(None, 0.04, CutoffProfile(0.01), zero=DenseVector([0.0]))
+
+
+def test_cutoff_profile_rule():
+    chi = CutoffProfile(0.01).chi(np.array([0.0, 0.01, 0.015, 0.02, 0.5, np.inf, np.nan]))
+    assert chi[:6].tolist() == [1.0, 1.0, (0.02 - 0.015) / 0.01, 0.0, 0.0, 0.0]
+    assert np.isnan(chi[6])
+
+
+def square_coords(x):
+    # 0.7 x_i^2 on every coordinate of a point, and on every row of a batch
+    if isinstance(x, DenseVector):
+        return DenseVector(0.7 * x.array * x.array)
+    return SparseVector({i: 0.7 * v * v for i, v in x.items()})
+
+
+def square_rows(b):
+    return Batch(0.7 * b.rows * b.rows, b.cols)
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("zero", [DenseVector([0.0] * 3), SparseVector({})], ids=["dense", "sparse"])
+@pytest.mark.parametrize("kind", [NormKind.sup(), NormKind.lp(2)], ids=["sup", "l2"])
+def test_cutoff_rows_equal_single_points(data, zero, kind):
+    # beta's row form, from alpha's point form or from its row form alone,
+    # gives each row the bits of chi(|x|) * alpha(x) worked out at that point
+    r = 0.01
+    points = data.draw(banded_points(zero, kind, r))
+    chis = CutoffProfile(r).chi(np.array([norm(x, kind) for x in points[:3]]))
+    assert chis[0] == 1.0 and 0.0 < chis[1] < 1.0 and chis[2] == 0.0
+    expected = [cut_at_point(square_coords, x, kind, r).memo_key() for x in points]
+    for beta in (
+        cutoff(square_coords, 0.05, CutoffProfile(r), kind, zero=zero),
+        cutoff(None, 0.05, CutoffProfile(r), kind, zero=zero, alpha_batch=square_rows),
+    ):
+        assert [v.memo_key() for v in beta.batch(pack(points)).unpack()] == expected
+        assert [beta(x).memo_key() for x in points] == expected
 
 
 # -- perturbed inverse --------------------------------------------------------
