@@ -36,8 +36,8 @@ from .conjugacy import (
     solve_conjugacy,
     solve_inverse_conjugacy,
     verify_conjugacy,
-    verify_inverse_pair,
 )
+from .conjugacy import _inverse_pair
 from .linearize import (
     LinearizationProblem,
     _default_certificate,
@@ -154,12 +154,12 @@ def _cmd_conjugate(config: dict, prefix: str, rng) -> int:
         holder = _default_certificate(op, beta, 0.999)
     except ValueError:  # no certificate: a perturbed inverse pair is uncertified
         holder = None
-    inverse_report = verify_inverse_pair(fwd, bwd, points, holder)
+    inverse_report = _inverse_pair(fwd, bwd, points, fwd_report.values, bwd_report.values, holder)
     reports = (fwd_report, bwd_report, inverse_report)
     per_point = zip(fwd_report.per_point, bwd_report.per_point, inverse_report.per_point)
     residuals = [max(f, b, *pair) for f, b, pair in per_point]
     bound = max(r.certified_bound for r in reports)
-    _write_samples(prefix, op, residuals, bound, fwd.displacements(points))
+    _write_samples(prefix, op, residuals, bound, fwd_report.values)
     passed = all(r.passed for r in reports)
     _write_report(
         prefix,
@@ -226,10 +226,7 @@ def _cmd_linearize(config: dict, prefix: str, rng) -> int:
     offsets = sample_points(rng, op, n, result.beta, radius=result.u_radius)
     points = [u + problem.fixed_point for u in offsets]
     report = result.verify(points)
-    # the check evaluated the map at y - p, which may differ from u in the
-    # last bits; those values are in the memo
-    values = result.backward.displacements([y - problem.fixed_point for y in points])
-    _write_samples(prefix, op, report.per_point, report.certified_bound, values)
+    _write_samples(prefix, op, report.per_point, report.certified_bound, report.values)
     payload = {
         "command": "linearize",
         **result.report(),
@@ -256,8 +253,7 @@ def _cmd_holder_probe(config: dict, prefix: str, rng) -> int:
     cert = _default_certificate(op, beta, diameter, _number(config, "theta", None))
     pairs = sample_pairs(rng, op, n, diameter, beta)
     report = empirical_holder(bwd, cert, pairs)
-    values = bwd.displacements([x for x, _ in pairs])
-    _write_samples(prefix, op, report.per_pair, report.bound, values)
+    _write_samples(prefix, op, report.per_pair, report.bound, report.values)
     _write_report(prefix, {"command": "holder-probe", **report.to_dict()})
     return 0 if report.passed else 1
 

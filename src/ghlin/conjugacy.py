@@ -51,12 +51,14 @@ When the source depends only on a declared window of indices (``reads``),
 the orbit and every level below the top keep only the columns in that
 window's span: M-side sums move left and N-side sums move right, so a
 column that leaves the span never returns.  ``ConjugacyMap.displacements``
-checks the memo, keeps one copy of each missing point, and runs the misses
-in chunks sized so that their orbit array, estimated from the orbit length
-and the widest point, fits ``CHUNK_BYTES``.
+runs its points in chunks sized so that their orbit array, estimated from
+the orbit length and the widest point, fits ``CHUNK_BYTES``.
 
-Every map carries a certified worst-case evaluation error; verification
-routines compare observed identity residuals against bounds derived from it.
+Every map is immutable and keeps no values; it carries a certified
+worst-case evaluation error, and verification routines compare observed
+identity residuals against bounds derived from it.  A check report holds
+the displacements it computed at its points (``values``), so a later check
+on the same points takes them from the report instead of evaluating again.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ INVERSE_TOL_REL = 1e-12
 #: most series terms per side that ``truncation_terms`` may ask for
 TERMS_CAP = 10_000
 
-#: memory budget of the orbit array of one lattice call; more points run in chunks
+#: byte budget of the orbit array of one lattice call; more points run in chunks
 CHUNK_BYTES = 2 << 20
 
 
@@ -214,8 +216,9 @@ def _on_rows(source, points: Batch) -> Batch:
     return Batch(out.rows.reshape(count, n, out.rows.shape[-1]), out.cols)
 
 
+@dataclass(frozen=True, eq=False)
 class ConjugacyMap:
-    """Lazy evaluator for a conjugacy H = I + displacement with error control.
+    """Evaluator for a conjugacy H = I + displacement with error control.
 
     Forward direction: H o T = S o H; backward: H o S = T o H, where
     S = T + beta and the j-th backward step of the orbit of S is an inverse
@@ -224,54 +227,30 @@ class ConjugacyMap:
     evaluation points within ``eval_radius`` in the ambient norm (``None``:
     everywhere).
 
-    Evaluation is pure; the memo caches displacement values keyed by the
-    exact coordinates and keeps the first value stored for a key.  On the
-    shift every batch computes identical values; on the dense backend two
-    batches may differ in the last bits, both within ``certified_error``.
+    Evaluation is pure and the map keeps no values.  On the shift every
+    batch computes identical values; on the dense backend two batches may
+    differ in the last bits, both within ``certified_error``.
     """
 
-    def __init__(
-        self,
-        op: GHOperator,
-        beta: Perturbation,
-        direction: str,
-        terms: int,
-        depth: int = 0,
-        contraction: float = 0.0,
-        certified_error: float = 0.0,
-        inverse_tols: list[float] | None = None,
-        eval_radius: float | None = None,
-    ):
-        self.op = op
-        self.beta = beta
-        self.direction = direction
-        self.terms = terms
-        self.depth = depth
-        self.contraction = contraction
-        self.certified_error = certified_error
-        self._inverse_tols = inverse_tols or []
-        self.eval_radius = eval_radius
-        self.memo: dict = {}
+    op: GHOperator
+    beta: Perturbation
+    direction: str
+    terms: int
+    depth: int = 0
+    contraction: float = 0.0
+    certified_error: float = 0.0
+    inverse_tols: tuple = ()
+    eval_radius: float | None = None
 
     def displacements(self, points: Sequence[StateVector]) -> list[StateVector]:
         """The offsets H(x) - x at the points, computed to the map's certified error.
 
-        Memo hits are returned as stored.  The misses, one per distinct
-        memo key, run through the lattice together, in chunks sized from
-        ``CHUNK_BYTES``; each value is memoised.
+        The points run through the lattice together, in chunks sized from
+        ``CHUNK_BYTES``.
         """
-        keys = [x.memo_key() for x in points]
-        misses: dict = {}
-        for key, x in zip(keys, points):
-            if key not in self.memo:
-                misses.setdefault(key, x)
-        pending = list(misses.items())
-        size = self._chunk_size(misses.values())
-        for i in range(0, len(pending), size):
-            chunk = pending[i : i + size]
-            for (key, _), value in zip(chunk, self._values([x for _, x in chunk])):
-                self.memo.setdefault(key, value)
-        return [self.memo[key] for key in keys]
+        points = list(points)
+        size = self._chunk_size(points)
+        return [h for i in range(0, len(points), size) for h in self._values(points[i : i + size])]
 
     def displacement(self, x: StateVector) -> StateVector:
         """The offset H(x) - x: ``displacements`` of one point."""
@@ -298,7 +277,7 @@ class ConjugacyMap:
             return _picard_lattice(
                 op, op.step, op.step_inverse, beta.batch, x, self.terms, self.depth, beta.reads
             ).unpack()
-        inverse_tols = iter(self._inverse_tols)
+        inverse_tols = iter(self.inverse_tols)
 
         def r_invert(p: Batch) -> Batch:
             return solve_perturbed_inverse(op, beta, p, next(inverse_tols))
@@ -310,14 +289,8 @@ class ConjugacyMap:
         )).unpack()
 
     def report(self) -> dict:
-        return {
-            "direction": self.direction,
-            "terms": self.terms,
-            "depth": self.depth,
-            "contraction": self.contraction,
-            "certified_error": self.certified_error,
-            "eval_radius": self.eval_radius,
-        }
+        keys = ("direction", "terms", "depth", "contraction", "certified_error", "eval_radius")
+        return {key: getattr(self, key) for key in keys}
 
 
 def solve_conjugacy(
@@ -365,13 +338,7 @@ def solve_conjugacy(
     terms = truncation_terms(op, beta.sup_bound, policy)
     series_err = policy.tol * (1.0 - q**depth) / (1.0 - q)
     return ConjugacyMap(
-        op=op,
-        beta=beta,
-        direction=FORWARD,
-        terms=terms,
-        depth=depth,
-        contraction=q,
-        certified_error=picard_err + series_err,
+        op, beta, FORWARD, terms, depth, contraction=q, certified_error=picard_err + series_err
     )
 
 
@@ -418,14 +385,8 @@ def solve_inverse_conjugacy(
         k.c * k.d * (k.t**j) * beta_gap(point_errors[j]) for j in range(terms + 1)
     )
     return ConjugacyMap(
-        op=op,
-        beta=beta,
-        direction=BACKWARD,
-        terms=terms,
-        depth=1,
-        certified_error=policy.tol + orbit_err,
-        inverse_tols=inverse_tols,
-        eval_radius=eval_radius,
+        op, beta, BACKWARD, terms, depth=1, certified_error=policy.tol + orbit_err,
+        inverse_tols=tuple(inverse_tols), eval_radius=eval_radius,
     )
 
 
@@ -450,14 +411,14 @@ def _status(bound: float, covered: bool) -> str:
 
 
 class _CheckReport:
-    """The pass rule and the JSON form (without ``per_point``) of a check report."""
+    """The pass rule and the JSON form (without ``per_point`` and ``values``) of a check report."""
 
     @property
     def passed(self) -> bool:
         return self.status == CERTIFIED and self.max_residual <= self.certified_bound
 
     def to_dict(self) -> dict:
-        out = {key: value for key, value in vars(self).items() if key != "per_point"}
+        out = {k: v for k, v in vars(self).items() if k not in ("per_point", "values")}
         if self.status != CERTIFIED:
             out["certified_bound"] = None
         return {**out, "passed": self.passed}
@@ -469,7 +430,8 @@ class VerificationReport(_CheckReport):
 
     ``status`` is ``"uncertified"`` when the bound is not finite or a map was
     evaluated outside its ``eval_radius``; such a check never passes, and
-    its bound is written as null.
+    its bound is written as null.  ``values`` holds the map's displacements
+    at the checked points.
     """
 
     kind: str
@@ -478,6 +440,7 @@ class VerificationReport(_CheckReport):
     certified_bound: float
     status: str = CERTIFIED
     per_point: list[float] = field(repr=False, default_factory=list)
+    values: list[StateVector] = field(repr=False, default_factory=list)
 
 
 def verify_conjugacy(cmap: ConjugacyMap, samples: Sequence[StateVector]) -> VerificationReport:
@@ -515,6 +478,7 @@ def _identity_check(cmap, images, points, outer, bound: float) -> VerificationRe
         certified_bound=bound,
         status=_status(bound, cmap.covers(images + points)),
         per_point=residuals,
+        values=values[len(images):],
     )
 
 
@@ -560,6 +524,13 @@ def verify_inverse_pair(
     without a certificate the bound is infinity and the check is
     uncertified (observed residuals only).
     """
+    samples = list(samples)
+    h_fwd, h_bwd = fwd.displacements(samples), bwd.displacements(samples)
+    return _inverse_pair(fwd, bwd, samples, h_fwd, h_bwd, holder)
+
+
+def _inverse_pair(fwd, bwd, samples, h_fwd, h_bwd, holder) -> InversePairReport:
+    # verify_inverse_pair, given both maps' displacements at the samples
     if fwd.direction != FORWARD or bwd.direction != BACKWARD:
         raise ValueError("verify_inverse_pair needs a (forward, backward) pair")
     if fwd.op is not bwd.op or fwd.beta is not bwd.beta:
@@ -582,10 +553,9 @@ def verify_inverse_pair(
         bound = max(left_bound, right_bound)
     else:
         bound = math.inf
-    samples = list(samples)
     kind = fwd.op.norm_kind
-    there = [x + h for x, h in zip(samples, fwd.displacements(samples))]
-    back = [x + h for x, h in zip(samples, bwd.displacements(samples))]
+    there = [x + h for x, h in zip(samples, h_fwd)]
+    back = [x + h for x, h in zip(samples, h_bwd)]
     left = _norms([(u + h) - x for x, u, h in zip(samples, there, bwd.displacements(there))], kind)
     right = _norms([(v + h) - x for x, v, h in zip(samples, back, fwd.displacements(back))], kind)
     covered = fwd.covers(samples + back) and bwd.covers(samples + there)

@@ -19,7 +19,7 @@ the domain diameter on which they are quoted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .conjugacy import (
@@ -34,7 +34,7 @@ from .conjugacy import (
 from .operators import GHOperator, admissible_eps
 from .perturbations import CutoffProfile, Perturbation, cutoff, zero_perturbation
 from .vectors import Batch, StateVector, norm, pack, zero_like
-from .vectors import _at_point, _row_wise
+from .vectors import _at_point, _row_form
 
 __all__ = [
     "HolderCertificate",
@@ -179,7 +179,10 @@ def _default_certificate(op, beta: Perturbation, diameter: float, theta=None) ->
 
 @dataclass
 class HolderProbeReport:
-    """Observed Holder ratios of a displacement against the certified constant."""
+    """Observed Holder ratios of a displacement against the certified constant.
+
+    ``values`` holds the displacements at the first point of each kept pair.
+    """
 
     theta: float
     constant: float
@@ -187,6 +190,7 @@ class HolderProbeReport:
     n_pairs: int
     max_ratio: float
     per_pair: list[float]
+    values: list[StateVector] = field(repr=False, default_factory=list)
 
     @property
     def bound(self) -> float:
@@ -197,15 +201,8 @@ class HolderProbeReport:
         return self.max_ratio <= self.bound
 
     def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "constant": self.constant,
-            "inflation": self.inflation,
-            "n_pairs": self.n_pairs,
-            "max_ratio": self.max_ratio,
-            "bound": self.bound,
-            "passed": self.passed,
-        }
+        out = {k: v for k, v in vars(self).items() if k not in ("per_pair", "values")}
+        return {**out, "bound": self.bound, "passed": self.passed}
 
 
 def empirical_holder(
@@ -250,6 +247,7 @@ def empirical_holder(
         n_pairs=len(ratios),
         max_ratio=max(ratios, default=0.0),
         per_pair=ratios,
+        values=values[: len(kept)],
     )
 
 
@@ -262,9 +260,9 @@ class LinearizationProblem:
     construction of the operator).  ``nonlinearity_lip`` must return, for a
     radius rho, a certified Lipschitz constant of F(x + p) - p - DF_p x on
     the ball of radius rho.  ``batch`` is F on the rows of a 2-d ``Batch``
-    (by default ``func`` on each row); ``linearize`` evaluates F only
-    through it, so F(p) = p is checked on it, and ``verify`` evaluates F
-    through ``func``.
+    (by default ``func`` on each row, derived again when ``func`` is
+    replaced); ``linearize`` evaluates F only through it, so F(p) = p is
+    checked on it, and ``verify`` evaluates F through ``func``.
     """
 
     func: Callable[[StateVector], StateVector]
@@ -281,7 +279,7 @@ class LinearizationProblem:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not (self.cutoff_r > 0.0 and math.isfinite(self.cutoff_r)):
             raise ValueError(f"cutoff_r must be positive and finite, got {self.cutoff_r}")
-        self.batch = self.batch or _row_wise(self.func)
+        self.batch = _row_form(self.func, self.batch)
         drift = norm(
             _at_point(self.batch, self.fixed_point) - self.fixed_point,
             self.derivative.norm_kind,

@@ -40,7 +40,7 @@ from .vectors import (
     row_norms,
     zero_rows,
 )
-from .vectors import _at_point, _number, _row_wise, _window, vector_from_json
+from .vectors import _at_point, _number, _row_form, _row_wise, _window, vector_from_json
 
 __all__ = [
     "Perturbation",
@@ -77,9 +77,10 @@ class Perturbation:
     ``support_window`` declares, for sparse backends, a finite index window
     containing the support of every value; it keeps series terms finitely
     supported and drives default sampling windows.  ``batch`` is the map on
-    a 2-d ``Batch``, row by row (by default ``func`` on each row); a single
-    point is a batch of one.  ``reads`` lists the sparse indices the map's
-    value depends on (None: possibly all).
+    a 2-d ``Batch``, row by row (by default ``func`` on each row, derived
+    again when ``func`` is replaced); a single point is a batch of one.
+    ``reads`` lists the sparse indices the map's value depends on (None:
+    possibly all).
     """
 
     func: Callable[[StateVector], StateVector] | None
@@ -93,9 +94,7 @@ class Perturbation:
         for name, val in (("sup_bound", self.sup_bound), ("lip_bound", self.lip_bound)):
             if not math.isfinite(val) or val < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {val}")
-        if self.func is None and self.batch is None:
-            raise ValueError("a perturbation needs func or batch")
-        self.batch = self.batch or _row_wise(self.func)
+        self.batch = _row_form(self.func, self.batch)
 
     def __call__(self, x: StateVector) -> StateVector:
         return _at_point(self.batch, x)

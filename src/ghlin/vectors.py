@@ -131,7 +131,7 @@ class SparseVector:
         return _sparse_raw({i: -v for i, v in self._coords.items()})
 
     def memo_key(self) -> tuple:
-        """Hashable key on the exact coordinates: distinct points never share one."""
+        """Exact-bits key, distinct for distinct points; kept for tests and ``bench/tracer.py``."""
         if self._key is None:
             self._key = tuple(sorted(self._coords.items()))
         return self._key
@@ -208,7 +208,7 @@ class DenseVector:
         return _dense_raw(-self.array)
 
     def memo_key(self) -> bytes:
-        """Hashable key on the exact coordinate bits: distinct points never share one."""
+        """Exact-bits key, distinct for distinct points; kept for tests and ``bench/tracer.py``."""
         if self._key is None:
             self._key = self.array.tobytes()
         return self._key
@@ -343,8 +343,22 @@ def _at_point(f: Callable[[Batch], Batch], x: StateVector) -> StateVector:
 
 
 def _row_wise(f: Callable[[StateVector], StateVector]) -> Callable[[Batch], Batch]:
-    # a single-point map on every row of a 2-d batch
-    return lambda b: pack([f(x) for x in b.unpack()])
+    # a single-point map on every row of a 2-d batch, marked as derived from f
+    def rows(b: Batch) -> Batch:
+        return pack([f(x) for x in b.unpack()])
+
+    rows.point_map = f
+    return rows
+
+
+def _row_form(func, batch) -> Callable[[Batch], Batch]:
+    # the row form given, or func on each row when none was given or the one given
+    # was derived from another func (as ``dataclasses.replace`` passes it on)
+    if batch is not None and getattr(batch, "point_map", func) is func:
+        return batch
+    if func is None:
+        raise ValueError("a map needs func or batch")
+    return _row_wise(func)
 
 
 def stack(batches: Sequence[Batch], within: tuple[int, int] | None = None) -> Batch:

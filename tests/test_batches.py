@@ -75,7 +75,6 @@ def assert_batch_matches_single(build, points):
     for b_map, s_map in zip(batched, single):
         got = b_map.displacements(points)
         assert got == [s_map.displacement(x) for x in points]
-        assert len(b_map.memo) == len({x.memo_key() for x in points})
 
 
 @pytest.mark.parametrize("build", shift_cases())
@@ -99,10 +98,12 @@ def test_one_sided_batch_equals_single_points(rng, rows):
     assert_batch_matches_single(build, points + [points[1], DenseVector([0.0])])
 
 
-def test_empty_batch_evaluates_nothing():
+def test_empty_batch_evaluates_nothing(monkeypatch):
     fwd, bwd = shift_maps(SHIFT_BETAS["windowed sine"], NormKind.sup())
+    calls = []
+    monkeypatch.setattr(ConjugacyMap, "_values", lambda m, xs: calls.append(xs))
     assert fwd.displacements([]) == [] and bwd.displacements([]) == []
-    assert fwd.memo == {} and bwd.memo == {}
+    assert calls == []
 
 
 def test_batch_larger_than_one_chunk_equals_single_points(rng, monkeypatch):
@@ -137,7 +138,7 @@ def test_matrix_batch_within_certified_error(rng):
     points = [DenseVector(rng.uniform(-1, 1, 6)) for _ in range(3)]
     for b_map, s_map in zip(build(), build()):
         got = b_map.displacements(points + points[:1])
-        assert got[0] is got[3]
+        assert norm(got[0] - got[3]) <= 2.0 * b_map.certified_error
         for x, value in zip(points, got):
             assert norm(value - s_map.displacement(x)) <= 2.0 * b_map.certified_error
 

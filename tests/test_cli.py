@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from ghlin import IterationLimitError, cli, displacement_space_residual, linearize
+from ghlin import ConjugacyMap, IterationLimitError, cli, displacement_space_residual, linearize
 from ghlin.cli import main
 
 
@@ -27,6 +27,13 @@ def read_report(tmp_path, prefix):
 def read_samples(tmp_path, prefix):
     with open(tmp_path / f"{prefix}.samples.csv") as fh:
         return list(csv.reader(fh))
+
+
+def count_lattice_rows(monkeypatch):
+    """A list that receives the row count of every ConjugacyMap._values call."""
+    rows, values = [], ConjugacyMap._values
+    monkeypatch.setattr(ConjugacyMap, "_values", lambda m, xs: rows.append(len(xs)) or values(m, xs))
+    return rows
 
 
 SHIFT = {"kind": "shift", "left_tail": 0.5, "right_tail": 2.0, "t": 0.55}
@@ -288,6 +295,7 @@ def test_linearize_membership_reuses_the_residual_evaluation(tmp_path, monkeypat
 
     capture("linearize", cli.linearize)
     capture("sample_points", cli.sample_points)
+    rows_evaluated = count_lattice_rows(monkeypatch)
     problem = {
         "kind": "quadratic_1d", "slope": 0.5, "quad": 1.0, "p": 0.3,
         "t": 0.6, "gamma": 0.5, "cutoff_r": 0.01,
@@ -299,7 +307,7 @@ def test_linearize_membership_reuses_the_residual_evaluation(tmp_path, monkeypat
     result, offsets = captured["linearize"], captured["sample_points"]
     p = result.fixed_point
     assert len(offsets) == 20
-    assert len(result.backward.memo) <= 40
+    assert sum(rows_evaluated) == 2 * 20
     op = result.problem.derivative
     rows = read_samples(tmp_path, "run")[1:]
     for row, u in zip(rows, offsets):
@@ -377,6 +385,29 @@ def test_holder_probe_runs(tmp_path):
     assert code == 0
     report = read_report(tmp_path, "run")
     assert report["max_ratio"] <= report["bound"]
+
+
+SINE = {"kind": "sine", "amplitude": 0.05, "frequency": 1.0, "window": [-1, 1]}
+QUAD = {"kind": "quadratic_1d", "slope": 0.5, "quad": 1.0, "p": 0.3, "t": 0.6, "gamma": 0.5,
+        "cutoff_r": 0.01}
+
+
+@pytest.mark.parametrize("command, config, per_sample", [
+    # both identity checks at each sample and its image, then one leg of the inverse pair each
+    ("conjugate", {"operator": SHIFT, "perturbation": SINE, "gamma": 0.2, "tol": 1e-5,
+                   "picard_tol": 5e-4}, 6),
+    # the identity check at each sample and its image; the CSV reuses the check's values
+    ("linearize", {"problem": QUAD, "tol": 1e-10, "picard_tol": 1e-10}, 2),
+    # both ends of each pair; the CSV reuses the values at the first ends
+    ("holder-probe", {"operator": SHIFT, "perturbation": SINE, "tol": 1e-5}, 2),
+])
+def test_each_command_evaluates_its_lattice_rows_once(tmp_path, monkeypatch, command, config,
+                                                      per_sample):
+    rows = count_lattice_rows(monkeypatch)
+    cfg = write_config(tmp_path, "c.json", {**config, "samples": 5, "seed": 1})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert sum(rows) == per_sample * 5
+    assert len(read_samples(tmp_path, "run")) == 1 + 5
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -1,5 +1,6 @@
 """Series solves, conjugacy maps, verification and error certification."""
 
+import dataclasses
 import functools
 import math
 
@@ -394,13 +395,14 @@ def test_displacement_norm_bounded_by_gamma(rng):
         assert norm(fwd.displacement(x)) <= gamma + fwd.certified_error
 
 
-def test_memo_reuses_values(rng):
+def test_maps_are_frozen():
     op = contraction_1d()
     beta = constant_perturbation(DenseVector([0.1]))
     fwd = solve_conjugacy(op, beta, 0.9, POLICY, picard_tol=1e-12)
-    x = DenseVector([0.25])
-    first = fwd.displacement(x)
-    assert fwd.displacement(DenseVector([0.25])) is first
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fwd.certified_error = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fwd.memo = {}
 
 
 def test_direction_guards():
@@ -546,7 +548,7 @@ def two_sided_displacement(cmap, x):
     if cmap.direction == "forward":
         r_apply, r_invert = op.apply, op.apply_inverse
     else:
-        tols = iter(cmap._inverse_tols)
+        tols = iter(cmap.inverse_tols)
         r_apply = functools.partial(perturbed_apply, op, beta)
         r_invert = lambda p: solve_perturbed_inverse(op, beta, p, next(tols))
     orbit = [x]

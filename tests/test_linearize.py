@@ -158,6 +158,21 @@ def test_empirical_holder_sine_instance(rng):
     assert report.max_ratio <= cert.C + report.inflation
 
 
+def test_empirical_holder_values_line_up_with_the_kept_pairs(rng):
+    # a zero-distance pair is dropped; values holds one displacement per kept
+    # pair, at its first point, so a CSV row never takes a later pair's value
+    op = make_matrix_operator([[0.5, 0.0], [0.0, 3.0]], t=0.6)
+    beta = sine_perturbation(0.01, 1.0, window=[0, 1])
+    bwd = solve_inverse_conjugacy(op, beta, SeriesPolicy(tol=1e-8))
+    cert = make_holder_certificate(op, beta, 0.25, 0.01, 0.9)
+    kept = sample_pairs(rng, op, 4, 0.9)
+    pairs = kept[:1] + [(kept[1][0], kept[1][0])] + kept[1:]
+    report = empirical_holder(bwd, cert, pairs)
+    assert report.n_pairs == len(report.values) == 4
+    ends = [x for x, _ in kept] + [y for _, y in kept]
+    assert report.values == bwd.displacements(ends)[:4]
+
+
 def test_empirical_holder_rejects_distant_pairs():
     op = make_matrix_operator([[0.5, 0.0], [0.0, 3.0]])
     bwd = solve_inverse_conjugacy(op, zero_perturbation(), SeriesPolicy(tol=1e-8))
@@ -376,6 +391,23 @@ def test_linearize_with_and_without_row_form(rng, build):
     reports = [result.verify([u + p for u in offsets]) for result in results]
     assert reports[0].per_point == reports[1].per_point
     assert reports[0].passed and reports[1].passed
+
+
+def test_replacing_func_derives_the_row_form_again():
+    # a row form derived from func follows a replaced func, so F(p) = p is
+    # checked on the new map and linearize evaluates the new map
+    problem = quadratic_problem(p=0.0)
+    with pytest.raises(ValueError, match="fixed point"):
+        dataclasses.replace(problem, func=lambda x: DenseVector([1.0]))
+    halved = dataclasses.replace(problem, func=lambda x: 0.5 * x)
+    assert halved.batch is not problem.batch
+    assert _at_point(halved.batch, DenseVector([0.25])) == DenseVector([0.125])
+
+
+@pytest.mark.parametrize("build", ROW_FORMS)
+def test_a_given_row_form_survives_replacing_another_field(build):
+    problem, _ = build()
+    assert dataclasses.replace(problem, gamma=0.4).batch is problem.batch
 
 
 def test_row_form_that_misses_the_fixed_point_is_rejected():

@@ -1,5 +1,7 @@
 """Perturbation bounds, the cutoff construction and the perturbed inverse."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from ghlin import (
     CutoffProfile,
     DenseVector,
     NormKind,
+    Perturbation,
     SparseVector,
     WeightSpec,
     constant_perturbation,
@@ -250,3 +253,17 @@ def test_perturbation_descriptors():
     assert beta4.lip_bound == pytest.approx(0.2)
     with pytest.raises(ValueError, match="unknown perturbation kind"):
         perturbation_from_descriptor({"kind": "cubic"})
+
+
+def test_replacing_func_derives_the_row_form_again():
+    beta = Perturbation(lambda x: DenseVector([0.01]), sup_bound=0.01, lip_bound=0.0)
+    moved = dataclasses.replace(beta, func=lambda x: DenseVector([0.02]), sup_bound=0.02)
+    assert moved(DenseVector([0.3])) == DenseVector([0.02])
+    assert beta(DenseVector([0.3])) == DenseVector([0.01])
+
+
+def test_a_given_row_form_survives_replacing_another_field():
+    wave = sine_perturbation(0.01, 1.0, window=[0, 1])
+    assert dataclasses.replace(wave, sup_bound=0.05).batch is wave.batch
+    with pytest.raises(ValueError, match="needs func or batch"):
+        Perturbation(None, sup_bound=0.0, lip_bound=0.0)
