@@ -30,14 +30,8 @@ from functools import partial
 
 import numpy as np
 
-from .conjugacy import (
-    SeriesPolicy,
-    displacement_space_residual,
-    solve_conjugacy,
-    solve_inverse_conjugacy,
-    verify_conjugacy,
-)
-from .conjugacy import _inverse_pair
+from .conjugacy import SeriesPolicy, solve_conjugacy, solve_inverse_conjugacy, verify_conjugacy
+from .conjugacy import _inverse_pair, _membership, _pack
 from .linearize import (
     LinearizationProblem,
     _default_certificate,
@@ -54,7 +48,7 @@ from .operators import (
 )
 from .perturbations import IterationLimitError, perturbation_from_descriptor
 from .sampling import sample_pairs, sample_points
-from .vectors import Batch, DenseVector, SparseVector, _at_point, _number, _object
+from .vectors import Batch, DenseVector, SparseVector, _at_point, _number, _object, pack
 
 __all__ = ["main", "run"]
 
@@ -92,13 +86,11 @@ def _write_report(prefix: str, payload: dict) -> None:
 
 def _write_samples(prefix: str, op, residuals: list[float], bound: float, values: list) -> None:
     # one row per sample; the last column is its displacement's distance from M + T^{-1}(N)
+    membership = _membership(op, _pack(op, values)).tolist()
     with open(f"{prefix}.samples.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["point_id", "residual", "certified_bound", "y_membership_residual"])
-        writer.writerows(
-            (i, residual, bound, displacement_space_residual(op, value))
-            for i, (residual, value) in enumerate(zip(residuals, values))
-        )
+        writer.writerows([i, r, bound, m] for i, (r, m) in enumerate(zip(residuals, membership)))
 
 
 def _integer(config: dict, key: str, least: int) -> int:
@@ -224,7 +216,7 @@ def _cmd_linearize(config: dict, prefix: str, rng) -> int:
     result = linearize(problem, policy, picard_tol)
     op = problem.derivative
     offsets = sample_points(rng, op, n, result.beta, radius=result.u_radius)
-    points = [u + problem.fixed_point for u in offsets]
+    points = (pack(offsets) + pack([problem.fixed_point])).unpack()
     report = result.verify(points)
     _write_samples(prefix, op, report.per_point, report.certified_bound, report.values)
     payload = {

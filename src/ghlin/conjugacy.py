@@ -52,7 +52,8 @@ the orbit and every level below the top keep only the columns in that
 window's span: M-side sums move left and N-side sums move right, so a
 column that leaves the span never returns.  ``ConjugacyMap.displacements``
 runs its points in chunks sized so that their orbit array, estimated from
-the orbit length and the widest point, fits ``CHUNK_BYTES``.
+the orbit length and the widest point, fits ``CHUNK_BYTES``.  The checks
+are batch expressions too: one lattice call per stage, no loop over points.
 
 Every map is immutable and keeps no values; it carries a certified
 worst-case evaluation error, and verification routines compare observed
@@ -68,14 +69,16 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Sequence
 
-from .operators import CertificationError, GHOperator, admissible_eps
+import numpy as np
+
+from .operators import CertificationError, GHOperator, MatrixOperator, admissible_eps
 from .perturbations import (
     Perturbation,
     _require_contraction,
     perturbed_apply,
     solve_perturbed_inverse,
 )
-from .vectors import Batch, SparseVector, StateVector, norm, pack, row_norms, stack, zero_like
+from .vectors import Batch, StateVector, merge_rows, pack, row_norms, stack, zero_rows
 from .vectors import _at_point, _row_wise
 
 __all__ = [
@@ -248,45 +251,49 @@ class ConjugacyMap:
         The points run through the lattice together, in chunks sized from
         ``CHUNK_BYTES``.
         """
-        points = list(points)
-        size = self._chunk_size(points)
-        return [h for i in range(0, len(points), size) for h in self._values(points[i : i + size])]
+        return self._rows(_pack(self.op, list(points))).unpack()
 
     def displacement(self, x: StateVector) -> StateVector:
         """The offset H(x) - x: ``displacements`` of one point."""
         return self.displacements([x])[0]
 
-    def covers(self, points: Sequence[StateVector]) -> bool:
-        """Whether ``certified_error`` is quoted at every one of the points."""
-        radius = self.eval_radius
-        return radius is None or all(s <= radius for s in _norms(points, self.op.norm_kind))
+    def covers(self, *batches: Batch) -> bool:
+        """Whether ``certified_error`` is quoted at every row of the batches."""
+        radius, kind = self.eval_radius, self.op.norm_kind
+        return radius is None or all((row_norms(b, kind) <= radius).all() for b in batches)
 
-    def _chunk_size(self, points) -> int:
-        # points per lattice call: the orbit has at most depth*(2K + 1) + 1
+    def _rows(self, x: Batch) -> Batch:
+        # the displacements at the rows of x, one lattice call per chunk on its points' columns
+        size = self._chunk_size(x)
+        if len(x) <= size:
+            return self._values(x) if len(x) else x
+        return _join(*(self._values(_own_columns(x[i : i + size])) for i in range(0, len(x), size)))
+
+    def _chunk_size(self, x: Batch) -> int:
+        # rows per lattice call: the orbit has at most depth*(2K + 1) + 1
         # row blocks, each as wide as the widest point plus a margin
-        widths = [len(x) if isinstance(x, SparseVector) else x.dim for x in points]
-        row_bytes = 8 * (self.depth * (2 * self.terms + 1) + 1) * (max(widths, default=0) + 1)
+        width = x.rows.shape[-1] if x.cols is None else np.count_nonzero(x.rows, -1).max(initial=0)
+        row_bytes = 8 * (self.depth * (2 * self.terms + 1) + 1) * (int(width) + 1)
         return max(1, CHUNK_BYTES // row_bytes)
 
-    def _values(self, points: list[StateVector]) -> list[StateVector]:
+    def _values(self, x: Batch) -> Batch:
         op, beta = self.op, self.beta
         if self.depth == 0 or beta.is_zero:
-            return [zero_like(x) for x in points]
-        x = pack(points)
+            return zero_rows(x)
         if self.direction == FORWARD:  # source beta on the orbit of T
             return _picard_lattice(
                 op, op.step, op.step_inverse, beta.batch, x, self.terms, self.depth, beta.reads
-            ).unpack()
+            )
         inverse_tols = iter(self.inverse_tols)
 
         def r_invert(p: Batch) -> Batch:
             return solve_perturbed_inverse(op, beta, p, next(inverse_tols))
 
         # source -beta on the orbit of T + beta; negating the value is exact
-        return (-_picard_lattice(
+        return -_picard_lattice(
             op, partial(perturbed_apply, op, beta), r_invert, beta.batch, x,
             self.terms, self.depth, beta.reads,
-        )).unpack()
+        )
 
     def report(self) -> dict:
         keys = ("direction", "terms", "depth", "contraction", "certified_error", "eval_radius")
@@ -451,40 +458,49 @@ def verify_conjugacy(cmap: ConjugacyMap, samples: Sequence[StateVector]) -> Veri
     is E * (1 + Lip(outer)): Lip(T + beta) = |T| + Lip(beta), Lip(T) = |T|.
     """
     op, beta = cmap.op, cmap.beta
-    s_apply = partial(perturbed_apply, op, beta)
+    s_step = partial(perturbed_apply, op, beta)
     if cmap.direction == FORWARD:  # H o T = S o H with S = T + beta
-        inner, outer, outer_beta_lip = op.apply, s_apply, beta.lip_bound
+        inner, outer, outer_beta_lip = op.step, s_step, beta.lip_bound
     else:  # H o S = T o H
-        inner, outer, outer_beta_lip = s_apply, op.apply, 0.0
+        inner, outer, outer_beta_lip = s_step, op.step, 0.0
     bound = cmap.certified_error * (1.0 + op.norm_T + outer_beta_lip)
-    samples = list(samples)
-    return _identity_check(cmap, [inner(x) for x in samples], samples, outer, bound)
+    x = _pack(op, samples)
+    return _identity_check(cmap, inner(x), x, outer, bound)
 
 
-def _identity_check(cmap, images, points, outer, bound: float) -> VerificationReport:
-    # residuals |H(u) - outer(H(x))| over pairs of images u and points x, from one
-    # displacements call and one row_norms call; certified when the bound is
-    # finite and every point is covered
-    values = cmap.displacements(images + points)
-    gaps = [
-        (u + h_u) - outer(x + h_x)
-        for u, x, h_u, h_x in zip(images, points, values, values[len(points):])
-    ]
-    residuals = _norms(gaps, cmap.op.norm_kind)
+def _identity_check(cmap, images: Batch, points: Batch, outer, bound: float) -> VerificationReport:
+    # residuals |H(u) - outer(H(x))| over the rows u of images and x of points, one lattice call
+    both, n = _join(images, points), len(points)
+    values = cmap._rows(both)
+    gaps = (images + values[:n]) - outer(points + values[n:])
+    residuals = row_norms(gaps, cmap.op.norm_kind).tolist()
     return VerificationReport(
         kind=cmap.direction,
-        n_samples=len(residuals),
+        n_samples=n,
         max_residual=max(residuals, default=0.0),
         certified_bound=bound,
-        status=_status(bound, cmap.covers(images + points)),
+        status=_status(bound, cmap.covers(both)),
         per_point=residuals,
-        values=values[len(images):],
+        values=values[n:].unpack(),
     )
 
 
-def _norms(vectors: Sequence[StateVector], kind) -> list[float]:
-    # the norm of each vector, from one row_norms call
-    return row_norms(pack(vectors), kind).tolist() if vectors else []
+def _pack(op: GHOperator, points: Sequence[StateVector]) -> Batch:
+    # the points as the rows of one batch; with no points, a batch of no rows on op's backend
+    if points:
+        return pack(points)
+    dense = isinstance(op, MatrixOperator)
+    return Batch(np.zeros((0, op.dim if dense else 0)), None if dense else np.zeros(0, np.int64))
+
+
+def _own_columns(b: Batch) -> Batch:
+    return b if b.cols is None else b.on(b.cols[(b.rows != 0.0).any(axis=0)])
+
+
+def _join(*batches: Batch) -> Batch:
+    # the rows of the 2-d batches, one batch after another
+    ends = np.cumsum([0] + [len(b) for b in batches])
+    return merge_rows([(np.arange(a, z), b) for a, z, b in zip(ends, ends[1:], batches)], ends[-1])
 
 
 @dataclass
@@ -530,7 +546,7 @@ def verify_inverse_pair(
 
 
 def _inverse_pair(fwd, bwd, samples, h_fwd, h_bwd, holder) -> InversePairReport:
-    # verify_inverse_pair, given both maps' displacements at the samples
+    # verify_inverse_pair, given both maps' displacements at the samples, as batch expressions
     if fwd.direction != FORWARD or bwd.direction != BACKWARD:
         raise ValueError("verify_inverse_pair needs a (forward, backward) pair")
     if fwd.op is not bwd.op or fwd.beta is not bwd.beta:
@@ -553,14 +569,13 @@ def _inverse_pair(fwd, bwd, samples, h_fwd, h_bwd, holder) -> InversePairReport:
         bound = max(left_bound, right_bound)
     else:
         bound = math.inf
-    kind = fwd.op.norm_kind
-    there = [x + h for x, h in zip(samples, h_fwd)]
-    back = [x + h for x, h in zip(samples, h_bwd)]
-    left = _norms([(u + h) - x for x, u, h in zip(samples, there, bwd.displacements(there))], kind)
-    right = _norms([(v + h) - x for x, v, h in zip(samples, back, fwd.displacements(back))], kind)
-    covered = fwd.covers(samples + back) and bwd.covers(samples + there)
+    op, x = fwd.op, _pack(fwd.op, samples)
+    there, back = x + _pack(op, h_fwd), x + _pack(op, h_bwd)
+    left = row_norms((there + bwd._rows(there)) - x, op.norm_kind).tolist()
+    right = row_norms((back + fwd._rows(back)) - x, op.norm_kind).tolist()
+    covered = fwd.covers(x, back) and bwd.covers(x, there)
     return InversePairReport(
-        n_samples=len(samples),
+        n_samples=len(x),
         max_residual_left=max(left, default=0.0),
         max_residual_right=max(right, default=0.0),
         certified_bound=bound,
@@ -573,6 +588,11 @@ def displacement_space_residual(op: GHOperator, v: StateVector) -> float:
     """Distance of v from the displacement codomain M + T^{-1}(N).
 
     Equals |P_M(T(P_N v))|, which vanishes exactly when the N-component of v
-    lies in T^{-1}(N).
+    lies in T^{-1}(N): ``_membership`` of a batch of one.
     """
-    return norm(op.project_M(op.apply(op.project_N(v))), op.norm_kind)
+    return float(_membership(op, pack([v]))[0])
+
+
+def _membership(op: GHOperator, b: Batch) -> np.ndarray:
+    # |P_M(T(P_N v))| at every row v of b, from one row_norms call
+    return row_norms(op.project_M_rows(op.step(op.project_N_rows(b))), op.norm_kind)

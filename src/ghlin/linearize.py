@@ -22,19 +22,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .conjugacy import (
-    ConjugacyMap,
-    SeriesPolicy,
-    VerificationReport,
-    _identity_check,
-    _norms,
-    solve_conjugacy,
-    solve_inverse_conjugacy,
-)
+from .conjugacy import ConjugacyMap, SeriesPolicy, VerificationReport
+from .conjugacy import solve_conjugacy, solve_inverse_conjugacy
+from .conjugacy import _identity_check, _join, _pack
 from .operators import GHOperator, admissible_eps
 from .perturbations import CutoffProfile, Perturbation, cutoff, zero_perturbation
-from .vectors import Batch, StateVector, norm, pack, zero_like
-from .vectors import _at_point, _row_form
+from .vectors import Batch, StateVector, pack, row_norms, zero_like
+from .vectors import _row_form
 
 __all__ = [
     "HolderCertificate",
@@ -216,30 +210,25 @@ def empirical_holder(
     covering the maps' certified evaluation error E on both endpoints, so
     every pair point must lie where E is quoted (``cmap.covers``).
     """
-    kind = cmap.op.norm_kind
-    kept = []  # (x, y, distance) for every pair of distinct points
-    for x, y in pairs:
-        dist = norm(x - y, kind)
-        if dist == 0.0:
-            continue
-        if dist > cert.domain_diameter * (1.0 + 1e-12):
-            raise ValueError(
-                f"pair distance {dist} exceeds the certificate diameter "
-                f"{cert.domain_diameter}"
-            )
-        kept.append((x, y, dist))
-    ends = [x for x, _, _ in kept] + [y for _, y, _ in kept]
+    kind, pairs = cmap.op.norm_kind, list(pairs)
+    xs, ys = (_pack(cmap.op, [pair[end] for pair in pairs]) for end in (0, 1))
+    dists = row_norms(xs - ys, kind)
+    far = dists > cert.domain_diameter * (1.0 + 1e-12)
+    if far.any():
+        raise ValueError(
+            f"pair distance {float(dists[far][0])} exceeds the certificate diameter "
+            f"{cert.domain_diameter}"
+        )
+    kept = dists.nonzero()[0]  # pairs of distinct points
+    ends, k = _join(xs[kept], ys[kept]), len(kept)
     if not cmap.covers(ends):
         raise ValueError(f"pair point outside the map's eval_radius {cmap.eval_radius}")
-    values = cmap.displacements(ends)
-    gaps = _norms([h_x - h_y for h_x, h_y in zip(values, values[len(kept):])], kind)
-    ratios = [gap / dist**cert.theta for gap, (_, _, dist) in zip(gaps, kept)]
-    min_dist = min((dist for _, _, dist in kept), default=math.inf)
-    inflation = (
-        0.0
-        if not ratios
-        else 2.0 * cmap.certified_error / min_dist**cert.theta
-    )
+    values = cmap._rows(ends)
+    gaps = row_norms(values[:k] - values[k:], kind).tolist()
+    kept_dists = dists[kept].tolist()
+    ratios = [gap / dist**cert.theta for gap, dist in zip(gaps, kept_dists)]
+    min_dist = min(kept_dists, default=math.inf)
+    inflation = 2.0 * cmap.certified_error / min_dist**cert.theta if ratios else 0.0
     return HolderProbeReport(
         theta=cert.theta,
         constant=cert.C,
@@ -247,7 +236,7 @@ def empirical_holder(
         n_pairs=len(ratios),
         max_ratio=max(ratios, default=0.0),
         per_pair=ratios,
-        values=values[: len(kept)],
+        values=values[:k].unpack(),
     )
 
 
@@ -261,8 +250,8 @@ class LinearizationProblem:
     radius rho, a certified Lipschitz constant of F(x + p) - p - DF_p x on
     the ball of radius rho.  ``batch`` is F on the rows of a 2-d ``Batch``
     (by default ``func`` on each row, derived again when ``func`` is
-    replaced); ``linearize`` evaluates F only through it, so F(p) = p is
-    checked on it, and ``verify`` evaluates F through ``func``.
+    replaced).  ``linearize`` and ``verify`` evaluate F only through it, so
+    F(p) = p is checked on it.
     """
 
     func: Callable[[StateVector], StateVector]
@@ -280,10 +269,8 @@ class LinearizationProblem:
         if not (self.cutoff_r > 0.0 and math.isfinite(self.cutoff_r)):
             raise ValueError(f"cutoff_r must be positive and finite, got {self.cutoff_r}")
         self.batch = _row_form(self.func, self.batch)
-        drift = norm(
-            _at_point(self.batch, self.fixed_point) - self.fixed_point,
-            self.derivative.norm_kind,
-        )
+        p = pack([self.fixed_point])
+        drift = row_norms(self.batch(p) - p, self.derivative.norm_kind)[0]
         if drift > 1e-10:
             raise ValueError(f"fixed point residual |F(p) - p| = {drift} exceeds 1e-10")
 
@@ -320,13 +307,16 @@ class LinearizationResult:
     def verify(self, ys: Sequence[StateVector]) -> VerificationReport:
         """Residuals |H(F(y) - p) - DF_p(H(y - p))| with H the backward map, in one call.
 
-        Checked against ``certified_residual_bound``; uncertified when F(y) - p
-        or y - p leaves the map's ``eval_radius``.  Meaningful inside ``u_radius``.
+        F is evaluated once, on all the points, through the problem's row
+        form ``batch``.  Checked against ``certified_residual_bound``;
+        uncertified when F(y) - p or y - p leaves the map's ``eval_radius``.
+        Meaningful inside ``u_radius``.
         """
-        p, outer = self.fixed_point, self.problem.derivative.apply
-        images = [self.problem.func(y) - p for y in ys]
-        offsets = [y - p for y in ys]
-        return _identity_check(self.backward, images, offsets, outer, self.certified_residual_bound)
+        op, p = self.problem.derivative, pack([self.fixed_point])
+        y = _pack(op, list(ys))
+        return _identity_check(
+            self.backward, self.problem.batch(y) - p, y - p, op.step, self.certified_residual_bound
+        )
 
     def conjugacy_residual(self, y: StateVector) -> float:
         """The residual of ``verify`` at one point y."""
@@ -368,10 +358,7 @@ def linearize(
     def nonlinearity(u: Batch) -> Batch:
         return problem.batch(u + p) - p - op.step(u)
 
-    eps = min(
-        admissible_eps(op, problem.gamma),
-        0.9 / op.norm_Tinv,
-    )
+    eps = min(admissible_eps(op, problem.gamma), 0.9 / op.norm_Tinv)
     r = problem.cutoff_r
     while True:
         lip_ball = problem.nonlinearity_lip(2.0 * r)

@@ -17,19 +17,20 @@ M and ``|T^{-n} z| <= c t^n |z|`` on N, with d the larger projection norm.
 The constants are certified on a finite window and extended to all powers by
 submultiplicativity of operator norms.
 
-Both act on batches (``vectors.Batch``): ``step`` and ``step_inverse`` apply
-T and T^{-1} to every row, and ``orbit_sweep`` is the only orbit-series
-primitive.  Given sources s_a, ..., s_b, one row block per orbit index
-(an array of shape (orbit index, N, columns)), and a source count per side,
-k_M and k_N (K + 1 for a nontrivial side, 0 for a trivial one), it sums the
-two-sided series at every index m in [a + k_M, b - k_N + 1], in one pass
-per nontrivial side: the M side left to right, S <- P_M s_j + A_M S, and
-the N side right to left, R <- A_N (P_N s_j + R), then S_M - S_N.  A
-trivial side's projection is zero, so it is not swept and contributes an
-exact zero.  Stepping only with the restricted maps A_M = T P_M and
-A_N = T^{-1} P_N keeps partial sums on their side of the splitting.  Each
-value holds at least the K + 1 nearest terms of every nontrivial series, so
-its omitted tail lies inside the (K + 1)-term tail.
+Both act on batches (``vectors.Batch``): ``step``, ``step_inverse``,
+``project_M_rows`` and ``project_N_rows`` map every row, and
+``orbit_sweep`` is the only orbit-series primitive.  Given sources
+s_a, ..., s_b, one row block per orbit index (an array of shape (orbit
+index, N, columns)), and a source count per side, k_M and k_N (K + 1 for a
+nontrivial side, 0 for a trivial one), it sums the two-sided series at
+every index m in [a + k_M, b - k_N + 1], in one pass per nontrivial side:
+the M side left to right, S <- P_M s_j + A_M S, and the N side right to
+left, R <- A_N (P_N s_j + R), then S_M - S_N.  A trivial side's projection
+is zero, so it is not swept and contributes an exact zero.  Stepping only
+with the restricted maps A_M = T P_M and A_N = T^{-1} P_N keeps partial
+sums on their side of the splitting.  Each value holds at least the K + 1
+nearest terms of every nontrivial series, so its omitted tail lies inside
+the (K + 1)-term tail.
 
 The dense backend steps all N rows at once, ``acc @ A_M.T``.  On the shift,
 T moves a row one column to the left, so ``step`` only relabels the columns
@@ -246,6 +247,14 @@ class ShiftOperator:
     def project_N(self, x: SparseVector) -> SparseVector:
         return _sparse_raw({i: v for i, v in x.items() if i >= 1})
 
+    def project_M_rows(self, b: Batch) -> Batch:
+        """P_M on every row: the columns with index <= 0."""
+        return b.on(b.cols[_sparse_batch(b).cols <= 0])
+
+    def project_N_rows(self, b: Batch) -> Batch:
+        """P_N on every row: the columns with index >= 1."""
+        return b.on(b.cols[_sparse_batch(b).cols >= 1])
+
     def orbit_sweep(
         self, sources: Batch, m_count: int, n_count: int, within: tuple[int, int] | None = None
     ) -> Batch:
@@ -422,6 +431,14 @@ class MatrixOperator:
 
     def project_N(self, x: DenseVector) -> DenseVector:
         return _dense_raw(self.proj_N_matrix @ x.array)
+
+    def project_M_rows(self, b: Batch) -> Batch:
+        """P_M on every row at once."""
+        return Batch(self._dense_batch(b).rows @ self.proj_M_matrix.T)
+
+    def project_N_rows(self, b: Batch) -> Batch:
+        """P_N on every row at once."""
+        return Batch(self._dense_batch(b).rows @ self.proj_N_matrix.T)
 
     def orbit_sweep(
         self, sources: Batch, m_count: int, n_count: int, within: tuple[int, int] | None = None

@@ -16,7 +16,8 @@ cutoff's alpha) given only as a plain function runs it on each row.
 The cutoff construction turns a locally Lipschitz nonlinearity vanishing at
 the origin into a globally small bounded Lipschitz map that agrees with it
 on an inner ball, and the perturbed-inverse solver inverts T + beta by
-contraction iteration with an exact a-posteriori residual certificate.
+contraction iteration with an exact a-posteriori residual certificate, on
+all rows of a batch at once and over one sparse column layout per solve.
 """
 
 from __future__ import annotations
@@ -258,7 +259,7 @@ def cutoff(
     if alpha is None and alpha_batch is None:
         raise ValueError("a cutoff needs alpha or alpha_batch")
     alpha_batch = alpha_batch or _row_wise(alpha)
-    a0 = norm(_at_point(alpha_batch, zero), norm_kind)
+    a0 = float(row_norms(alpha_batch(pack([zero])), norm_kind)[0])
     if a0 > 1e-9:
         raise ValueError(f"alpha(0) must vanish; measured norm {a0}")
     r = profile.r
@@ -310,10 +311,13 @@ def solve_perturbed_inverse(
     residual of the current point is exact and checked directly; the
     contraction factor is q = Lip(beta) * |T^{-1}|, required < 1.  A batch
     of points is solved as a masked batch: each row stops at its own
-    residual test, so it takes the iterations it would take alone.  Raises
+    residual test, so it takes the iterations it would take alone.  Sparse
+    rows keep one column layout for the solve, y's columns and those of
+    beta's first value, widened on an iteration whose beta value has a
+    column off it.  A batch of no rows is returned at once.  Raises
     ``IterationLimitError`` after ``INVERSE_MAX_ITER`` iterations.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     _require_contraction(op, beta)
     if not isinstance(y, Batch):
@@ -323,19 +327,28 @@ def solve_perturbed_inverse(
 
 def _solve_rows(op: GHOperator, beta: Perturbation, y: Batch, tol: float) -> Batch:
     x = op.step_inverse(y)
-    if beta.is_zero:
+    if beta.is_zero or not len(y):
         return x
-    count = len(y)
-    pending = np.arange(count)  # original row of each row still iterating
+    pending = np.arange(len(y))  # original row of each row still iterating
     solved = []
+    # y's rows lie over the layout cols, x's over cols + 1, beta's columns at ``at`` in cols
+    cols, rows, seen, at = y.cols, y.rows, None, slice(None)
     for _ in range(INVERSE_MAX_ITER):
-        x_next = op.step_inverse(y - beta.batch(x))
-        done = row_norms(op.step(x - x_next), op.norm_kind) <= tol
+        b = beta.batch(x)
+        if b.cols is not seen:
+            seen, wide = b.cols, np.union1d(cols, b.cols)
+            if len(wide) > len(cols):
+                cols, rows, x = wide, Batch(rows, cols).on(wide).rows, x.on(wide + 1)
+            at = np.searchsorted(cols, b.cols)
+        r = rows.copy()
+        r[..., at] -= b.rows  # y - beta(x) entry by entry, as Batch.__sub__ computes it
+        x_next = op.step_inverse(Batch(r, cols))
+        done = row_norms(op.step(Batch(x.rows - x_next.rows, x_next.cols)), op.norm_kind) <= tol
         if done.any():
             solved.append((pending[done], x[done]))
             if done.all():
-                return merge_rows(solved, count)
-            pending, y, x_next = pending[~done], y[~done], x_next[~done]
+                return merge_rows(solved, len(y))
+            pending, rows, x_next = pending[~done], rows[~done], x_next[~done]
         x = x_next
     raise IterationLimitError(
         f"perturbed inverse did not reach residual {tol} within {INVERSE_MAX_ITER} iterations"

@@ -345,7 +345,7 @@ def _at_point(f: Callable[[Batch], Batch], x: StateVector) -> StateVector:
 def _row_wise(f: Callable[[StateVector], StateVector]) -> Callable[[Batch], Batch]:
     # a single-point map on every row of a 2-d batch, marked as derived from f
     def rows(b: Batch) -> Batch:
-        return pack([f(x) for x in b.unpack()])
+        return pack([f(x) for x in b.unpack()]) if len(b) else b
 
     rows.point_map = f
     return rows

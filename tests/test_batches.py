@@ -22,6 +22,7 @@ from ghlin import (
     solve_perturbed_inverse,
 )
 from ghlin import vectors
+from ghlin.perturbations import INVERSE_MAX_ITER
 from ghlin.cli import _problem_from_descriptor
 from ghlin.sampling import sample_points
 from ghlin.vectors import pack
@@ -109,13 +110,18 @@ def test_empty_batch_evaluates_nothing(monkeypatch):
 def test_batch_larger_than_one_chunk_equals_single_points(rng, monkeypatch):
     batched, _ = shift_maps(SHIFT_BETAS["windowed sine"], NormKind.sup())
     single, _ = shift_maps(SHIFT_BETAS["windowed sine"], NormKind.sup())
-    size = batched._chunk_size(sample_points(rng, batched.op, 1, batched.beta))
+    # sampled points all fill the same 23-column window; the chunk size follows the widest
+    # point, and each chunk keeps only its own points' columns
+    size = batched._chunk_size(pack(sample_points(rng, batched.op, 1, batched.beta)))
     points = sample_points(rng, batched.op, size + 3, batched.beta)
+    points[-3:] = [SparseVector({i + 1000: v for i, v in x.items()}) for x in points[-3:]]
+    assert batched._chunk_size(pack(points)) == size
     chunks = []
     values = ConjugacyMap._values
-    monkeypatch.setattr(ConjugacyMap, "_values", lambda m, xs: chunks.append(len(xs)) or values(m, xs))
+    monkeypatch.setattr(ConjugacyMap, "_values",
+                        lambda m, xs: chunks.append(xs.rows.shape) or values(m, xs))
     got = batched.displacements(points)
-    assert chunks == [size, 3]
+    assert chunks == [(size, 23), (3, 23)]
     assert got == [single.displacement(x) for x in points]
 
 
@@ -166,6 +172,47 @@ def test_masked_inverse_rows_take_their_own_iteration_counts():
     assert len(set(counts)) > 2
     # the k-th beta call of the batch sees exactly the rows that iterate k times alone
     assert active == [sum(c > k for c in counts) for k in range(max(counts))]
+
+
+def reference_inverse(op, beta, y, tol):
+    """The contraction iteration for one point in vector arithmetic, with no column layout."""
+    x = op.apply_inverse(y)
+    for _ in range(INVERSE_MAX_ITER):
+        x_next = op.apply_inverse(y - beta(x))
+        if norm(op.apply(x - x_next), op.norm_kind) <= tol:
+            return x
+        x = x_next
+    raise AssertionError("the reference iteration did not converge")
+
+
+INVERSE_CASES = {
+    # (maps, whether an iterate's support outgrows y's and beta's first value's)
+    "windowless saturating": (lambda: shift_maps(
+        lambda kind: saturating_perturbation(0.02, 1.0, norm_kind=kind), NormKind.sup()), True),
+    "constant far apart": (lambda: shift_maps(
+        lambda kind: constant_perturbation(SparseVector({-10**5: 0.05, 10**5: -0.03}), kind),
+        NormKind.sup()), False),
+    # a cutoff declares no window
+    "cutoff-sup": (lambda: linearized_shift_maps(NormKind.sup()), False),
+    "cutoff-l2": (lambda: linearized_shift_maps(L2), False),
+}
+
+
+@pytest.mark.parametrize("build, widens", INVERSE_CASES.values(), ids=INVERSE_CASES.keys())
+def test_one_layout_inverse_equals_per_row_reference(rng, build, widens):
+    # bit for bit: the masked solve on one layout, widened when beta leaves it, against each
+    # row alone
+    fwd, _ = build()
+    op, beta = fwd.op, fwd.beta
+    ys = [y * scale for y, scale in zip(sample_points(rng, op, 6), (1e-6, 0.01, 0.3, 1, 2, 3))]
+    ys += [SparseVector({}), SparseVector({-40: 0.3, 55: -0.2}), ys[2]]
+    got = solve_perturbed_inverse(op, beta, pack(ys), 1e-12).unpack()
+    want = [reference_inverse(op, beta, y, 1e-12) for y in ys]
+    assert [x.memo_key() for x in got] == [x.memo_key() for x in want]
+    # a solution with a column off T^{-1}(supp y + supp beta(T^{-1} y)) needed a wider layout
+    first = [set(y.support()) | set(beta(op.apply_inverse(y)).support()) for y in ys]
+    outside = [set(x.support()) - {i + 1 for i in cols} for x, cols in zip(got, first)]
+    assert any(outside) == widens
 
 
 def test_far_apart_constant_never_allocates_its_span(monkeypatch):

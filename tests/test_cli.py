@@ -9,7 +9,17 @@ import sys
 
 import pytest
 
-from ghlin import ConjugacyMap, IterationLimitError, cli, displacement_space_residual, linearize
+from ghlin import (
+    ConjugacyMap,
+    IterationLimitError,
+    MatrixOperator,
+    Perturbation,
+    ShiftOperator,
+    cli,
+    displacement_space_residual,
+    linearize,
+    vectors,
+)
 from ghlin.cli import main
 
 
@@ -408,6 +418,33 @@ def test_each_command_evaluates_its_lattice_rows_once(tmp_path, monkeypatch, com
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
     assert sum(rows) == per_sample * 5
     assert len(read_samples(tmp_path, "run")) == 1 + 5
+
+
+@pytest.mark.parametrize("command, config", [
+    ("conjugate", {"operator": SHIFT, "perturbation": SINE, "gamma": 0.2, "tol": 1e-5,
+                   "picard_tol": 5e-4}),
+    ("linearize", {"problem": QUAD, "tol": 1e-10, "picard_tol": 1e-10}),
+], ids=["conjugate", "linearize"])
+def test_checks_make_no_single_point_calls(tmp_path, monkeypatch, command, config):
+    # the checks and the CSV membership column are batch expressions, so the
+    # single-point forms of T, T^{-1}, beta, the norm and the membership residual go unused
+    calls = []
+
+    def spy(owner, name, fn):
+        monkeypatch.setattr(owner, name, lambda *args: calls.append(fn.__qualname__) or fn(*args))
+
+    for cls in (ShiftOperator, MatrixOperator):
+        spy(cls, "apply", cls.apply)
+        spy(cls, "apply_inverse", cls.apply_inverse)
+    spy(Perturbation, "__call__", Perturbation.__call__)
+    for fn in (vectors.norm, displacement_space_residual):  # at every import site
+        for module in [m for name, m in sys.modules.items() if name.startswith("ghlin")]:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    spy(module, attr, fn)
+    cfg = write_config(tmp_path, "c.json", {**config, "samples": 10, "seed": 7})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert calls == []
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -215,6 +215,22 @@ def test_perturbed_inverse_contraction_violation():
         solve_perturbed_inverse(op, beta, SparseVector({0: 1.0}), tol=1e-10)
 
 
+def test_perturbed_inverse_of_no_rows_returns_at_once():
+    op = make_matrix_operator([[2.0, 0.0], [0.0, 3.0]], t=0.6)
+    saturating = saturating_perturbation(0.01, 1.0)
+    calls = []
+    beta = dataclasses.replace(saturating, batch=lambda b: calls.append(len(b)) or saturating.batch(b))
+    x = solve_perturbed_inverse(op, beta, Batch(np.zeros((0, 2))), tol=1e-12)
+    assert x.rows.shape == (0, 2) and calls == []
+
+
+def test_perturbed_inverse_rejects_nan_tol():
+    op = make_shift(WeightSpec(0.5, 2.0), t=0.55)
+    beta = sine_perturbation(0.05, 1.0, window=range(-1, 2))
+    with pytest.raises(ValueError, match="tol must be positive, got nan"):
+        solve_perturbed_inverse(op, beta, SparseVector({0: 1.0}), tol=float("nan"))
+
+
 def test_perturbed_inverse_increments_contract(rng):
     op = make_shift(WeightSpec(0.5, 2.0), t=0.55)
     beta = sine_perturbation(0.05, 1.0, window=range(-1, 2))
