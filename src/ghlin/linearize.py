@@ -27,8 +27,9 @@ from .conjugacy import solve_conjugacy, solve_inverse_conjugacy
 from .conjugacy import _identity_check, _join, _pack
 from .operators import GHOperator, admissible_eps
 from .perturbations import CutoffProfile, Perturbation, cutoff, zero_perturbation
+from .perturbations import _require_norm
 from .vectors import Batch, StateVector, pack, row_norms, zero_like
-from .vectors import _row_form
+from .vectors import _row_wise
 
 __all__ = [
     "HolderCertificate",
@@ -99,7 +100,7 @@ def theta_bound(op: GHOperator) -> float:
 
 def holder_constant(
     op: GHOperator,
-    beta: Perturbation | None,
+    beta: Perturbation,
     theta: float,
     eps: float,
 ) -> float:
@@ -110,19 +111,21 @@ def holder_constant(
     covers the perturbed backward orbit growth, and the unstable side with
     ratio |T^{-1}|_N| * (|T| + eps)^theta covers the forward one.  Both
     ratios must stay below 1; a trivial splitting component contributes
-    nothing because its projection norm vanishes.
+    nothing because its projection norm vanishes.  eps must dominate beta's
+    bounds, which must hold in op's ambient norm.
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"theta must lie in (0, 1], got {theta}")
     if eps < 0.0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    if eps == 0.0:
-        return 0.0
-    if beta is not None and max(beta.sup_bound, beta.lip_bound) > eps:
+    _require_norm(op, beta)
+    if max(beta.sup_bound, beta.lip_bound) > eps:
         raise ValueError(
             f"eps = {eps} does not dominate the perturbation bounds "
             f"({beta.sup_bound}, {beta.lip_bound})"
         )
+    if eps == 0.0:
+        return 0.0
     if eps * op.norm_Tinv >= 1.0:
         raise ValueError(
             f"eps must stay below 1/|T^{{-1}}| = {1.0 / op.norm_Tinv}, got {eps}"
@@ -151,7 +154,7 @@ def holder_constant(
 
 def make_holder_certificate(
     op: GHOperator,
-    beta: Perturbation | None,
+    beta: Perturbation,
     theta: float,
     eps: float,
     domain_diameter: float,
@@ -248,10 +251,10 @@ class LinearizationProblem:
     ``derivative`` is the operator DF_p (validated generalized hyperbolic at
     construction of the operator).  ``nonlinearity_lip`` must return, for a
     radius rho, a certified Lipschitz constant of F(x + p) - p - DF_p x on
-    the ball of radius rho.  ``batch`` is F on the rows of a 2-d ``Batch``
-    (by default ``func`` on each row, derived again when ``func`` is
-    replaced).  ``linearize`` and ``verify`` evaluate F only through it, so
-    F(p) = p is checked on it.
+    the ball of radius rho.  ``batch``, if given, is F on the rows of a 2-d
+    ``Batch``; without it F runs ``func`` on each row.  ``linearize``,
+    ``verify`` and the check F(p) = p evaluate F only through ``_rows``,
+    which reads the two fields when it is called.
     """
 
     func: Callable[[StateVector], StateVector]
@@ -268,11 +271,14 @@ class LinearizationProblem:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not (self.cutoff_r > 0.0 and math.isfinite(self.cutoff_r)):
             raise ValueError(f"cutoff_r must be positive and finite, got {self.cutoff_r}")
-        self.batch = _row_form(self.func, self.batch)
         p = pack([self.fixed_point])
-        drift = row_norms(self.batch(p) - p, self.derivative.norm_kind)[0]
+        drift = row_norms(self._rows(p) - p, self.derivative.norm_kind)[0]
         if drift > 1e-10:
             raise ValueError(f"fixed point residual |F(p) - p| = {drift} exceeds 1e-10")
+
+    def _rows(self, b: Batch) -> Batch:
+        """F on the rows of b: the row form ``batch``, or ``func`` on each row without one."""
+        return (_row_wise(self.func) if self.batch is None else self.batch)(b)
 
 
 @dataclass
@@ -308,14 +314,14 @@ class LinearizationResult:
         """Residuals |H(F(y) - p) - DF_p(H(y - p))| with H the backward map, in one call.
 
         F is evaluated once, on all the points, through the problem's row
-        form ``batch``.  Checked against ``certified_residual_bound``;
+        form.  Checked against ``certified_residual_bound``;
         uncertified when F(y) - p or y - p leaves the map's ``eval_radius``.
         Meaningful inside ``u_radius``.
         """
         op, p = self.problem.derivative, pack([self.fixed_point])
         y = _pack(op, list(ys))
         return _identity_check(
-            self.backward, self.problem.batch(y) - p, y - p, op.step, self.certified_residual_bound
+            self.backward, self.problem._rows(y) - p, y - p, op.step, self.certified_residual_bound
         )
 
     def conjugacy_residual(self, y: StateVector) -> float:
@@ -356,7 +362,7 @@ def linearize(
     p = pack([problem.fixed_point])
 
     def nonlinearity(u: Batch) -> Batch:
-        return problem.batch(u + p) - p - op.step(u)
+        return problem._rows(u + p) - p - op.step(u)
 
     eps = min(admissible_eps(op, problem.gamma), 0.9 / op.norm_Tinv)
     r = problem.cutoff_r
@@ -375,10 +381,8 @@ def linearize(
     if lip_ball == 0.0:
         beta = zero_perturbation()
     else:
-        beta = cutoff(
-            None, lip_ball, CutoffProfile(r), op.norm_kind,
-            zero=zero_like(problem.fixed_point), alpha_batch=nonlinearity,
-        )
+        zero = zero_like(problem.fixed_point)
+        beta = cutoff(nonlinearity, lip_ball, CutoffProfile(r), op.norm_kind, zero=zero)
     forward = solve_conjugacy(op, beta, problem.gamma, policy, picard_tol)
     backward = solve_inverse_conjugacy(op, beta, policy)
     cert = _default_certificate(op, beta, min(2.0 * r, 0.999), problem.theta)

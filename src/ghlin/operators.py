@@ -58,7 +58,7 @@ from .vectors import (
     SparseVector,
     StateVector,
 )
-from .vectors import _at_point, _dense_raw, _number, _numbers, _object, _sparse_raw
+from .vectors import _at_point, _dense_raw, _indexed, _number, _numbers, _object, _sparse_raw
 
 __all__ = [
     "CertificationError",
@@ -137,7 +137,7 @@ class WeightSpec:
         return WeightSpec(
             left_tail=_number(obj, "left_tail"),
             right_tail=_number(obj, "right_tail"),
-            core=dict(zip(map(int, core), _numbers(list(core.values()), "core weight").tolist())),
+            core=_indexed(core, "core", "core weight"),
         )
 
 
@@ -638,17 +638,14 @@ def constants_report(op: GHOperator) -> dict:
     return asdict(op.constants)
 
 
-def operator_from_descriptor(obj: dict, norm_kind: NormKind | None = None) -> GHOperator:
+def operator_from_descriptor(obj: dict) -> GHOperator:
     """Build an operator from its JSON descriptor.
 
     ``{"kind": "shift", "left_tail": v, "right_tail": v, "core": {...}}`` or
     ``{"kind": "matrix", "rows": [[...], ...]}``; optional ``"norm"`` and
     ``"t"`` entries select the ambient norm and the decay rate.
     """
-    if norm_kind is None:
-        norm_kind = (
-            NormKind.from_descriptor(_object(obj, "norm")) if "norm" in obj else SUP_NORM
-        )
+    norm_kind = NormKind.from_descriptor(_object(obj, "norm", {"kind": "sup"}))
     t = _number(obj, "t", None)
     kind = obj.get("kind")
     if kind == "shift":

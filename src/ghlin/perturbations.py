@@ -5,13 +5,14 @@ sup norm and the Lipschitz constant, derived in closed form.  The sine and
 saturating perturbations share one coordinatewise builder, x -> a*f(r*x_n)
 on an index window or on every coordinate.
 
-Every perturbation also acts on a ``Batch`` of points (``batch``).  The
-builders here give a row-batch form that computes each row exactly as the
-single-point map does: the coordinatewise builder calls its scalar f on the
-window entries, the constant and zero maps broadcast, and the cutoff takes
-the row norms, makes one call of alpha's row form on the rows inside its
-outer ball and scales them by chi in one product.  A perturbation (or a
-cutoff's alpha) given only as a plain function runs it on each row.
+A perturbation is given in one form, as its map on a ``Batch`` of points
+(``batch``); a single point is a batch of one.  It records the ambient norm
+its bounds hold in, and the solvers reject it with an operator in another
+norm.  The coordinatewise builder calls its scalar f on the window entries,
+the constant and zero maps broadcast, and the cutoff takes the row norms,
+makes one call of alpha (a row form too) on the rows inside its outer ball
+and scales them by chi in one product.  A point map lifts to a row form
+with ``pack`` and ``unpack``.
 
 The cutoff construction turns a locally Lipschitz nonlinearity vanishing at
 the origin into a globally small bounded Lipschitz map that agrees with it
@@ -41,7 +42,7 @@ from .vectors import (
     row_norms,
     zero_rows,
 )
-from .vectors import _at_point, _number, _row_form, _row_wise, _window, vector_from_json
+from .vectors import _at_point, _number, _window, vector_from_json
 
 __all__ = [
     "Perturbation",
@@ -75,27 +76,26 @@ INVERSE_MAX_ITER = 10_000
 class Perturbation:
     """Map from the space to itself with certified sup / Lipschitz bounds.
 
-    ``support_window`` declares, for sparse backends, a finite index window
-    containing the support of every value; it keeps series terms finitely
-    supported and drives default sampling windows.  ``batch`` is the map on
-    a 2-d ``Batch``, row by row (by default ``func`` on each row, derived
-    again when ``func`` is replaced); a single point is a batch of one.
+    ``batch`` is the map on a 2-d ``Batch``, row by row; a single point is a
+    batch of one.  ``sup_bound`` and ``lip_bound`` hold in the ambient norm
+    ``norm_kind``.  ``support_window`` declares, for sparse backends, a
+    finite index window containing the support of every value; it keeps
+    series terms finitely supported and drives default sampling windows.
     ``reads`` lists the sparse indices the map's value depends on (None:
     possibly all).
     """
 
-    func: Callable[[StateVector], StateVector] | None
+    batch: Callable[[Batch], Batch]
     sup_bound: float
     lip_bound: float
     support_window: tuple[int, int] | None = None
-    batch: Callable[[Batch], Batch] | None = None
     reads: tuple[int, ...] | None = None
+    norm_kind: NormKind = SUP_NORM
 
     def __post_init__(self) -> None:
         for name, val in (("sup_bound", self.sup_bound), ("lip_bound", self.lip_bound)):
             if not math.isfinite(val) or val < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {val}")
-        self.batch = _row_form(self.func, self.batch)
 
     def __call__(self, x: StateVector) -> StateVector:
         return _at_point(self.batch, x)
@@ -106,7 +106,7 @@ class Perturbation:
 
 
 def zero_perturbation() -> Perturbation:
-    return Perturbation(func=None, sup_bound=0.0, lip_bound=0.0, batch=zero_rows, reads=())
+    return Perturbation(zero_rows, sup_bound=0.0, lip_bound=0.0, reads=())
 
 
 def constant_perturbation(b: StateVector, norm_kind: NormKind = SUP_NORM) -> Perturbation:
@@ -123,25 +123,23 @@ def constant_perturbation(b: StateVector, norm_kind: NormKind = SUP_NORM) -> Per
         shape = x.rows.shape[:-1] + value.rows.shape[-1:]
         return Batch(np.broadcast_to(value.rows[0], shape), value.cols)
 
-    return Perturbation(
-        func=None,
-        sup_bound=norm(b, norm_kind),
-        lip_bound=0.0,
-        support_window=window,
-        batch=batch,
-        reads=(),
-    )
+    return Perturbation(batch, norm(b, norm_kind), 0.0, window, reads=(), norm_kind=norm_kind)
 
 
-def _coordinatewise(f, a: float, r: float, idx, norm_kind: NormKind) -> Perturbation:
-    """x -> a*f(r*x_n) on the sorted index window idx, or on every coordinate.
+def _coordinatewise(kind: str, f, a: float, r: float, window, norm_kind: NormKind) -> Perturbation:
+    """x -> a*f(r*x_n) on the index window, or on every coordinate without one.
 
     For |f| <= 1 with Lip(f) <= 1 the certified bounds are sup a (times
     |W|^(1/p) for an l^p ambient norm, which needs a window) and Lipschitz
-    constant a*r.
+    constant a*r.  A window with no index is rejected for every kind.
     Without a window the row-batch form maps every column of either backend
     in place; since f(0) = 0, a sparse coordinate off its columns stays zero.
     """
+    if a < 0 or r < 0:
+        raise ValueError(f"{kind} perturbation needs amplitude and rate >= 0, got {a} and {r}")
+    idx = None if window is None else tuple(sorted(set(int(i) for i in window)))
+    if idx == ():
+        raise ValueError(f"{kind} perturbation needs a nonempty window")
     cols = None if idx is None else np.array(idx, dtype=np.int64)
 
     def entrywise(v: np.ndarray) -> np.ndarray:
@@ -159,14 +157,9 @@ def _coordinatewise(f, a: float, r: float, idx, norm_kind: NormKind) -> Perturba
         out[..., inside] = entrywise(b.rows[..., inside])
         return Batch(out)
 
-    return Perturbation(
-        func=None,
-        sup_bound=a if norm_kind.is_sup else a * float(len(idx)) ** (1.0 / norm_kind.p),
-        lip_bound=a * r,
-        support_window=(idx[0], idx[-1]) if idx else None,
-        batch=batch,
-        reads=idx,
-    )
+    sup = a if norm_kind.is_sup else a * float(len(idx)) ** (1.0 / norm_kind.p)
+    window = None if idx is None else (idx[0], idx[-1])
+    return Perturbation(batch, sup, a * r, window, reads=idx, norm_kind=norm_kind)
 
 
 def sine_perturbation(
@@ -180,12 +173,7 @@ def sine_perturbation(
     Certified bounds: sup a (times |W|^(1/p) for an l^p ambient norm) and
     Lipschitz constant a*omega.
     """
-    if amplitude < 0 or frequency < 0:
-        raise ValueError("amplitude and frequency must be >= 0")
-    idx = tuple(sorted(set(int(i) for i in window)))
-    if not idx:
-        raise ValueError("sine perturbation needs a nonempty window")
-    return _coordinatewise(math.sin, float(amplitude), float(frequency), idx, norm_kind)
+    return _coordinatewise("sine", math.sin, float(amplitude), float(frequency), window, norm_kind)
 
 
 def saturating_perturbation(
@@ -200,14 +188,12 @@ def saturating_perturbation(
     sup norm; an l^p ambient norm on the sparse backend needs a window for
     the sup bound to exist.
     """
-    if amplitude < 0 or scale < 0:
-        raise ValueError("amplitude and scale must be >= 0")
-    idx = None if window is None else tuple(sorted(set(int(i) for i in window)))
-    if idx is None and not norm_kind.is_sup:
+    if window is None and not norm_kind.is_sup:
         raise ValueError(
             "saturating perturbation needs a finite window under an l^p ambient norm"
         )
-    return _coordinatewise(math.tanh, float(amplitude), float(scale), idx, norm_kind)
+    return _coordinatewise("saturating", math.tanh, float(amplitude), float(scale), window,
+                           norm_kind)
 
 
 @dataclass(frozen=True)
@@ -230,13 +216,12 @@ class CutoffProfile:
 
 
 def cutoff(
-    alpha: Callable[[StateVector], StateVector] | None,
+    alpha: Callable[[Batch], Batch],
     alpha_lip_on_ball: float,
     profile: CutoffProfile,
     norm_kind: NormKind = SUP_NORM,
     *,
     zero: StateVector,
-    alpha_batch: Callable[[Batch], Batch] | None = None,
 ) -> Perturbation:
     """Globalize a local nonlinearity with alpha(0) = 0 by a radial cutoff.
 
@@ -248,18 +233,14 @@ def cutoff(
         Lip bound  = 3 * L       (L from alpha, 2r*L*(1/r) from the profile).
 
     beta agrees with alpha exactly on the ball of radius r and vanishes
-    outside radius 2r.  ``alpha_batch`` is alpha on the rows of a 2-d
-    ``Batch`` (by default ``alpha`` on each row), and alpha may be given by
-    it alone; beta's row form makes one ``alpha_batch`` call per batch, on
-    the rows inside radius 2r.  ``zero`` is the origin of alpha's backend,
-    where alpha(0) = 0 is checked.
+    outside radius 2r.  ``alpha`` is the nonlinearity on the rows of a 2-d
+    ``Batch``; beta makes one ``alpha`` call per batch, on the rows inside
+    radius 2r.  ``zero`` is the origin of alpha's backend, where
+    alpha(0) = 0 is checked.
     """
     if alpha_lip_on_ball <= 0.0:
         raise ValueError(f"alpha_lip_on_ball must be > 0, got {alpha_lip_on_ball}")
-    if alpha is None and alpha_batch is None:
-        raise ValueError("a cutoff needs alpha or alpha_batch")
-    alpha_batch = alpha_batch or _row_wise(alpha)
-    a0 = float(row_norms(alpha_batch(pack([zero])), norm_kind)[0])
+    a0 = float(row_norms(alpha(pack([zero])), norm_kind)[0])
     if a0 > 1e-9:
         raise ValueError(f"alpha(0) must vanish; measured norm {a0}")
     r = profile.r
@@ -270,15 +251,10 @@ def cutoff(
         live = np.flatnonzero(chi)  # rows inside the outer ball
         if not len(live):
             return zero_rows(b)
-        values = alpha_batch(b[live])
+        values = alpha(b[live])
         return merge_rows([(live, Batch(chi[live, None] * values.rows, values.cols))], len(b))
 
-    return Perturbation(
-        func=None,
-        sup_bound=2.0 * r * lip + a0,
-        lip_bound=3.0 * lip + a0 / r,
-        batch=batch,
-    )
+    return Perturbation(batch, 2.0 * r * lip + a0, 3.0 * lip + a0 / r, norm_kind=norm_kind)
 
 
 def perturbed_apply(op: GHOperator, beta: Perturbation, x: StateVector | Batch):
@@ -288,8 +264,20 @@ def perturbed_apply(op: GHOperator, beta: Perturbation, x: StateVector | Batch):
     return op.apply(x) + beta(x)
 
 
+def _require_norm(op: GHOperator, beta: Perturbation) -> None:
+    """Raise ``ValueError`` unless beta's bounds hold in op's norm (a zero beta's hold in all)."""
+    if beta.norm_kind != op.norm_kind and not beta.is_zero:
+        ours, theirs = ("sup" if k.is_sup else f"l^{k.p:g}" for k in (beta.norm_kind, op.norm_kind))
+        raise ValueError(
+            f"the perturbation's bounds hold in the {ours} norm, not in the operator's "
+            f"ambient {theirs} norm"
+        )
+
+
 def _require_contraction(op: GHOperator, beta: Perturbation) -> None:
-    """Raise ``ContractionError`` unless q = Lip(beta) * |T^{-1}| < 1."""
+    """Raise ``ValueError`` unless beta's bounds hold in op's norm (``_require_norm``), and
+    ``ContractionError`` unless q = Lip(beta) * |T^{-1}| < 1."""
+    _require_norm(op, beta)
     q = beta.lip_bound * op.norm_Tinv
     if q >= 1.0:
         raise ContractionError(

@@ -16,6 +16,7 @@ the same bits alone or in a batch.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -81,12 +82,11 @@ SUP_NORM = NormKind.sup()
 class SparseVector:
     """Finitely supported sequence over Z; stored entries are all nonzero."""
 
-    __slots__ = ("_coords", "_key")
+    __slots__ = ("_coords",)
 
     def __init__(self, coords: Mapping[int, float] | Iterable[tuple[int, float]] = ()):
         items = coords.items() if isinstance(coords, Mapping) else coords
         self._coords = {int(i): float(v) for i, v in items if v != 0.0}
-        self._key = None
 
     def items(self) -> Iterator[tuple[int, float]]:
         return iter(self._coords.items())
@@ -132,9 +132,7 @@ class SparseVector:
 
     def memo_key(self) -> tuple:
         """Exact-bits key, distinct for distinct points; kept for tests and ``bench/tracer.py``."""
-        if self._key is None:
-            self._key = tuple(sorted(self._coords.items()))
-        return self._key
+        return tuple(sorted(self._coords.items()))
 
 
 def _add_coords(a: dict[int, float], b: dict[int, float], scale: float) -> dict[int, float]:
@@ -153,14 +151,13 @@ def _sparse_raw(coords: dict[int, float]) -> SparseVector:
     # Internal constructor for dicts already free of zeros.
     v = SparseVector.__new__(SparseVector)
     v._coords = coords
-    v._key = None
     return v
 
 
 class DenseVector:
     """Fixed-dimension real vector backed by a read-only numpy array."""
 
-    __slots__ = ("array", "_key")
+    __slots__ = ("array",)
 
     def __init__(self, values: Iterable[float] | np.ndarray):
         arr = np.array(values, dtype=float)
@@ -168,7 +165,6 @@ class DenseVector:
             raise ValueError(f"dense vector must be 1-d, got shape {arr.shape}")
         arr.flags.writeable = False
         self.array = arr
-        self._key = None
 
     @property
     def dim(self) -> int:
@@ -209,16 +205,13 @@ class DenseVector:
 
     def memo_key(self) -> bytes:
         """Exact-bits key, distinct for distinct points; kept for tests and ``bench/tracer.py``."""
-        if self._key is None:
-            self._key = self.array.tobytes()
-        return self._key
+        return self.array.tobytes()
 
 
 def _dense_raw(arr: np.ndarray) -> DenseVector:
     v = DenseVector.__new__(DenseVector)
     arr.flags.writeable = False
     v.array = arr
-    v._key = None
     return v
 
 
@@ -343,22 +336,11 @@ def _at_point(f: Callable[[Batch], Batch], x: StateVector) -> StateVector:
 
 
 def _row_wise(f: Callable[[StateVector], StateVector]) -> Callable[[Batch], Batch]:
-    # a single-point map on every row of a 2-d batch, marked as derived from f
+    # a single-point map on every row of a 2-d batch
     def rows(b: Batch) -> Batch:
         return pack([f(x) for x in b.unpack()]) if len(b) else b
 
-    rows.point_map = f
     return rows
-
-
-def _row_form(func, batch) -> Callable[[Batch], Batch]:
-    # the row form given, or func on each row when none was given or the one given
-    # was derived from another func (as ``dataclasses.replace`` passes it on)
-    if batch is not None and getattr(batch, "point_map", func) is func:
-        return batch
-    if func is None:
-        raise ValueError("a map needs func or batch")
-    return _row_wise(func)
 
 
 def stack(batches: Sequence[Batch], within: tuple[int, int] | None = None) -> Batch:
@@ -459,9 +441,21 @@ def _window(obj: dict) -> range:
     return range(window[0], window[1] + 1)
 
 
+def _indexed(obj: dict, key: str, entry: str) -> dict[int, float]:
+    """The JSON object ``obj`` (config key ``key``) of numbers by sparse index, as a dict.
+
+    Each index must be a canonical decimal integer (``str(int(k)) == k``: no sign but "-", no
+    leading zero, no "_"), so no two keys name one index; entries are read by ``_numbers``.
+    """
+    for k in obj:
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", k):
+            raise ValueError(f"{key} index must be a decimal integer such as -3 or 12, got {k!r}")
+    return dict(zip(map(int, obj), _numbers(list(obj.values()), entry).tolist()))
+
+
 def vector_from_json(obj) -> StateVector:
     if isinstance(obj, dict):
-        return SparseVector(zip(map(int, obj), _numbers(list(obj.values()), "vector entry")))
+        return SparseVector(_indexed(obj, "vector", "vector entry"))
     if isinstance(obj, list):
         return DenseVector(_numbers(obj, "vector entry"))
     raise ValueError(f"cannot read a vector from {type(obj).__name__}")

@@ -257,7 +257,7 @@ def test_acceptance_08_holder_certification(rng):
     theta_ok = abs(cap - 0.5) <= 1e-12 and abs(cap - oracle) <= 1e-15
 
     theta, eps = 0.25, 0.01
-    closed = holder_constant(op, None, theta, eps)
+    closed = holder_constant(op, zero_perturbation(), theta, eps)
     s = op.norm_Tinv**2 / (1.0 - op.norm_Tinv * eps)
     partial = sum(
         2.0 * eps * op.norm_P_M * op.norm_T_on_M**k * (op.norm_Tinv + eps * s) ** ((k + 1) * theta)

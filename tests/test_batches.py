@@ -1,12 +1,13 @@
 """Batched evaluation: a point gets the same value alone or in any batch."""
 
+import dataclasses
+
 import pytest
 
 from ghlin import (
     ConjugacyMap,
     DenseVector,
     NormKind,
-    Perturbation,
     SeriesPolicy,
     SparseVector,
     WeightSpec,
@@ -160,7 +161,7 @@ def test_masked_inverse_rows_take_their_own_iteration_counts():
         active.append(len(b))
         return sine.batch(b)
 
-    beta = Perturbation(None, sine.sup_bound, sine.lip_bound, sine.support_window, batch, sine.reads)
+    beta = dataclasses.replace(sine, batch=batch)
     ys = [DenseVector([s]) for s in (1e-12, 1e-9, 1e-6, 1e-3, 1.0, -3.0, 0.0)]
     alone, counts = [], []
     for y in ys:
@@ -244,7 +245,7 @@ def test_declared_read_window_changes_no_value(rng, kind):
     # that declaration keeps every column
     op = make_shift(WeightSpec(0.5, 2.0, core={-2: 0.3, -1: 0.7, 0: 0.9, 1: 1.5}), kind, t=0.75)
     sine = sine_perturbation(0.004, 1.0, [-3, -1, 0, 2], kind)
-    opaque = Perturbation(sine, sine.sup_bound, sine.lip_bound, sine.support_window)
+    opaque = dataclasses.replace(sine, reads=None)
     maps = [solve_conjugacy(op, beta, 0.2, POLICY, picard_tol=1e-4) for beta in (sine, opaque)]
     assert maps[0].depth > 1 and sine.reads == (-3, -1, 0, 2) and opaque.reads is None
     points = sample_points(rng, op, 5, sine)

@@ -603,9 +603,22 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, confi
         ("constants", {"operator": {**SHIFT, "norm": {"kind": "l3"}}}, "unknown norm"),
         ("conjugate", {"operator": SHIFT, "perturbation": SINE, "gamma": 1.5}, "gamma must lie"),
         ("conjugate", {"operator": SHIFT, "perturbation": SINE, "tol": 0}, "tol must be positive"),
+        # "01" and "1" name one index, so one weight would be dropped
+        ("constants", {"operator": {**SHIFT, "core": {"1": 3.0, "01": 1.0}}},
+         "core index must be a decimal integer such as -3 or 12, got '01'"),
+        ("conjugate", {"operator": SHIFT,
+                       "perturbation": {"kind": "constant", "vector": {"1_0": 0.01}}},
+         "vector index must be a decimal integer such as -3 or 12, got '1_0'"),
+        # a window with no index makes beta identically zero, for either coordinatewise kind
+        ("conjugate", {"operator": SHIFT, "perturbation": {
+            "kind": "saturating", "amplitude": 0.01, "scale": 1.0, "window": [3, 1]}},
+         "saturating perturbation needs a nonempty window"),
+        ("conjugate", {"operator": SHIFT, "perturbation": {**SINE, "window": [3, 1]}},
+         "sine perturbation needs a nonempty window"),
     ],
     ids=["gh-check-matrix", "problem-kind", "operator-kind", "norm-kind", "gamma-range",
-         "tol-zero"],
+         "tol-zero", "core-index-leading-zero", "vector-index-underscore",
+         "saturating-empty-window", "sine-empty-window"],
 )
 def test_unsupported_config_exits_2(tmp_path, capsys, command, config, message):
     config = {"gamma": 0.2, "samples": 3, **config}

@@ -36,6 +36,7 @@ from ghlin import (
 from ghlin import conjugacy
 from ghlin.linearize import make_holder_certificate
 from ghlin.perturbations import perturbed_apply, solve_perturbed_inverse
+from ghlin.vectors import _row_wise
 from conftest import random_sparse
 
 POLICY = SeriesPolicy(tol=1e-10)
@@ -468,7 +469,7 @@ def mean_sine_perturbation(amplitude, frequency, window):
         return SparseVector({i: v for i in idx})
 
     return Perturbation(
-        func=func,
+        _row_wise(func),
         sup_bound=amplitude,
         lip_bound=amplitude * frequency,
         support_window=(idx[0], idx[-1]),
@@ -631,7 +632,7 @@ def test_backward_map_with_trivial_N_never_steps_forward(monkeypatch):
     def forward_step(*args):
         raise AssertionError("perturbed_apply called with N = {0}")
 
-    counting = Perturbation(counted_beta, beta.sup_bound, beta.lip_bound)
+    counting = Perturbation(_row_wise(counted_beta), beta.sup_bound, beta.lip_bound)
     bwd = solve_inverse_conjugacy(op, counting, POLICY)
     monkeypatch.setattr(conjugacy, "solve_perturbed_inverse", solver)
     monkeypatch.setattr(conjugacy, "perturbed_apply", forward_step)

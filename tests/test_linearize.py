@@ -82,13 +82,16 @@ def test_theta_bound_invariant_under_norm_rescaling(rng):
 
 def test_holder_constant_zero_eps():
     op = make_matrix_operator([[0.5, 0.0], [0.0, 3.0]])
-    assert holder_constant(op, None, 0.5, 0.0) == 0.0
+    assert holder_constant(op, zero_perturbation(), 0.5, 0.0) == 0.0
+    # eps = 0 certifies C = 0 only for a zero beta
+    with pytest.raises(ValueError, match="does not dominate"):
+        holder_constant(op, sine_perturbation(0.01, 1.0, [0]), 0.5, 0.0)
 
 
 def test_holder_constant_matches_partial_sums():
     op = make_matrix_operator([[0.5, 0.0], [0.0, 3.0]])
     theta, eps = 0.5, 0.01
-    closed = holder_constant(op, None, theta, eps)
+    closed = holder_constant(op, zero_perturbation(), theta, eps)
     s = op.norm_Tinv**2 / (1.0 - op.norm_Tinv * eps)
     total = 0.0
     for k in range(200):
@@ -108,13 +111,13 @@ def test_holder_constant_rejects_divergent_ratio():
     op = make_matrix_operator([[0.5, 0.0], [0.0, 3.0]])
     # at theta = 1 the stable ratio is |T|_M| * (|T^-1| + eps s) >= 1
     with pytest.raises(ValueError, match="ratio"):
-        holder_constant(op, None, 1.0, 0.05)
+        holder_constant(op, zero_perturbation(), 1.0, 0.05)
 
 
 def test_holder_constant_rejects_eps_above_inverse_norm():
     op = make_matrix_operator([[0.5, 0.0], [0.0, 3.0]])
     with pytest.raises(ValueError, match="1/"):
-        holder_constant(op, None, 0.25, 0.6)
+        holder_constant(op, zero_perturbation(), 0.25, 0.6)
 
 
 def test_certificate_validation():
@@ -394,14 +397,14 @@ def test_linearize_with_and_without_row_form(rng, build):
 
 
 def test_replacing_func_derives_the_row_form_again():
-    # a row form derived from func follows a replaced func, so F(p) = p is
-    # checked on the new map and linearize evaluates the new map
+    # with no row form given, F runs func on each row, so F(p) = p is checked
+    # on a replaced func and linearize evaluates the new map
     problem = quadratic_problem(p=0.0)
     with pytest.raises(ValueError, match="fixed point"):
         dataclasses.replace(problem, func=lambda x: DenseVector([1.0]))
     halved = dataclasses.replace(problem, func=lambda x: 0.5 * x)
-    assert halved.batch is not problem.batch
-    assert _at_point(halved.batch, DenseVector([0.25])) == DenseVector([0.125])
+    assert problem.batch is None and halved.batch is None
+    assert _at_point(halved._rows, DenseVector([0.25])) == DenseVector([0.125])
 
 
 @pytest.mark.parametrize("build", ROW_FORMS)

@@ -12,11 +12,13 @@ from ghlin import (
     CutoffProfile,
     DenseVector,
     NormKind,
-    Perturbation,
+    SeriesPolicy,
     SparseVector,
     WeightSpec,
+    admissible_eps,
     constant_perturbation,
     cutoff,
+    holder_constant,
     make_matrix_operator,
     make_shift,
     norm,
@@ -24,10 +26,12 @@ from ghlin import (
     perturbed_apply,
     saturating_perturbation,
     sine_perturbation,
+    solve_conjugacy,
+    solve_inverse_conjugacy,
     solve_perturbed_inverse,
     zero_perturbation,
 )
-from ghlin.vectors import Batch, pack
+from ghlin.vectors import Batch, _row_wise, pack
 from conftest import banded_points, cut_at_point, random_sparse
 
 
@@ -69,6 +73,26 @@ def test_saturating_needs_window_for_lp_sparse():
         saturating_perturbation(0.2, 3.0, norm_kind=NormKind.lp(2))
 
 
+def test_perturbation_certified_in_another_norm_is_rejected():
+    # the sine's bounds hold in the sup norm; in l^1 its sup bound is 21 times larger
+    op = make_shift(WeightSpec(0.5, 2.0), NormKind(1.0), t=0.55)
+    policy = SeriesPolicy(tol=1e-5)
+    beta = sine_perturbation(admissible_eps(op, 0.2), 1.0, range(-10, 11))
+    for solve in (
+        lambda: solve_conjugacy(op, beta, 0.2, policy, 5e-4),
+        lambda: solve_inverse_conjugacy(op, beta, policy),
+        lambda: solve_perturbed_inverse(op, beta, SparseVector({0: 1.0}), 1e-10),
+        lambda: holder_constant(op, beta, 0.25, 0.1),
+    ):
+        with pytest.raises(ValueError, match="hold in the sup norm, not in .* l\\^1 norm"):
+            solve()
+    # in l^1 the same sine is too large for gamma = 0.2; a zero beta holds in every norm
+    in_l1 = sine_perturbation(admissible_eps(op, 0.2), 1.0, range(-10, 11), NormKind(1.0))
+    with pytest.raises(ValueError, match="exceeds the admissible bound"):
+        solve_conjugacy(op, in_l1, 0.2, policy, 5e-4)
+    assert solve_conjugacy(op, zero_perturbation(), 0.2, policy, 5e-4).certified_error == 0.0
+
+
 def test_certified_bounds_dominate_samples(rng):
     builders = [
         sine_perturbation(0.05, 2.0, window=range(-2, 3)),
@@ -100,27 +124,27 @@ def square_1d(x: DenseVector) -> DenseVector:
 
 def test_cutoff_of_square_map_bounds():
     # |d/dx x^2| <= 0.04 on |x| <= 0.02
-    beta = cutoff(square_1d, 0.04, CutoffProfile(0.01), zero=DenseVector([0.0]))
+    beta = cutoff(_row_wise(square_1d), 0.04, CutoffProfile(0.01), zero=DenseVector([0.0]))
     assert beta.sup_bound == pytest.approx(0.0008)
     assert beta.lip_bound == pytest.approx(0.12)
 
 
 def test_cutoff_reproduces_map_inside_inner_ball(rng):
-    beta = cutoff(square_1d, 0.04, CutoffProfile(0.01), zero=DenseVector([0.0]))
+    beta = cutoff(_row_wise(square_1d), 0.04, CutoffProfile(0.01), zero=DenseVector([0.0]))
     for _ in range(100):
         x = DenseVector([rng.uniform(-0.01, 0.01)])
         assert norm(beta(x) - square_1d(x)) == 0.0
 
 
 def test_cutoff_vanishes_outside_outer_ball(rng):
-    beta = cutoff(square_1d, 0.04, CutoffProfile(0.01), zero=DenseVector([0.0]))
+    beta = cutoff(_row_wise(square_1d), 0.04, CutoffProfile(0.01), zero=DenseVector([0.0]))
     for _ in range(100):
         s = rng.uniform(0.02, 5.0) * (-1 if rng.uniform() < 0.5 else 1)
         assert norm(beta(DenseVector([s]))) == 0.0
 
 
 def test_cutoff_lipschitz_bound_sampled(rng):
-    beta = cutoff(square_1d, 0.04, CutoffProfile(0.01), zero=DenseVector([0.0]))
+    beta = cutoff(_row_wise(square_1d), 0.04, CutoffProfile(0.01), zero=DenseVector([0.0]))
     for _ in range(500):
         x = DenseVector([rng.uniform(-0.03, 0.03)])
         y = DenseVector([rng.uniform(-0.03, 0.03)])
@@ -131,17 +155,12 @@ def test_cutoff_lipschitz_bound_sampled(rng):
 def test_cutoff_rejects_nonvanishing_origin():
     shifted = lambda x: DenseVector([x.array[0] ** 2 + 1.0])
     with pytest.raises(ValueError, match="alpha\\(0\\)"):
-        cutoff(shifted, 0.04, CutoffProfile(0.01), zero=DenseVector([0.0]))
+        cutoff(_row_wise(shifted), 0.04, CutoffProfile(0.01), zero=DenseVector([0.0]))
 
 
 def test_cutoff_rejects_nonpositive_lipschitz():
     with pytest.raises(ValueError, match="alpha_lip_on_ball"):
-        cutoff(square_1d, 0.0, CutoffProfile(0.01), zero=DenseVector([0.0]))
-
-
-def test_cutoff_needs_alpha_or_its_row_form():
-    with pytest.raises(ValueError, match="alpha or alpha_batch"):
-        cutoff(None, 0.04, CutoffProfile(0.01), zero=DenseVector([0.0]))
+        cutoff(_row_wise(square_1d), 0.0, CutoffProfile(0.01), zero=DenseVector([0.0]))
 
 
 def test_cutoff_profile_rule():
@@ -166,16 +185,16 @@ def square_rows(b):
 @pytest.mark.parametrize("zero", [DenseVector([0.0] * 3), SparseVector({})], ids=["dense", "sparse"])
 @pytest.mark.parametrize("kind", [NormKind.sup(), NormKind.lp(2)], ids=["sup", "l2"])
 def test_cutoff_rows_equal_single_points(data, zero, kind):
-    # beta's row form, from alpha's point form or from its row form alone,
-    # gives each row the bits of chi(|x|) * alpha(x) worked out at that point
+    # beta's row form, from alpha's point form lifted to rows or from a numpy
+    # row form, gives each row the bits of chi(|x|) * alpha(x) worked out at that point
     r = 0.01
     points = data.draw(banded_points(zero, kind, r))
     chis = CutoffProfile(r).chi(np.array([norm(x, kind) for x in points[:3]]))
     assert chis[0] == 1.0 and 0.0 < chis[1] < 1.0 and chis[2] == 0.0
     expected = [cut_at_point(square_coords, x, kind, r).memo_key() for x in points]
     for beta in (
-        cutoff(square_coords, 0.05, CutoffProfile(r), kind, zero=zero),
-        cutoff(None, 0.05, CutoffProfile(r), kind, zero=zero, alpha_batch=square_rows),
+        cutoff(_row_wise(square_coords), 0.05, CutoffProfile(r), kind, zero=zero),
+        cutoff(square_rows, 0.05, CutoffProfile(r), kind, zero=zero),
     ):
         assert [v.memo_key() for v in beta.batch(pack(points)).unpack()] == expected
         assert [beta(x).memo_key() for x in points] == expected
@@ -271,15 +290,6 @@ def test_perturbation_descriptors():
         perturbation_from_descriptor({"kind": "cubic"})
 
 
-def test_replacing_func_derives_the_row_form_again():
-    beta = Perturbation(lambda x: DenseVector([0.01]), sup_bound=0.01, lip_bound=0.0)
-    moved = dataclasses.replace(beta, func=lambda x: DenseVector([0.02]), sup_bound=0.02)
-    assert moved(DenseVector([0.3])) == DenseVector([0.02])
-    assert beta(DenseVector([0.3])) == DenseVector([0.01])
-
-
 def test_a_given_row_form_survives_replacing_another_field():
     wave = sine_perturbation(0.01, 1.0, window=[0, 1])
     assert dataclasses.replace(wave, sup_bound=0.05).batch is wave.batch
-    with pytest.raises(ValueError, match="needs func or batch"):
-        Perturbation(None, sup_bound=0.0, lip_bound=0.0)

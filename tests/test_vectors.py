@@ -1,6 +1,7 @@
 """State vector arithmetic, norms and serialization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -148,3 +149,10 @@ def test_sparse_json_round_trip():
 
 def test_dense_json_round_trip():
     assert vector_from_json([0.5, -1.0]) == DenseVector([0.5, -1.0])
+
+
+@pytest.mark.parametrize("key", ["01", "1_0", " 1", "+1", "-0", "1.0", "one", "١"])
+def test_sparse_json_index_must_be_a_canonical_integer(key):
+    # "01" and "1" would name one index, so one entry would be dropped; "1_0" would read as 10
+    with pytest.raises(ValueError, match=f"vector index .*{re.escape(repr(key))}"):
+        vector_from_json({"1": 0.5, key: 0.25})
