@@ -16,8 +16,9 @@ c * d * |source|_inf * t^(K+1) * (1 + t) / (1 - t).
 
 The series is summed in one place, the operator's ``orbit_sweep``: given
 source values on a run of orbit indices, it returns the series at every
-index with k_M sources on its left and k_N on its right, in one pass per
-side that takes sources.  A side takes k = K + 1 sources when its
+index with k_M sources on its left and k_N on its right, sweeping each
+side that takes sources along the shorter axis of its (orbit index,
+column) plane.  A side takes k = K + 1 sources when its
 projection is nontrivial and none when it is trivial (M = {0} or N = {0}),
 whose series is exactly zero.
 

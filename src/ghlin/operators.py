@@ -23,14 +23,14 @@ Both act on batches (``vectors.Batch``): ``step``, ``step_inverse``,
 s_a, ..., s_b, one row block per orbit index (an array of shape (orbit
 index, N, columns)), and a source count per side, k_M and k_N (K + 1 for a
 nontrivial side, 0 for a trivial one), it sums the two-sided series at
-every index m in [a + k_M, b - k_N + 1], in one pass per nontrivial side:
-the M side left to right, S <- P_M s_j + A_M S, and the N side right to
-left, R <- A_N (P_N s_j + R), then S_M - S_N.  A trivial side's projection
-is zero, so it is not swept and contributes an exact zero.  Stepping only
-with the restricted maps A_M = T P_M and A_N = T^{-1} P_N keeps partial
-sums on their side of the splitting.  Each value holds at least the K + 1
-nearest terms of every nontrivial series, so its omitted tail lies inside
-the (K + 1)-term tail.
+every index m in [a + k_M, b - k_N + 1] from the partial sums of each
+nontrivial side, S_j = P_M s_j + A_M S_{j-1} over indices left to right
+and R_j = A_N (P_N s_j + R_{j+1}) right to left, then S_M - S_N.  A
+trivial side's projection is zero, so it is not swept and contributes an
+exact zero.  Stepping only with the restricted maps A_M = T P_M and
+A_N = T^{-1} P_N keeps partial sums on their side of the splitting.  Each
+value holds at least the K + 1 nearest terms of every nontrivial series, so
+its omitted tail lies inside the (K + 1)-term tail.
 
 The dense backend steps all N rows at once, ``acc @ A_M.T``.  On the shift,
 T moves a row one column to the left, so ``step`` only relabels the columns
@@ -39,7 +39,11 @@ columns the sources can reach: a union of runs [i - steps, i] for each
 source column i <= 0 and [i, i + steps] for each i >= 1.  Neighbouring runs
 are joined by a seam, a zero weight, and no partial sum ever reaches one,
 so a point with coordinates at -10^5 and 10^5 is swept over two short runs
-and never over the span between them.
+and never over the span between them.  An entry of a partial sum depends
+on one entry of the previous one, its diagonal neighbour in the (orbit
+index, column) plane, so each side steps along the shorter axis of its
+plane, a column or an index at a time, with the same floating-point
+operations either way.
 """
 
 from __future__ import annotations
@@ -188,6 +192,23 @@ def _sparse_batch(b: Batch) -> Batch:
     return b
 
 
+def _sweep_diagonals(x: np.ndarray, first, second, f, g) -> None:
+    """Fill x[a + 1, :, b + 1] = g(f(x[a, :, b], first[a, :, b]), second[a, :, b]) in place.
+
+    x has shape (A + 1, N, B + 1), given on row 0 and column 0, and ``first``
+    and ``second`` broadcast to (A, N, B).  A step fills a row of the (a, b)
+    plane, or through transposed views a column, whichever axis is shorter.
+    """
+    shape = (x.shape[0] - 1, x.shape[1], x.shape[2] - 1)
+    axes = (0, 2, 1) if shape[0] <= shape[2] else (2, 0, 1)
+    x = x.transpose(axes)
+    first, second = (np.broadcast_to(v, shape).transpose(axes) for v in (first, second))
+    for k in range(len(first)):
+        line = x[k + 1, 1:]
+        f(x[k, :-1], first[k], out=line)
+        g(line, second[k], out=line)
+
+
 class ShiftOperator:
     """Bilateral weighted backward shift with the coordinate splitting.
 
@@ -272,6 +293,11 @@ class ShiftOperator:
         [lo, hi] and any hull of the sources, and may omit what lies off
         it: M-side sums only move left and N-side sums only right, so what
         leaves that range never comes back.
+
+        Entry p of S_j is w_{c_p + 1} S_{j-1}[p + 1] + s_j[p] and entry
+        p + 1 of R_j is (R_{j+1}[p] + s_j[p]) / w_{c_p + 1}: each side fills
+        its (orbit index, column) plane along the diagonals, a row or a
+        column per step, whichever axis is shorter.
         """
         s = _sparse_batch(sources).rows
         length, count = s.shape[0], s.shape[0] - m_count - n_count + 1
@@ -285,30 +311,23 @@ class ShiftOperator:
             lo, hi = min(within[0], live[0]), max(within[1], live[-1])
             cols = cols[(cols >= lo) & (cols <= hi)]
         s = sources.on(cols).rows
-        out = np.zeros((count, s.shape[1], len(cols)))
-        z = int(np.searchsorted(cols, 1))  # columns [0, z) lie in M, [z, ...) in N
-        if m_count and z:
-            c = cols[:z]  # T: new[p] = w_{c_p + 1} old[p + 1], zero at a seam
-            weight = np.where(c[1:] == c[:-1] + 1, self._weight(c[1:]), 0.0)
-            acc = np.zeros((s.shape[1], z))
-            for j in range(length - n_count):
-                nxt = out[j - m_count + 1, :, :z] if j >= m_count - 1 else np.empty_like(acc)
-                np.multiply(acc[:, 1:], weight, out=nxt[:, :-1])
-                nxt[:, -1] = 0.0
-                nxt += s[j, :, :z]
-                acc = nxt
-        if n_count and z < len(cols):
-            c = cols[z:]  # T^{-1}: new[p + 1] = old[p] / w_{c_{p+1}}, zero at a seam
-            weight = np.where(c[1:] == c[:-1] + 1, self._weight(c[1:]), np.inf)
-            acc = np.zeros((s.shape[1], len(c)))
-            for j in reversed(range(m_count, length)):
-                total = acc + s[j, :, z:]
-                acc = np.empty_like(total)
-                np.divide(total[:, :-1], weight, out=acc[:, 1:])
-                acc[:, 0] = 0.0
-                if j - m_count < count:
-                    np.negative(acc, out=out[j - m_count, :, z:])
-        return Batch(out, cols)
+        z, width = int(np.searchsorted(cols, 1)), len(cols)  # columns [0, z) lie in M, [z, ..) in N
+        # from column p to p + 1: weight w_{c_p + 1} on a run, a seam (0 on M, inf on N) off it
+        weight = self._weight(cols + 1)
+        joined = np.append(cols[1:] == cols[:-1] + 1, False)
+        joined[z - 1 : z] = False  # M ends at column z - 1
+        # buf[r] holds S_{r-1} on the M columns and R_r on the N columns; row 0, row
+        # `length` and column z (N's first, R_j[0] = 0, or a spare) stay zero
+        buf = np.zeros((length + 1, s.shape[1], width + 1))
+        if z:  # S_j[p] = w S_{j-1}[p + 1] + s_j[p], columns counted from the right
+            _sweep_diagonals(buf[: length - n_count + 1, :, z::-1],
+                             np.where(joined, weight, 0.0)[z - 1 :: -1],
+                             s[: length - n_count, :, z - 1 :: -1], np.multiply, np.add)
+        if z < width:  # R_j[p + 1] = (R_{j+1}[p] + s_j[p]) / w, indices counted from the right
+            _sweep_diagonals(buf[m_count:][::-1, :, z:width], s[m_count:][::-1, :, z : width - 1],
+                             np.where(joined, weight, np.inf)[z : width - 1], np.add, np.divide)
+        rows = buf[m_count : m_count + count]
+        return Batch(np.concatenate([rows[..., :z], -rows[..., z:width]], axis=-1), cols)
 
     # -- exact norms ----------------------------------------------------
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .operators import GHOperator, MatrixOperator
 from .perturbations import Perturbation
-from .vectors import Batch, DenseVector, NormKind, SparseVector, StateVector, norm, row_norms
+from .vectors import Batch, StateVector, row_norms
 
 __all__ = ["sample_window", "sample_points", "sample_pairs"]
 
@@ -31,10 +31,15 @@ def sample_window(beta: Perturbation | None) -> tuple[int, int]:
     return -WINDOW_SLACK, WINDOW_SLACK
 
 
-def _ball_points(rng: np.random.Generator, n: int, count: int, kind: NormKind) -> np.ndarray:
-    # n uniform draws from the unit cube, each row scaled into the unit ball
-    coords = rng.uniform(-1.0, 1.0, size=(n, count))
-    return coords / np.maximum(row_norms(Batch(coords), kind), 1.0)[:, None]
+def _ball(
+    rng: np.random.Generator, op: GHOperator, n: int, beta: Perturbation | None, radius: float
+) -> Batch:
+    # n uniform draws from the unit cube, each row scaled into the ball of the given radius
+    lo, hi = sample_window(beta)
+    cols = None if isinstance(op, MatrixOperator) else np.arange(lo, hi + 1)
+    coords = rng.uniform(-1.0, 1.0, size=(n, op.dim if cols is None else len(cols)))
+    scale = np.maximum(row_norms(Batch(coords), op.norm_kind), 1.0)[:, None]
+    return Batch(radius * (coords / scale), cols)
 
 
 def sample_points(
@@ -45,12 +50,7 @@ def sample_points(
     radius: float = 1.0,
 ) -> list[StateVector]:
     """n points in the ambient ball of the given radius, backend-matched to op."""
-    if isinstance(op, MatrixOperator):
-        return [DenseVector(radius * row) for row in _ball_points(rng, n, op.dim, op.norm_kind)]
-    lo, hi = sample_window(beta)
-    idx = range(lo, hi + 1)
-    rows = _ball_points(rng, n, len(idx), op.norm_kind)
-    return [SparseVector(zip(idx, radius * row)) for row in rows]
+    return _ball(rng, op, n, beta, radius).unpack()
 
 
 def sample_pairs(
@@ -63,17 +63,23 @@ def sample_pairs(
     """Point pairs with ambient distance in [PAIR_MIN_DISTANCE, max_distance]."""
     if not PAIR_MIN_DISTANCE < max_distance:
         raise ValueError(f"need max_distance > {PAIR_MIN_DISTANCE}, got {max_distance}")
-    kind = op.norm_kind
-    base = sample_points(rng, op, n, beta)
-    pairs = []
-    for x in base:
-        for _ in range(64):
-            (step,) = sample_points(rng, op, 1, beta, radius=max_distance / 2.0)
-            y = x + step
-            dist = norm(x - y, kind)
-            if PAIR_MIN_DISTANCE <= dist <= max_distance:
-                pairs.append((x, y))
-                break
-        else:
-            raise RuntimeError("could not draw a pair within the distance band")
+    kind, radius = op.norm_kind, max_distance / 2.0
+    xs = _ball(rng, op, n, beta, 1.0)
+    base = xs.unpack()
+    pairs, tries = [], 0  # tries: rejected draws in a row of the first pair left
+    while len(pairs) < n:
+        # one step for every pair left, as if none were rejected
+        state, done = rng.bit_generator.state, len(pairs)
+        ys = xs[done:] + _ball(rng, op, n - done, beta, radius)
+        dist = row_norms(xs[done:] - ys, kind)
+        bad = np.flatnonzero(~((PAIR_MIN_DISTANCE <= dist) & (dist <= max_distance)))
+        kept = int(bad[0]) if len(bad) else len(dist)
+        pairs += zip(base[done : done + kept], ys[:kept].unpack())
+        if kept < len(dist):
+            # a rejected pair is redrawn next: rewind to just after its draw
+            rng.bit_generator.state = state
+            _ball(rng, op, kept + 1, beta, radius)
+            tries = tries + 1 if kept == 0 else 1
+            if tries == 64:
+                raise RuntimeError("could not draw a pair within the distance band")
     return pairs

@@ -179,6 +179,44 @@ def test_shift_sweep_matches_reference_bitwise(rng, terms):
         assert got == reference_shift_sweep(op, sources, terms)
 
 
+@pytest.mark.parametrize("terms, extra, window, within, wide", [
+    # more columns than orbit indices: runs of columns joined by seams
+    (1, 0, [-30, -29, -12, -4, 0, 1, 2, 9, 25], None, True),
+    (1, 3, [-30, -29, -12, -4, 0, 1, 2, 9, 25], (-14, 10), True),
+    # fewer columns than orbit indices: a long orbit kept on a short window
+    (4, 20, [-2, -1, 0, 1, 2, 3], (-2, 3), False),
+    (4, 20, [-1, 0, 1, 2], (-3, 1), False),
+], ids=["wide", "wide-within", "narrow-within", "narrow-within-off-sources"])
+def test_shift_sweep_matches_reference_bitwise_along_either_axis(
+    rng, monkeypatch, terms, extra, window, within, wide
+):
+    op = make_shift(SWEEP_WEIGHTS)
+    sources = [[random_sparse(rng, window=window) for _ in range(3)]
+               for _ in range(2 * terms + 2 + extra)]
+    planes = []  # (orbit indices + 1, rows, columns + 1) of each side's plane
+    sweep = operators._sweep_diagonals
+
+    def spy(x, *args):
+        planes.append(x.shape)
+        sweep(x, *args)
+
+    monkeypatch.setattr(operators, "_sweep_diagonals", spy)
+    values = op.orbit_sweep(stack([pack(b) for b in sources]), terms + 1, terms + 1, within)
+    assert len(planes) == 2 and all((a < b) == wide for a, _, b in planes)
+    # with a window the values are exact on it and on the sources' hull
+    live = [i for block in sources for s in block for i in s.support()]
+    lo, hi = (-np.inf, np.inf) if within is None else (min(within[0], *live),
+                                                       max(within[1], *live))
+
+    def bits(v):
+        return [(i, x.hex()) for i, x in sorted(v.items()) if lo <= i <= hi]
+
+    for r in range(3):
+        want = reference_shift_sweep(op, [block[r] for block in sources], terms)
+        got = [values[i].unpack()[r] for i in range(len(values))]
+        assert [bits(v) for v in got] == [bits(v) for v in want]
+
+
 def test_shift_sweep_prunes_sums_that_cancel_to_zero():
     op = make_shift(SWEEP_WEIGHTS)
     # T {0: 1} = {-1: 0.9} cancels against s_1 on the M side, and

@@ -1,9 +1,12 @@
 """Deterministic sampling used by the CLI and the verification runs."""
 
 import numpy as np
+import pytest
 
-from ghlin import NormKind, WeightSpec, make_matrix_operator, make_shift, norm, sine_perturbation
-from ghlin.sampling import sample_pairs, sample_points, sample_window
+from ghlin import (
+    NormKind, SparseVector, WeightSpec, make_matrix_operator, make_shift, norm, sine_perturbation,
+)
+from ghlin.sampling import PAIR_MIN_DISTANCE, sample_pairs, sample_points, sample_window
 
 
 def test_sparse_window_tracks_perturbation_support():
@@ -35,3 +38,53 @@ def test_pairs_respect_distance_band(rng):
     for x, y in sample_pairs(rng, op, 50, 0.5):
         dist = norm(x - y)
         assert 1e-3 <= dist <= 0.5
+
+
+def reference_pairs(rng, op, n, max_distance, beta=None):
+    """The one-at-a-time pair draw: each pair redraws its step until it fits."""
+    base = sample_points(rng, op, n, beta)
+    pairs = []
+    for x in base:
+        for _ in range(64):
+            (step,) = sample_points(rng, op, 1, beta, radius=max_distance / 2.0)
+            y = x + step
+            if PAIR_MIN_DISTANCE <= norm(x - y, op.norm_kind) <= max_distance:
+                pairs.append((x, y))
+                break
+        else:
+            raise RuntimeError("could not draw a pair within the distance band")
+    return pairs
+
+
+def bits(v):
+    items = v.items() if isinstance(v, SparseVector) else enumerate(v.array)
+    return [(i, float(x).hex()) for i, x in items]
+
+
+@pytest.mark.parametrize("op", [
+    make_shift(WeightSpec(0.5, 2.0)),
+    make_matrix_operator([[0.5, 0.0], [0.0, 3.0]]),
+    make_matrix_operator([[0.5, 0.0], [0.0, 3.0]], norm_kind=NormKind.lp(2)),
+], ids=["shift-sup", "matrix-sup", "matrix-l2"])
+def test_batched_pairs_consume_the_generator_in_the_one_at_a_time_order(op):
+    # a step radius just above PAIR_MIN_DISTANCE rejects many draws, each redrawn at once
+    # (21, 317 and 31 of them); an l2 shift step of 23 cube coordinates is always scaled to
+    # the radius, so it cannot be made to redraw
+    beta = sine_perturbation(0.05, 1.0, window=range(-1, 2))
+    max_distance = 2.1 * PAIR_MIN_DISTANCE if op.norm_kind.is_sup else 2.6 * PAIR_MIN_DISTANCE
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    got = sample_pairs(got_rng, op, 40, max_distance, beta)
+    want = reference_pairs(want_rng, op, 40, max_distance, beta)
+    assert [(bits(x), bits(y)) for x, y in got] == [(bits(x), bits(y)) for x, y in want]
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_pairs_give_up_after_64_draws_when_no_draw_fits():
+    # the step radius is PAIR_MIN_DISTANCE and the sup norm of a cube draw is below 1
+    op = make_matrix_operator([[0.5, 0.0], [0.0, 3.0]])
+    got_rng, want_rng = np.random.default_rng(0), np.random.default_rng(0)
+    with pytest.raises(RuntimeError, match="distance band"):
+        sample_pairs(got_rng, op, 3, 2 * PAIR_MIN_DISTANCE)
+    with pytest.raises(RuntimeError, match="distance band"):
+        reference_pairs(want_rng, op, 3, 2 * PAIR_MIN_DISTANCE)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
