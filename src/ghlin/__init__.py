@@ -27,7 +27,6 @@ from .operators import (
     admissible_eps,
     check_shift_criterion,
     constants_report,
-    estimate_constants,
     make_matrix_operator,
     make_shift,
     operator_from_descriptor,

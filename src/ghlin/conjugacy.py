@@ -48,12 +48,13 @@ computes it, so a point gets the same value in any batch: bit for bit on the
 shift, and up to the rounding of a matrix product (gemm against gemv) on the
 dense backend.  Sparse columns are the union of the rows' supports, and the
 sweep adds the runs its partial sums can reach, joined by zero-weight seams.
-When the source depends only on a declared window of indices (``reads``),
-the orbit and every level below the top keep only the columns in that
-window's span: M-side sums move left and N-side sums move right, so a
-column that leaves the span never returns.  ``ConjugacyMap.displacements``
-runs its points in chunks sized so that their orbit array, estimated from
-the orbit length and the widest point, fits ``CHUNK_BYTES``.  The checks
+When the source declares an index window (``Perturbation.window``: it
+reads only the coordinates in [lo, hi]), the orbit and every level below
+the top keep only the columns in that window: M-side sums move left and
+N-side sums move right, so a column that leaves the window never returns.
+``ConjugacyMap.displacements`` runs its points in chunks sized so that their
+orbit array, estimated from the orbit length and the widest point, fits
+``CHUNK_BYTES``.  The checks
 are batch expressions too: one lattice call per stage, no loop over points.
 
 Every map is immutable and keeps no values; it carries a certified
@@ -135,23 +136,13 @@ def truncation_tail_bound(op: GHOperator, source_sup: float, terms: int) -> floa
 
 
 def truncation_terms(op: GHOperator, source_sup: float, policy: SeriesPolicy) -> int:
-    """Smallest K whose combined tail bound meets the policy tolerance."""
-    if source_sup == 0.0:
-        return 0
-    k = op.constants
-    lead = k.c * k.d * source_sup * (1.0 + k.t) / (1.0 - k.t)
-    if lead <= policy.tol:
-        terms = 0
-    else:
-        terms = max(0, math.ceil(math.log(policy.tol / lead) / math.log(k.t)) - 1)
-    while truncation_tail_bound(op, source_sup, terms) > policy.tol:
-        terms += 1
-    if terms > TERMS_CAP:
-        raise CertificationError(
-            f"series needs {terms} terms to reach tol={policy.tol}, above the "
-            f"cap {TERMS_CAP}"
-        )
-    return terms
+    """Smallest K whose combined tail bound meets the policy tolerance, counted up from 0."""
+    for terms in range(TERMS_CAP + 1):
+        if truncation_tail_bound(op, source_sup, terms) <= policy.tol:
+            return terms
+    raise CertificationError(
+        f"series needs more than the cap of {TERMS_CAP} terms to reach tol={policy.tol}"
+    )
 
 
 def intertwining_solution(
@@ -176,11 +167,11 @@ def intertwining_solution(
     if terms is None:
         terms = truncation_terms(op, source_sup, policy)
     maps = [_row_wise(f) for f in (r_apply, r_invert, source)]
-    reads = getattr(source, "reads", None)
-    return _at_point(lambda b: _picard_lattice(op, *maps, b, terms, 1, reads), x)
+    window = getattr(source, "window", None)
+    return _at_point(lambda b: _picard_lattice(op, *maps, b, terms, 1, window), x)
 
 
-def _picard_lattice(op, r_apply, r_invert, source, x: Batch, terms, depth, reads=None) -> Batch:
+def _picard_lattice(op, r_apply, r_invert, source, x: Batch, terms, depth, window=None) -> Batch:
     """Depth-``depth`` Picard iterate of phi = solution-of(source o (I + phi)) at the rows of x.
 
     ``r_apply``, ``r_invert`` and ``source`` map batches to batches.  A side
@@ -189,7 +180,8 @@ def _picard_lattice(op, r_apply, r_invert, source, x: Batch, terms, depth, reads
     [-(depth - l + 1) k_M, (depth - l + 1)(k_N - 1)] and covers
     [-(depth - l) k_M, (depth - l)(k_N - 1)]; the bare orbit, inverted
     outward from x first and built only as far as those sources reach, is
-    level 0.  ``reads`` lists the sparse indices the source depends on.
+    level 0.  ``window`` = (lo, hi), the source's declared window, is the
+    only span of columns that the orbit and the levels below the top keep.
     """
     m_count = 0 if op.m_is_trivial else terms + 1
     n_count = 0 if op.n_is_trivial else terms + 1
@@ -199,8 +191,7 @@ def _picard_lattice(op, r_apply, r_invert, source, x: Batch, terms, depth, reads
     orbit.reverse()
     for _ in range(depth * (n_count - 1)):  # none when N = {0}
         orbit.append(r_apply(orbit[-1]))
-    span = (min(reads), max(reads)) if reads else None
-    orbit = stack(orbit, span)
+    orbit = stack(orbit, window)
     values = None  # phi_{l-1} on the source range of level l
     for level in range(1, depth + 1):
         start = (level - 1) * m_count
@@ -208,7 +199,7 @@ def _picard_lattice(op, r_apply, r_invert, source, x: Batch, terms, depth, reads
         if values is not None:
             points = points + values
         values = op.orbit_sweep(
-            _on_rows(source, points), m_count, n_count, span if level < depth else None
+            _on_rows(source, points), m_count, n_count, window if level < depth else None
         )
     return values[0]
 
@@ -283,7 +274,7 @@ class ConjugacyMap:
             return zero_rows(x)
         if self.direction == FORWARD:  # source beta on the orbit of T
             return _picard_lattice(
-                op, op.step, op.step_inverse, beta.batch, x, self.terms, self.depth, beta.reads
+                op, op.step, op.step_inverse, beta.batch, x, self.terms, self.depth, beta.window
             )
         inverse_tols = iter(self.inverse_tols)
 
@@ -293,7 +284,7 @@ class ConjugacyMap:
         # source -beta on the orbit of T + beta; negating the value is exact
         return -_picard_lattice(
             op, partial(perturbed_apply, op, beta), r_invert, beta.batch, x,
-            self.terms, self.depth, beta.reads,
+            self.terms, self.depth, beta.window,
         )
 
     def report(self) -> dict:
@@ -315,6 +306,8 @@ def solve_conjugacy(
     factor q = c*d*(1+t)/(1-t) * Lip(beta) <= gamma; unrolling depth n gives
     an error q^n * B / (1 - q) with B the certified first-step norm, and
     each series evaluation adds its truncation tolerance once per level.
+    The depth is the smallest n >= 1 whose error meets ``picard_tol`` (0
+    when beta is zero).
     """
     if not picard_tol > 0.0:
         raise ValueError(f"picard_tol must be positive, got {picard_tol}")
@@ -335,14 +328,9 @@ def solve_conjugacy(
     gain = k.c * k.d * (1.0 + k.t) / (1.0 - k.t)
     q = gain * beta.lip_bound
     first_step = gain * beta.sup_bound
-    if beta.sup_bound == 0.0:
-        depth = 0
-    elif q == 0.0:
-        depth = 1
-    else:
-        target = picard_tol * (1.0 - q) / first_step
-        depth = 1 if target >= 1.0 else max(1, math.ceil(math.log(target) / math.log(q)))
-    picard_err = (q**depth) * first_step / (1.0 - q)
+    depth = 0 if beta.sup_bound == 0.0 else 1
+    while (picard_err := (q**depth) * first_step / (1.0 - q)) > picard_tol:
+        depth += 1
     terms = truncation_terms(op, beta.sup_bound, policy)
     series_err = policy.tol * (1.0 - q**depth) / (1.0 - q)
     return ConjugacyMap(

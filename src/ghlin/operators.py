@@ -74,7 +74,6 @@ __all__ = [
     "check_shift_criterion",
     "make_shift",
     "make_matrix_operator",
-    "estimate_constants",
     "admissible_eps",
     "operator_from_descriptor",
 ]
@@ -85,7 +84,7 @@ UNIT_CIRCLE_TOL = 1e-8
 #: projections and invariant-splitting residuals must validate below this
 SPLITTING_TOL = 1e-10
 
-#: most powers ``estimate_constants`` tries before giving up on a window
+#: most powers ``_certify`` tries before giving up on a window
 DECAY_WINDOW_CAP = 10_000
 
 
@@ -168,7 +167,7 @@ def check_shift_criterion(weights: WeightSpec) -> CriterionReport:
     return CriterionReport(holds=(left < 1.0 and right > 1.0), left_margin=left, right_margin=right)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Constants:
     c: float
     t: float
@@ -237,7 +236,7 @@ class ShiftOperator:
         self.norm_P_N = 1.0
         self.m_is_trivial = False
         self.n_is_trivial = False
-        estimate_constants(self, t)
+        self.constants = _certify(self, t)
 
     def _weight(self, idx: np.ndarray) -> np.ndarray:
         """The weights w_i at the indices ``idx``, read from one weight array."""
@@ -353,11 +352,17 @@ class ShiftOperator:
 
         T^{-n} maps e_j to e_{j+n} / (w_{j+1} ... w_{j+n}); the norm is the
         reciprocal of the infimum of |product| over j >= 1.  A product that
-        underflows leaves that reciprocal unreliable, so it raises.
+        underflows leaves that reciprocal unreliable, and a tail power that
+        overflows is not a float, so both raise.
         """
         w = self.weights.weight
         _, hi = self.weights.window
-        best = abs(self.weights.right_tail) ** n
+        try:
+            best = abs(self.weights.right_tail) ** n
+        except OverflowError:
+            raise CertificationError(
+                f"the norm of T^-{n} on N is not certifiable: the tail power |w|^{n} overflows"
+            ) from None
         for j in range(1, max(hi + 1, 1) + 1):
             prod = 1.0
             for i in range(j + 1, j + n + 1):
@@ -413,7 +418,7 @@ class MatrixOperator:
         self.norm_Tinv_on_N = self._induced(self.a_N)
         self.norm_P_M = self._induced(proj_M)
         self.norm_P_N = self._induced(self.proj_N_matrix)
-        estimate_constants(self, t)
+        self.constants = _certify(self, t)
 
     def _induced(self, a: np.ndarray) -> float:
         return float(np.linalg.norm(a, ord=self._ord))
@@ -596,13 +601,13 @@ def make_matrix_operator(
     return MatrixOperator(a, a_inv, proj_M, eigs, norm_kind, t)
 
 
-def estimate_constants(op: GHOperator, t: float | None = None) -> tuple[float, float, float]:
-    """Certify decay constants (c, t, d) at t and install them on the operator.
+def _certify(op: GHOperator, t: float | None = None) -> _Constants:
+    """Certified decay constants (c, t, d) of the operator at t.
 
-    Both operator constructors call it last, so every operator carries its
-    constants; a later call re-certifies at another t.  With A_M = T P_M and
-    A_N = T^{-1} P_N, the certification window is the first n_max at which
-    both |A_M^n| <= t^n and |A_N^n| <= t^n; then c = max_{n <= n_max}
+    Both operator constructors store its result, a frozen record, as
+    ``constants``: an operator keeps the constants it was built with.  With
+    A_M = T P_M and A_N = T^{-1} P_N, the certification window is the first
+    n_max at which both |A_M^n| <= t^n and |A_N^n| <= t^n; then c = max_{n <= n_max}
     max(|A_M^n|, |A_N^n|) / t^n works for every power by
     submultiplicativity, and d = max(|P_M|, |P_N|).  The search stops after
     ``DECAY_WINDOW_CAP`` steps or once t^n underflows.
@@ -618,9 +623,7 @@ def estimate_constants(op: GHOperator, t: float | None = None) -> tuple[float, f
             f"t={t} does not dominate the stable spectral radii ({rho_m}, {rho_n})"
         )
     n_max, c = _decay_window(op, t)
-    d = max(op.norm_P_M, op.norm_P_N)
-    op.constants = _Constants(c=c, t=t, d=d, n_max=n_max)
-    return c, t, d
+    return _Constants(c=c, t=t, d=max(op.norm_P_M, op.norm_P_N), n_max=n_max)
 
 
 def _decay_window(op: GHOperator, t: float) -> tuple[int, float]:

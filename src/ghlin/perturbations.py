@@ -8,11 +8,13 @@ on an index window or on every coordinate.
 A perturbation is given in one form, as its map on a ``Batch`` of points
 (``batch``); a single point is a batch of one.  It records the ambient norm
 its bounds hold in, and the solvers reject it with an operator in another
-norm.  The coordinatewise builder calls its scalar f on the window entries,
-the constant and zero maps broadcast, and the cutoff takes the row norms,
-makes one call of alpha (a row form too) on the rows inside its outer ball
-and scales them by chi in one product.  A point map lifts to a row form
-with ``pack`` and ``unpack``.
+norm.  On the sparse backend it may declare an index ``window``, which
+holds both the coordinates it reads and the support of its values.  The
+coordinatewise builder calls its scalar f on the window entries, the
+constant and zero maps broadcast, and the cutoff takes the row norms, makes
+one call of alpha (a row form too) on the rows inside its outer ball and
+scales them by chi in one product.  A point map lifts to a row form with
+``pack`` and ``unpack``.
 
 The cutoff construction turns a locally Lipschitz nonlinearity vanishing at
 the origin into a globally small bounded Lipschitz map that agrees with it
@@ -34,7 +36,6 @@ from .vectors import (
     SUP_NORM,
     Batch,
     NormKind,
-    SparseVector,
     StateVector,
     merge_rows,
     norm,
@@ -78,18 +79,17 @@ class Perturbation:
 
     ``batch`` is the map on a 2-d ``Batch``, row by row; a single point is a
     batch of one.  ``sup_bound`` and ``lip_bound`` hold in the ambient norm
-    ``norm_kind``.  ``support_window`` declares, for sparse backends, a
-    finite index window containing the support of every value; it keeps
-    series terms finitely supported and drives default sampling windows.
-    ``reads`` lists the sparse indices the map's value depends on (None:
-    possibly all).
+    ``norm_kind``.  ``window`` = (lo, hi) declares, for sparse backends,
+    that the map reads only the coordinates with index in [lo, hi] and that
+    its values are supported there (None: it may read and write any index).
+    The lattice then keeps its lower levels on that span, and the sampler
+    places its points around it.
     """
 
     batch: Callable[[Batch], Batch]
     sup_bound: float
     lip_bound: float
-    support_window: tuple[int, int] | None = None
-    reads: tuple[int, ...] | None = None
+    window: tuple[int, int] | None = None
     norm_kind: NormKind = SUP_NORM
 
     def __post_init__(self) -> None:
@@ -106,16 +106,14 @@ class Perturbation:
 
 
 def zero_perturbation() -> Perturbation:
-    return Perturbation(zero_rows, sup_bound=0.0, lip_bound=0.0, reads=())
+    return Perturbation(zero_rows, sup_bound=0.0, lip_bound=0.0)
 
 
 def constant_perturbation(b: StateVector, norm_kind: NormKind = SUP_NORM) -> Perturbation:
-    """The constant map x -> b; sup bound |b|, Lipschitz bound 0."""
-    window = None
-    if isinstance(b, SparseVector) and len(b):
-        sup_idx = b.support()
-        window = (sup_idx[0], sup_idx[-1])
+    """The constant map x -> b: sup bound |b|, Lipschitz bound 0, a sparse b's span as window."""
     value = pack([b])
+    cols = value.cols  # None on the dense backend
+    window = None if cols is None or not len(cols) else (int(cols[0]), int(cols[-1]))
 
     def batch(x: Batch) -> Batch:
         if (x.cols is None) != (value.cols is None):
@@ -123,7 +121,7 @@ def constant_perturbation(b: StateVector, norm_kind: NormKind = SUP_NORM) -> Per
         shape = x.rows.shape[:-1] + value.rows.shape[-1:]
         return Batch(np.broadcast_to(value.rows[0], shape), value.cols)
 
-    return Perturbation(batch, norm(b, norm_kind), 0.0, window, reads=(), norm_kind=norm_kind)
+    return Perturbation(batch, norm(b, norm_kind), 0.0, window, norm_kind)
 
 
 def _coordinatewise(kind: str, f, a: float, r: float, window, norm_kind: NormKind) -> Perturbation:
@@ -159,7 +157,7 @@ def _coordinatewise(kind: str, f, a: float, r: float, window, norm_kind: NormKin
 
     sup = a if norm_kind.is_sup else a * float(len(idx)) ** (1.0 / norm_kind.p)
     window = None if idx is None else (idx[0], idx[-1])
-    return Perturbation(batch, sup, a * r, window, reads=idx, norm_kind=norm_kind)
+    return Perturbation(batch, sup, a * r, window, norm_kind)
 
 
 def sine_perturbation(

@@ -1,9 +1,9 @@
 """Deterministic sample generation for verification runs.
 
 Points are drawn from the unit ball of the ambient norm; sparse samples live
-on a finite index window (a perturbation's declared support plus slack, by
-default).  Everything is driven by an explicit numpy generator so identical
-seeds reproduce identical samples.
+on a finite index window (a perturbation's declared ``window`` plus slack,
+by default).  Everything is driven by an explicit numpy generator so
+identical seeds reproduce identical samples.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .vectors import Batch, StateVector, row_norms
 
 __all__ = ["sample_window", "sample_points", "sample_pairs"]
 
-#: index slack added around a perturbation's support window
+#: index slack added around a perturbation's window
 WINDOW_SLACK = 10
 
 #: smallest ambient distance between the two points of a sampled pair
@@ -24,11 +24,9 @@ PAIR_MIN_DISTANCE = 1e-3
 
 
 def sample_window(beta: Perturbation | None) -> tuple[int, int]:
-    """Index window for sparse samples: the perturbation support plus slack."""
-    if beta is not None and beta.support_window is not None:
-        lo, hi = beta.support_window
-        return lo - WINDOW_SLACK, hi + WINDOW_SLACK
-    return -WINDOW_SLACK, WINDOW_SLACK
+    """Index window for sparse samples: the perturbation's window (or index 0) plus slack."""
+    lo, hi = (0, 0) if beta is None or beta.window is None else beta.window
+    return lo - WINDOW_SLACK, hi + WINDOW_SLACK
 
 
 def _ball(

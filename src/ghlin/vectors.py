@@ -404,17 +404,25 @@ def row_norms(b: Batch, kind: NormKind = SUP_NORM) -> np.ndarray:
     )
 
 
+#: magnitude bound of a config's sparse indices: their orbit steps stay far inside int64
+INDEX_LIMIT = 2**62
+
+
 def _number(obj: dict, key: str, *default):
     """``obj[key]``, a JSON number (an int or a float, not a bool), as a float.
 
-    ``default`` if given and ``key`` is absent; any other value raises ValueError naming the key.
+    ``default`` if given and ``key`` is absent; any other value, or an integer beyond float
+    range, raises ValueError naming the key.
     """
     if default and key not in obj:
         return default[0]
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{key} must be a number in float range, got a larger integer") from None
 
 
 def _object(obj: dict, key: str, *default) -> dict:
@@ -434,10 +442,12 @@ def _numbers(value, key: str) -> np.ndarray:
 
 
 def _window(obj: dict) -> range:
-    """The index window ``obj["window"]``, a JSON array [lo, hi] of two integers."""
+    """The index window ``obj["window"]``: [lo, hi], two integers below ``INDEX_LIMIT``."""
     window = obj["window"]
     if type(window) is not list or len(window) != 2 or any(type(i) is not int for i in window):
         raise ValueError(f"window must be [lo, hi] with integers lo and hi, got {window!r}")
+    if max(map(abs, window)) >= INDEX_LIMIT:
+        raise ValueError(f"window indices must lie below 2^62 in magnitude, got {window!r}")
     return range(window[0], window[1] + 1)
 
 
@@ -450,6 +460,8 @@ def _indexed(obj: dict, key: str, entry: str) -> dict[int, float]:
     for k in obj:
         if not re.fullmatch(r"0|-?[1-9][0-9]*", k):
             raise ValueError(f"{key} index must be a decimal integer such as -3 or 12, got {k!r}")
+        if abs(int(k)) >= INDEX_LIMIT:
+            raise ValueError(f"{key} index must lie below 2^62 in magnitude, got {k}")
     return dict(zip(map(int, obj), _numbers(list(obj.values()), entry).tolist()))
 
 

@@ -1,6 +1,8 @@
 """Batched evaluation: a point gets the same value alone or in any batch."""
 
 import dataclasses
+import math
+from functools import partial
 
 import pytest
 
@@ -8,6 +10,7 @@ from ghlin import (
     ConjugacyMap,
     DenseVector,
     NormKind,
+    Perturbation,
     SeriesPolicy,
     SparseVector,
     WeightSpec,
@@ -238,15 +241,33 @@ def test_far_apart_constant_never_allocates_its_span(monkeypatch):
         assert support[0] <= -10**5 and support[-1] > 10**5
 
 
+def readme_bump(norm_kind):
+    """The README's custom beta, x -> a*tanh(x_0) e_0, a row form through pack/unpack."""
+    def bump(x):
+        return SparseVector({0: 0.004 * math.tanh(x[0])})
+
+    return Perturbation(lambda b: pack([bump(x) for x in b.unpack()]) if len(b) else b,
+                        sup_bound=0.004, lip_bound=0.004, window=(0, 0), norm_kind=norm_kind)
+
+
 @pytest.mark.parametrize("kind", [NormKind.sup(), L2], ids=["sup", "l2"])
-def test_declared_read_window_changes_no_value(rng, kind):
-    # the sine declares the indices it reads, so the lattice drops the
-    # columns off their span below the top level; the same map without
-    # that declaration keeps every column
+@pytest.mark.parametrize("beta_of", [
+    partial(sine_perturbation, 0.004, 1.0, [-3, -1, 0, 2]),
+    partial(constant_perturbation, SparseVector({-3: 0.002, 2: -0.003})),
+    readme_bump,
+], ids=["sine", "constant", "bump"])
+def test_declared_read_window_changes_no_value(rng, beta_of, kind):
+    # beta declares the window it reads and writes, so the lattice drops the
+    # columns off it below the top level; the same map without that
+    # declaration keeps every column
     op = make_shift(WeightSpec(0.5, 2.0, core={-2: 0.3, -1: 0.7, 0: 0.9, 1: 1.5}), kind, t=0.75)
-    sine = sine_perturbation(0.004, 1.0, [-3, -1, 0, 2], kind)
-    opaque = dataclasses.replace(sine, reads=None)
-    maps = [solve_conjugacy(op, beta, 0.2, POLICY, picard_tol=1e-4) for beta in (sine, opaque)]
-    assert maps[0].depth > 1 and sine.reads == (-3, -1, 0, 2) and opaque.reads is None
-    points = sample_points(rng, op, 5, sine)
-    assert maps[0].displacements(points) == maps[1].displacements(points)
+    beta = beta_of(norm_kind=kind)
+    opaque = dataclasses.replace(beta, window=None)
+    fwd = [solve_conjugacy(op, b, 0.2, POLICY, picard_tol=1e-4) for b in (beta, opaque)]
+    bwd = [solve_inverse_conjugacy(op, b, POLICY) for b in (beta, opaque)]
+    # a constant beta (Lipschitz 0) needs one level, whose orbit is still clipped
+    assert fwd[0].depth > 1 or beta.lip_bound == 0.0
+    assert beta.window is not None and opaque.window is None
+    points = sample_points(rng, op, 5, beta)
+    for maps in (fwd, bwd):
+        assert maps[0].displacements(points) == maps[1].displacements(points)

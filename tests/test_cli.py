@@ -629,6 +629,42 @@ def test_unsupported_config_exits_2(tmp_path, capsys, command, config, message):
     assert err.startswith(f"ghlin {command}: ") and message in err
 
 
+HUGE = 10**400  # a JSON integer beyond float range
+FAR = 10**19  # an index beyond int64
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("constants", {"operator": SHIFT, "gamma": HUGE}, "gamma must be a number in float range"),
+        ("constants", {"operator": {**SHIFT, "right_tail": HUGE}},
+         "right_tail must be a number in float range"),
+        ("conjugate", {"operator": SHIFT, "perturbation": {**SINE, "window": [FAR, FAR]}},
+         "window indices must lie below 2^62"),
+        ("conjugate", {"operator": SHIFT,
+                       "perturbation": {"kind": "constant", "vector": {str(FAR): 0.01}}},
+         "vector index must lie below 2^62"),
+        # scanning the weights up to this core index would not finish
+        ("constants", {"operator": {**SHIFT, "core": {str(FAR): 0.3}}},
+         "core index must lie below 2^62"),
+        # 1e10 ** 31 overflows in the norm of T^-31 on N
+        ("constants", {"operator": {"kind": "shift", "left_tail": 0.5, "right_tail": 1e10,
+                                    "core": {"40": 0.3}}},
+         "the norm of T^-31 on N is not certifiable"),
+    ],
+    ids=["gamma-huge", "right_tail-huge", "window-beyond-int64", "vector-index-beyond-int64",
+         "core-index-beyond-int64", "right-tail-power-overflow"],
+)
+def test_out_of_range_config_exits_2(tmp_path, capsys, command, config, message):
+    # an overflow is a bad config, not an exceeded bound: exit 2 with one line, no traceback
+    config = {"gamma": 0.2, "samples": 3, **config}
+    code = main([command, "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"ghlin {command}: {message}") and err.count("\n") == 1
+
+
 def test_sparse_and_one_sided_runs_do_not_import_scipy(tmp_path):
     # scipy splits a mixed matrix spectrum and nothing else; it is most of the start-up time
     conjugate = {"operator": SHIFT, "perturbation": SINE, "gamma": 0.2, "samples": 3}

@@ -72,6 +72,29 @@ def test_truncation_meets_tolerance():
                 assert truncation_tail_bound(op, sup, terms - 1) > tol
 
 
+def test_depth_is_smallest_meeting_picard_tol():
+    op = diag_half_three()
+    k, eps = op.constants, admissible_eps(op, 0.5)
+    gain = k.c * k.d * (1.0 + k.t) / (1.0 - k.t)
+    betas = (zero_perturbation(), constant_perturbation(DenseVector([eps, 0.0])),
+             saturating_perturbation(eps, 1.0), saturating_perturbation(eps / 7, 0.5))
+    depths = set()
+    for beta in betas:
+        for picard_tol in (1.0, 1e-4, 1e-10):
+            fwd = solve_conjugacy(op, beta, 0.5, POLICY, picard_tol)
+            q, first_step = fwd.contraction, gain * beta.sup_bound
+
+            def picard_err(depth):
+                return q**depth * first_step / (1.0 - q)
+
+            assert (fwd.depth == 0) == (beta.sup_bound == 0.0)
+            assert picard_err(fwd.depth) <= picard_tol
+            if fwd.depth > 1:
+                assert picard_err(fwd.depth - 1) > picard_tol
+            depths.add(fwd.depth)
+    assert {0, 1} < depths and max(depths) > 2
+
+
 def test_truncation_zero_source_needs_no_terms():
     assert truncation_terms(diag_half_three(), 0.0, POLICY) == 0
 
@@ -472,7 +495,7 @@ def mean_sine_perturbation(amplitude, frequency, window):
         _row_wise(func),
         sup_bound=amplitude,
         lip_bound=amplitude * frequency,
-        support_window=(idx[0], idx[-1]),
+        window=(idx[0], idx[-1]),
     )
 
 

@@ -1,8 +1,11 @@
 """Operator construction, splitting invariants, constants and weight lookups."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import ghlin
 from ghlin import (
     CertificationError,
     DenseVector,
@@ -11,7 +14,6 @@ from ghlin import (
     admissible_eps,
     check_shift_criterion,
     constants_report,
-    estimate_constants,
     make_matrix_operator,
     make_shift,
     norm,
@@ -316,10 +318,17 @@ def test_constants_reject_t_below_spectral_radius():
 
 def test_constants_cap_produces_diagnostic(monkeypatch):
     # this Jordan block needs a 21-step window at t = 0.6
-    op = make_matrix_operator([[0.5, 1.0], [0.0, 0.5]], t=0.6)
+    assert make_matrix_operator([[0.5, 1.0], [0.0, 0.5]], t=0.6).constants.n_max == 21
     monkeypatch.setattr(operators, "DECAY_WINDOW_CAP", 10)
     with pytest.raises(CertificationError, match="not certifiable at this t"):
-        estimate_constants(op, 0.6)
+        make_matrix_operator([[0.5, 1.0], [0.0, 0.5]], t=0.6)
+
+
+def test_constants_are_fixed_at_construction():
+    op = make_shift(WeightSpec(0.5, 2.0), t=0.55)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.constants.c = 0.5
+    assert op.constants.c == 1.0 and not hasattr(ghlin, "estimate_constants")
 
 
 def test_constants_stop_when_t_power_underflows():

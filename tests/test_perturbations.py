@@ -12,6 +12,7 @@ from ghlin import (
     CutoffProfile,
     DenseVector,
     NormKind,
+    Perturbation,
     SeriesPolicy,
     SparseVector,
     WeightSpec,
@@ -109,7 +110,7 @@ def test_certified_bounds_dominate_samples(rng):
 
 def test_sparse_outputs_stay_in_window(rng):
     beta = sine_perturbation(0.05, 2.0, window=range(-2, 3))
-    lo, hi = beta.support_window
+    lo, hi = beta.window
     for _ in range(50):
         out = beta(random_sparse(rng, window=range(-8, 9)))
         assert all(lo <= i <= hi for i in out.support())
@@ -275,7 +276,10 @@ def test_perturbation_descriptors():
     beta = perturbation_from_descriptor(
         {"kind": "sine", "amplitude": 0.1, "frequency": 2.0, "window": [-1, 1]}
     )
-    assert beta.sup_bound == 0.1 and beta.support_window == (-1, 1)
+    assert beta.sup_bound == 0.1 and beta.window == (-1, 1)
+    # one window field: an old support_window= keyword fails instead of clipping silently
+    fields = [f.name for f in dataclasses.fields(Perturbation)]
+    assert fields == ["batch", "sup_bound", "lip_bound", "window", "norm_kind"]
     beta2 = perturbation_from_descriptor({"kind": "zero"})
     assert beta2.is_zero
     beta3 = perturbation_from_descriptor(
