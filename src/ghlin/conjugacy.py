@@ -10,9 +10,12 @@ is given by two orbit series,
     phi(x) =   sum_{k>=0} T^k   P_M source(R^{-k-1} x)
              - sum_{k>=1} T^{-k} P_N source(R^{k-1} x),
 
-which converge geometrically thanks to the splitting decay constants
-(c, t, d).  Truncating both series at K + 1 terms leaves a certified tail of
-c * d * |source|_inf * t^(K+1) * (1 + t) / (1 - t).
+which converge geometrically thanks to the splitting.  With A_M = T P_M and
+A_N = T^{-1} P_N, the M series keeps k = 0..K and the N series k = 1..K + 1,
+which leaves a certified tail of
+|source|_inf * (sum_{k>K} |A_M^k| + sum_{k>K+1} |A_N^k|), read off the
+operator's power table and never above the envelope
+c * d * |source|_inf * t^(K+1) * (1 + t) / (1 - t) of its decay constants.
 
 The series is summed in one place, the operator's ``orbit_sweep``: given
 source values on a run of orbit indices, it returns the series at every
@@ -130,9 +133,8 @@ class SeriesPolicy:
 def truncation_tail_bound(op: GHOperator, source_sup: float, terms: int) -> float:
     """Certified bound on everything dropped after K + 1 terms of each series."""
     k = op.constants
-    return (
-        k.c * k.d * source_sup * k.t ** (terms + 1) * (1.0 + k.t) / (1.0 - k.t)
-    )
+    envelope = k.c * k.d * source_sup * k.t ** (terms + 1) * (1.0 + k.t) / (1.0 - k.t)
+    return min(source_sup * (k.tail(0, terms + 1) + k.tail(1, terms + 2)), envelope)
 
 
 def truncation_terms(op: GHOperator, source_sup: float, policy: SeriesPolicy) -> int:
@@ -159,7 +161,7 @@ def intertwining_solution(
 
     ``source_sup`` must certify the sup norm of the source; it drives the
     truncation depth unless ``terms`` overrides it.  The result norm is at
-    most c*d*(1+t)/(1-t) * source_sup plus the policy tolerance.  ``r_invert``
+    most ``op.constants.gain`` * source_sup plus the policy tolerance.  ``r_invert``
     is called K + 1 times in orbit order, on x, R^{-1} x, ..., R^{-K} x, and
     ``r_apply`` K times, on x, R x, ..., R^{K-1} x; there are no ``r_invert``
     calls when M = {0} and no ``r_apply`` calls when N = {0}.
@@ -220,7 +222,9 @@ class ConjugacyMap:
     solve to residual ``inverse_tols[j]``.  ``certified_error`` bounds the
     distance between returned displacement values and the exact ones, on
     evaluation points within ``eval_radius`` in the ambient norm (``None``:
-    everywhere).
+    everywhere).  It is the sum of the named parts in ``error_budget``, in
+    their order: ``picard`` and ``series`` forward, ``truncation`` and
+    ``inverse_propagation`` backward.
 
     Evaluation is pure and the map keeps no values.  On the shift every
     batch computes identical values; on the dense backend two batches may
@@ -236,6 +240,7 @@ class ConjugacyMap:
     certified_error: float = 0.0
     inverse_tols: tuple = ()
     eval_radius: float | None = None
+    error_budget: dict = field(default_factory=dict)
 
     def displacements(self, points: Sequence[StateVector]) -> list[StateVector]:
         """The offsets H(x) - x at the points, computed to the map's certified error.
@@ -288,7 +293,8 @@ class ConjugacyMap:
         )
 
     def report(self) -> dict:
-        keys = ("direction", "terms", "depth", "contraction", "certified_error", "eval_radius")
+        keys = ("direction", "terms", "depth", "contraction", "certified_error", "error_budget",
+                "eval_radius")
         return {key: getattr(self, key) for key in keys}
 
 
@@ -303,11 +309,13 @@ def solve_conjugacy(
 
     Requires Lip(beta) within the admissible bound for gamma and
     Lip(beta) * |T^{-1}| < 1.  The displacement solves a contraction with
-    factor q = c*d*(1+t)/(1-t) * Lip(beta) <= gamma; unrolling depth n gives
-    an error q^n * B / (1 - q) with B the certified first-step norm, and
-    each series evaluation adds its truncation tolerance once per level.
-    The depth is the smallest n >= 1 whose error meets ``picard_tol`` (0
-    when beta is zero).
+    factor q = gain * Lip(beta), where gain = ``op.constants.gain`` bounds
+    the bounded-solution operator; q <= gamma, since the gain is at most
+    c*d*(1+t)/(1-t).  Unrolling depth n gives an error q^n * B / (1 - q)
+    with B = gain * sup(beta) the certified first-step norm, and each series
+    evaluation adds its truncation tolerance once per level.  The depth is
+    the smallest n >= 1 whose error meets ``picard_tol`` (0 when beta is
+    zero).
     """
     if not picard_tol > 0.0:
         raise ValueError(f"picard_tol must be positive, got {picard_tol}")
@@ -324,17 +332,17 @@ def solve_conjugacy(
             f"distance of the conjugacy could not be kept below gamma"
         )
     _require_contraction(op, beta)
-    k = op.constants
-    gain = k.c * k.d * (1.0 + k.t) / (1.0 - k.t)
+    gain = op.constants.gain
     q = gain * beta.lip_bound
     first_step = gain * beta.sup_bound
     depth = 0 if beta.sup_bound == 0.0 else 1
     while (picard_err := (q**depth) * first_step / (1.0 - q)) > picard_tol:
         depth += 1
     terms = truncation_terms(op, beta.sup_bound, policy)
-    series_err = policy.tol * (1.0 - q**depth) / (1.0 - q)
+    budget = {"picard": picard_err, "series": policy.tol * (1.0 - q**depth) / (1.0 - q)}
     return ConjugacyMap(
-        op, beta, FORWARD, terms, depth, contraction=q, certified_error=picard_err + series_err
+        op, beta, FORWARD, terms, depth, contraction=q,
+        certified_error=sum(budget.values()), error_budget=budget,
     )
 
 
@@ -356,7 +364,6 @@ def solve_inverse_conjugacy(
     |h| <= gamma < 1).
     """
     _require_contraction(op, beta)
-    k = op.constants
     terms = truncation_terms(op, beta.sup_bound, policy)
     lip_inv = op.norm_Tinv / (1.0 - op.norm_Tinv * beta.lip_bound)
     radius = eval_radius = max(2.0, op.norm_T + beta.sup_bound)
@@ -370,19 +377,24 @@ def solve_inverse_conjugacy(
         point_errors.append(err)
         radius = op.norm_Tinv * (radius + beta.sup_bound) + err
     # A point error e enters a series term through beta, whose certified
-    # modulus of continuity is |beta(u) - beta(v)| <= min(Lip * e, 2 * sup).
+    # modulus of continuity is |beta(u) - beta(v)| <= min(Lip * e, 2 * sup),
+    # and the j-th term through T^j P_M, of norm at most ``power(0, j)``.
     # The 2 * sup cap keeps the sum bounded when t * Lip(S^{-1}) >= 1, and no
     # Holder modulus 2 * max(sup, Lip) * e^theta, theta in (0, 1], is smaller.
 
     def beta_gap(e: float) -> float:
         return min(beta.lip_bound * e, 2.0 * beta.sup_bound)
 
-    orbit_err = sum(
-        k.c * k.d * (k.t**j) * beta_gap(point_errors[j]) for j in range(terms + 1)
-    )
+    k = op.constants
+    budget = {
+        "truncation": policy.tol,
+        "inverse_propagation": sum(
+            k.power(0, j) * beta_gap(point_errors[j]) for j in range(terms + 1)
+        ),
+    }
     return ConjugacyMap(
-        op, beta, BACKWARD, terms, depth=1, certified_error=policy.tol + orbit_err,
-        inverse_tols=tuple(inverse_tols), eval_radius=eval_radius,
+        op, beta, BACKWARD, terms, depth=1, certified_error=sum(budget.values()),
+        inverse_tols=tuple(inverse_tols), eval_radius=eval_radius, error_budget=budget,
     )
 
 

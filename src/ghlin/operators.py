@@ -15,7 +15,13 @@ Two backends:
 Both carry certified decay constants (c, t, d): ``|T^n y| <= c t^n |y|`` on
 M and ``|T^{-n} z| <= c t^n |z|`` on N, with d the larger projection norm.
 The constants are certified on a finite window and extended to all powers by
-submultiplicativity of operator norms.
+submultiplicativity of operator norms.  They gate the perturbation size
+(``admissible_eps``) and cap every series bound.  The bounds themselves come
+from a table of the power norms |A_M^n| and |A_N^n|, built with the
+constants and extended past its end by submultiplicativity: the gain of the
+bounded-solution operator, the series tails and the backward orbit weights
+(``_Constants.gain``, ``tail`` and ``power``), each never above its
+``c d t^n`` envelope.
 
 Both act on batches (``vectors.Batch``): ``step``, ``step_inverse``,
 ``project_M_rows`` and ``project_N_rows`` map every row, and
@@ -50,7 +56,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,8 +90,14 @@ UNIT_CIRCLE_TOL = 1e-8
 #: projections and invariant-splitting residuals must validate below this
 SPLITTING_TOL = 1e-10
 
-#: most powers ``_certify`` tries before giving up on a window
+#: most powers ``_certify`` tries before giving up on a window; the power table ends there too
 DECAY_WINDOW_CAP = 10_000
+
+#: the power table runs to the first W >= n_max with both |A_M^W| and |A_N^W| at most this
+POWER_TABLE_FLOOR = 1e-6
+
+#: byte budget of one block of the power table's products
+POWER_BLOCK_BYTES = 1 << 20
 
 
 class CertificationError(ValueError):
@@ -169,10 +181,52 @@ def check_shift_criterion(weights: WeightSpec) -> CriterionReport:
 
 @dataclass(frozen=True)
 class _Constants:
+    """Decay constants (c, t, d), the window n_max, and the power table.
+
+    ``powers`` has rows (|P_M|, |A_M^1|, ..., |A_M^W|) and (|P_N|, |A_N^1|,
+    ..., |A_N^W|), with |A^W| < 1.  Past W, |A^(mW + r)| <= |A^W|^m |A^r|
+    for 1 <= r <= W.  Each bound read from the table is the smaller of the
+    table's and its envelope's: c d t^k for one power, c d t^k / (1 - t)
+    for a tail from k.
+    """
+
     c: float
     t: float
     d: float
     n_max: int
+    powers: np.ndarray = field(repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # sums[s, r - 1] bounds sum_{k >= r} |A^k| for 1 <= r <= W: the table from r
+        # on, then every block of W powers past W, |A^W|^m (|A^1| + ... + |A^W|)
+        sums = np.cumsum(self.powers[:, :0:-1], axis=1)[:, ::-1]
+        a_w = self.powers[:, -1:]
+        object.__setattr__(self, "_sums", sums + a_w * sums[:, :1] / (1.0 - a_w))
+
+    def power(self, side: int, k: int) -> float:
+        """Bound on |A^k| on a side (0: A_M, 1: A_N), the projection norm at k = 0."""
+        w = self.powers.shape[1] - 1
+        if k <= w:
+            table = self.powers[side, k]
+        else:
+            m, r = divmod(k - 1, w)
+            table = self.powers[side, w] ** m * self.powers[side, r + 1]
+        return min(float(table), self.c * self.d * self.t**k)
+
+    def tail(self, side: int, first: int) -> float:
+        """Bound on sum_{k >= first} |A^k| on a side (0: A_M, 1: A_N), first >= 1."""
+        m, r = divmod(first - 1, self.powers.shape[1] - 1)
+        table = self.powers[side, -1] ** m * self._sums[side, r]
+        return min(float(table), self.c * self.d * self.t**first / (1.0 - self.t))
+
+    @property
+    def gain(self) -> float:
+        """Bound on the bounded-solution operator, |P_M| + sum_{k >= 1} (|A_M^k| + |A_N^k|).
+
+        A trivial side contributes 0; never above c d (1 + t) / (1 - t).
+        """
+        envelope = self.c * self.d * (1.0 + self.t) / (1.0 - self.t)
+        return min(float(self.powers[0, 0]) + self.tail(0, 1) + self.tail(1, 1), envelope)
 
 
 def _reach(cols: np.ndarray, left: int, right: int) -> np.ndarray:
@@ -230,13 +284,12 @@ class ShiftOperator:
         magnitudes += [abs(v) for v in weights.core.values()]
         self.norm_T = max(magnitudes)
         self.norm_Tinv = 1.0 / min(magnitudes)
-        self.norm_T_on_M = self._power_norm_on_M(1)
-        self.norm_Tinv_on_N = self._power_norm_on_N_inverse(1)
         self.norm_P_M = 1.0
         self.norm_P_N = 1.0
         self.m_is_trivial = False
         self.n_is_trivial = False
         self.constants = _certify(self, t)
+        self.norm_T_on_M, self.norm_Tinv_on_N = map(float, self.constants.powers[:, 1])
 
     def _weight(self, idx: np.ndarray) -> np.ndarray:
         """The weights w_i at the indices ``idx``, read from one weight array."""
@@ -330,50 +383,48 @@ class ShiftOperator:
 
     # -- exact norms ----------------------------------------------------
 
-    def _power_norm_on_M(self, n: int) -> float:
-        """Exact norm of the n-th power restricted to M (support <= 0).
+    def _power_norms(self, count: int):
+        """Yield |A_M^n| and |A_N^n| (two rows) for n = 1, 2, ... in blocks, the first of count.
 
-        T^n maps e_j to (w_j ... w_{j-n+1}) e_{j-n}; the restriction norm is
-        the supremum of |product| over j <= 0.  Windows left of the core are
-        pure left tail, so a finite scan is exact.
+        T^n maps e_j to (w_j ... w_{j-n+1}) e_{j-n}, so |A_M^n| is the
+        supremum of those products over j <= 0, and T^{-n} maps e_j to
+        e_{j+n} / (w_{j+1} ... w_{j+n}), so |A_N^n| is the reciprocal of their
+        infimum over j >= 1.  Windows that miss the core are pure tail
+        powers, so each side scans one running product per j up to the core
+        and multiplies in one weight column per power.  Each block comes
+        with None, or the error of the next power when |A_N^n| is not
+        certifiable: a product that underflows leaves the reciprocal
+        unreliable, and a tail power that overflows is not a float.  No
+        block follows an error.
         """
-        w = self.weights.weight
-        lo, _ = self.weights.window
-        best = abs(self.weights.left_tail) ** n
-        for j in range(min(lo - 1, 0), 1):
-            prod = 1.0
-            for i in range(j - n + 1, j + 1):
-                prod *= abs(w(i))
-            best = max(best, prod)
-        return best
-
-    def _power_norm_on_N_inverse(self, n: int) -> float:
-        """Exact norm of the n-th inverse power restricted to N (support >= 1).
-
-        T^{-n} maps e_j to e_{j+n} / (w_{j+1} ... w_{j+n}); the norm is the
-        reciprocal of the infimum of |product| over j >= 1.  A product that
-        underflows leaves that reciprocal unreliable, and a tail power that
-        overflows is not a float, so both raise.
-        """
-        w = self.weights.weight
-        _, hi = self.weights.window
-        try:
-            best = abs(self.weights.right_tail) ** n
-        except OverflowError:
-            raise CertificationError(
-                f"the norm of T^-{n} on N is not certifiable: the tail power |w|^{n} overflows"
-            ) from None
-        for j in range(1, max(hi + 1, 1) + 1):
-            prod = 1.0
-            for i in range(j + 1, j + n + 1):
-                prod *= abs(w(i))
-            best = min(best, prod)
-        if best < sys.float_info.min:  # subnormal or zero
-            raise CertificationError(
-                f"the norm of T^-{n} on N is not certifiable: a product of {n} weights "
-                "underflows (it must stay a normal float)"
-            )
-        return 1.0 / best
+        lo, hi = self.weights.window
+        j_m, j_n = np.arange(min(lo - 1, 0), 1), np.arange(1, max(hi + 1, 1) + 1)
+        left, right = abs(self.weights.left_tail), abs(self.weights.right_tail)
+        run_m, run_n = np.ones(len(j_m)), np.ones(len(j_n))
+        limit = max(1, POWER_BLOCK_BYTES // (8 * max(len(j_m), len(j_n))))
+        done = 0
+        while True:
+            n = np.arange(done + 1, done + min(count, limit) + 1)
+            with np.errstate(over="ignore", under="ignore"):  # N's are checked below
+                new_m = np.abs(self._weight(j_m - n[:, None] + 1))  # w_{j-n+1}: a row per power
+                new_n = np.abs(self._weight(j_n + n[:, None]))  # w_{j+n}
+                prod_m = np.cumprod(np.vstack([run_m, new_m]), axis=0)
+                prod_n = np.cumprod(np.vstack([run_n, new_n]), axis=0)
+                tail_n = np.power(right, n)
+                norm_m = np.maximum(np.power(left, n), prod_m[1:].max(axis=1))
+                best = np.minimum(tail_n, prod_n[1:].min(axis=1))
+            overflow = np.isinf(tail_n)
+            bad = overflow | (best < sys.float_info.min)  # subnormal or zero
+            if bad.any():
+                i = int(np.argmax(bad))
+                what = (f"the tail power |w|^{n[i]} overflows" if overflow[i] else
+                        f"a product of {n[i]} weights underflows (it must stay a normal float)")
+                error = CertificationError(f"the norm of T^-{n[i]} on N is not certifiable: {what}")
+                yield np.vstack([norm_m[:i], 1.0 / best[:i]]), error
+                return
+            yield np.vstack([norm_m, 1.0 / best]), None
+            run_m, run_n, done = prod_m[-1], prod_n[-1], n[-1]
+            count = done
 
     def stable_spectral_radii(self) -> tuple[float, float]:
         """(spectral radius on M, spectral radius of the inverse on N)."""
@@ -407,21 +458,20 @@ class MatrixOperator:
         self.a_N = matrix_inv @ self.proj_N_matrix
         self.eigenvalues = eigenvalues
         self.norm_kind = norm_kind
-        self.m_dim = int(round(np.trace(proj_M)))
+        self.m_dim = round(float(proj_M.trace()))
         self.n_dim = matrix.shape[0] - self.m_dim
         self.m_is_trivial = self.m_dim == 0
         self.n_is_trivial = self.n_dim == 0
         self._ord = _matrix_norm_order(norm_kind)
-        self.norm_T = self._induced(matrix)
-        self.norm_Tinv = self._induced(matrix_inv)
-        self.norm_T_on_M = self._induced(self.a_M)
-        self.norm_Tinv_on_N = self._induced(self.a_N)
-        self.norm_P_M = self._induced(proj_M)
-        self.norm_P_N = self._induced(self.proj_N_matrix)
+        self.norm_T, self.norm_Tinv, self.norm_P_M, self.norm_P_N = map(float, self._induced(
+            np.array([matrix, matrix_inv, proj_M, self.proj_N_matrix])
+        ))
         self.constants = _certify(self, t)
+        self.norm_T_on_M, self.norm_Tinv_on_N = map(float, self.constants.powers[:, 1])
 
-    def _induced(self, a: np.ndarray) -> float:
-        return float(np.linalg.norm(a, ord=self._ord))
+    def _induced(self, a: np.ndarray) -> np.ndarray:
+        # the induced norm of each matrix in a stack
+        return np.linalg.norm(a, ord=self._ord, axis=(-2, -1))
 
     @property
     def dim(self) -> int:
@@ -494,17 +544,34 @@ class MatrixOperator:
                     out[j] -= acc
         return Batch(out)
 
-    def _power_norm_on_M(self, n: int) -> float:
-        return self._induced(np.linalg.matrix_power(self.a_M, n))
+    def _power_norms(self, count: int):
+        """Yield |A_M^n| and |A_N^n| (two rows) for n = 1, 2, ... in blocks, the first of count.
 
-    def _power_norm_on_N_inverse(self, n: int) -> float:
-        return self._induced(np.linalg.matrix_power(self.a_N, n))
+        The first block doubles its run of powers, A^(k + j) = A^k A^j for
+        k <= j.  After it, a block of powers A^(s+1), ..., A^(s+m) times A^m
+        is the next block; the two are joined, and A^m squared, while the
+        joined block fits ``POWER_BLOCK_BYTES``.  Each block comes with None:
+        no power fails.
+        """
+        size = max(1, min(count, POWER_BLOCK_BYTES // (16 * self.matrix.size)))
+        block = np.empty((2, size) + self.matrix.shape)  # (side, power, n, n)
+        block[0, 0], block[1, 0] = self.a_M, self.a_N
+        done = 1
+        while done < size:
+            more = min(done, size - done)
+            block[:, done : done + more] = block[:, :more] @ block[:, done - 1 : done]
+            done += more
+        step = block[:, -1:]
+        while True:
+            yield self._induced(block), None
+            block = block @ step
+            if 2 * block.nbytes <= POWER_BLOCK_BYTES:
+                block, step = np.concatenate([block, block @ step], axis=1), step @ step
 
     def stable_spectral_radii(self) -> tuple[float, float]:
         mods = np.abs(self.eigenvalues)
-        rho_m = float(np.max(mods[mods < 1.0])) if np.any(mods < 1.0) else 0.0
-        rho_n = float(np.max(1.0 / mods[mods > 1.0])) if np.any(mods > 1.0) else 0.0
-        return rho_m, rho_n
+        rho_n = 1.0 / mods.min(initial=np.inf, where=mods > 1.0)
+        return float(mods[mods < 1.0].max(initial=0.0)), float(rho_n)
 
 
 GHOperator = ShiftOperator | MatrixOperator
@@ -572,19 +639,29 @@ def make_matrix_operator(
     elif np.all(mods > 1.0):
         proj_M = np.zeros((n, n))
     else:
-        import scipy.linalg  # only a mixed spectrum needs it, and it is most of `import ghlin`
+        proj_M = _schur_projection(a, a_inv)
+    return MatrixOperator(a, a_inv, proj_M, eigs, norm_kind, t)
 
-        u, q, sdim = scipy.linalg.schur(
-            a, output="real", sort=lambda re, im: re * re + im * im < 1.0
-        )
-        if sdim == 0 or sdim == n:  # pragma: no cover - guarded by the mods check
-            raise CertificationError("Schur sorting failed to separate the spectrum")
-        u11, u12, u22 = u[:sdim, :sdim], u[:sdim, sdim:], u[sdim:, sdim:]
-        x = scipy.linalg.solve_sylvester(u11, -u22, u12)
-        block = np.zeros((n, n))
-        block[:sdim, :sdim] = np.eye(sdim)
-        block[:sdim, sdim:] = x
-        proj_M = q @ block @ q.T
+
+def _schur_projection(a: np.ndarray, a_inv: np.ndarray) -> np.ndarray:
+    """Spectral projection onto the eigenvalues inside the unit disc of a mixed spectrum.
+
+    Computed from a sorted real Schur form and a Sylvester solve, then
+    validated: P^2 = P and both invariances within ``SPLITTING_TOL``.  The
+    projections I and 0 of a one-sided spectrum are exact and need neither.
+    """
+    import scipy.linalg  # only a mixed spectrum needs it, and it is most of `import ghlin`
+
+    n = a.shape[0]
+    u, q, sdim = scipy.linalg.schur(a, output="real", sort=lambda re, im: re * re + im * im < 1.0)
+    if sdim == 0 or sdim == n:  # pragma: no cover - guarded by the mods check
+        raise CertificationError("Schur sorting failed to separate the spectrum")
+    u11, u12, u22 = u[:sdim, :sdim], u[:sdim, sdim:], u[sdim:, sdim:]
+    x = scipy.linalg.solve_sylvester(u11, -u22, u12)
+    block = np.zeros((n, n))
+    block[:sdim, :sdim] = np.eye(sdim)
+    block[:sdim, sdim:] = x
+    proj_M = q @ block @ q.T
 
     scale = max(1.0, float(np.abs(a).max()))
     if float(np.abs(proj_M @ proj_M - proj_M).max()) > SPLITTING_TOL:
@@ -597,12 +674,11 @@ def make_matrix_operator(
         raise CertificationError("splitting is not forward invariant beyond tolerance")
     if float(np.abs(proj_M @ a_inv @ proj_N).max()) > SPLITTING_TOL * scale:
         raise CertificationError("splitting is not backward invariant beyond tolerance")
-
-    return MatrixOperator(a, a_inv, proj_M, eigs, norm_kind, t)
+    return proj_M
 
 
 def _certify(op: GHOperator, t: float | None = None) -> _Constants:
-    """Certified decay constants (c, t, d) of the operator at t.
+    """Certified decay constants (c, t, d) of the operator at t, with its power table.
 
     Both operator constructors store its result, a frozen record, as
     ``constants``: an operator keeps the constants it was built with.  With
@@ -610,7 +686,9 @@ def _certify(op: GHOperator, t: float | None = None) -> _Constants:
     n_max at which both |A_M^n| <= t^n and |A_N^n| <= t^n; then c = max_{n <= n_max}
     max(|A_M^n|, |A_N^n|) / t^n works for every power by
     submultiplicativity, and d = max(|P_M|, |P_N|).  The search stops after
-    ``DECAY_WINDOW_CAP`` steps or once t^n underflows.
+    ``DECAY_WINDOW_CAP`` steps or once t^n underflows.  (c, t, d) set the
+    admissible perturbation size and the envelope of every bound read from
+    the power table.
     """
     rho_m, rho_n = op.stable_spectral_radii()
     rho = max(rho_m, rho_n)
@@ -622,22 +700,49 @@ def _certify(op: GHOperator, t: float | None = None) -> _Constants:
         raise CertificationError(
             f"t={t} does not dominate the stable spectral radii ({rho_m}, {rho_n})"
         )
-    n_max, c = _decay_window(op, t)
-    return _Constants(c=c, t=t, d=max(op.norm_P_M, op.norm_P_N), n_max=n_max)
+    # powers the spectral radius needs to reach the floor: the first block's size
+    count = math.ceil(math.log(POWER_TABLE_FLOOR) / math.log(rho)) if rho > 0.0 else 1
+    powers, n_max, c = _decay_window(op, t, min(count, DECAY_WINDOW_CAP))
+    return _Constants(c=c, t=t, d=max(op.norm_P_M, op.norm_P_N), n_max=n_max, powers=powers)
 
 
-def _decay_window(op: GHOperator, t: float) -> tuple[int, float]:
-    """First n with |A_M^n| <= t^n and |A_N^n| <= t^n, and c = max ratio up to it."""
-    c = 1.0
-    for n in range(1, DECAY_WINDOW_CAP + 1):
-        tn = t**n
-        if tn < sys.float_info.min:  # subnormal or zero: the ratios are not reliable
+def _decay_window(op: GHOperator, t: float, count: int) -> tuple[np.ndarray, int, float]:
+    """The power table (|P|, |A^1|, ..., |A^W|) of each side, the window n_max and c.
+
+    n_max is the first n with |A_M^n| <= t^n and |A_N^n| <= t^n, and c the
+    largest ratio |A^n| / t^n up to it; the table runs on to the first
+    W >= n_max with both norms at most ``POWER_TABLE_FLOOR``.  If the cap
+    or an uncertifiable power comes first, W is the last n >= n_max before
+    it with both norms below 1.
+    """
+    blocks, n, n_max, c = [[[op.norm_P_M], [op.norm_P_N]]], 0, 0, 1.0
+    for block, error in op._power_norms(count):
+        blocks.append(block)
+        for peak in block.max(axis=0, initial=0.0).tolist():
+            n += 1
+            if not n_max:
+                tn = t**n
+                if tn < sys.float_info.min:  # subnormal or zero: the ratios are not reliable
+                    _uncertifiable(t, n)
+                c = max(c, peak / tn)
+                n_max = n if peak / tn <= 1.0 else 0
+            if n_max and peak <= POWER_TABLE_FLOOR:
+                return np.hstack(blocks)[:, : n + 1], n_max, c
+            if n == DECAY_WINDOW_CAP:
+                break
+        if n == DECAY_WINDOW_CAP or error is not None:
             break
-        ratio_m = op._power_norm_on_M(n) / tn
-        ratio_n = op._power_norm_on_N_inverse(n) / tn
-        c = max(c, ratio_m, ratio_n)
-        if ratio_m <= 1.0 and ratio_n <= 1.0:
-            return n, c
+    if not n_max:
+        if n < DECAY_WINDOW_CAP and t ** (n + 1) >= sys.float_info.min:
+            raise error
+        _uncertifiable(t, min(n + 1, DECAY_WINDOW_CAP))
+    # the cap or an uncertifiable power came first
+    table = np.hstack(blocks)[:, : n + 1]
+    below = np.flatnonzero(table[:, n_max:].max(axis=0) < 1.0)
+    return table[:, : n_max + below[-1] + 1], n_max, c
+
+
+def _uncertifiable(t: float, n: int):
     raise CertificationError(
         f"constants not certifiable at this t={t}: the power-window search stopped at "
         f"step {n} (cap {DECAY_WINDOW_CAP}; t^n must stay a normal float)"
@@ -657,7 +762,8 @@ def admissible_eps(op: GHOperator, gamma: float) -> float:
 
 
 def constants_report(op: GHOperator) -> dict:
-    return asdict(op.constants)
+    """(c, t, d) and n_max; the power table is not reported."""
+    return {key: getattr(op.constants, key) for key in ("c", "t", "d", "n_max")}
 
 
 def operator_from_descriptor(obj: dict) -> GHOperator:

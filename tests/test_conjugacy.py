@@ -2,11 +2,15 @@
 
 import dataclasses
 import functools
+import importlib
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import ghlin
 from ghlin import (
     DenseVector,
     Perturbation,
@@ -33,7 +37,7 @@ from ghlin import (
     zero_like,
     zero_perturbation,
 )
-from ghlin import conjugacy
+from ghlin import cli, conjugacy, linearize, operator_from_descriptor, perturbation_from_descriptor
 from ghlin.linearize import make_holder_certificate
 from ghlin.perturbations import perturbed_apply, solve_perturbed_inverse
 from ghlin.vectors import _row_wise
@@ -100,8 +104,9 @@ def test_truncation_zero_source_needs_no_terms():
 
 
 def test_truncation_cap_enforced():
-    # t = 0.999 needs 698 026 terms for this tolerance, above the cap of 10 000
-    op = make_matrix_operator([[0.5]], t=0.999)
+    # the power table, not t, sets K: the tail of sum 0.9999^k falls below
+    # 1e-300 only after about 7.0 million terms, above the cap of 10 000
+    op = make_matrix_operator([[0.9999]])
     with pytest.raises(Exception, match="cap"):
         truncation_terms(op, 1.0, SeriesPolicy(tol=1e-300))
 
@@ -346,13 +351,14 @@ def test_engine_values_stay_in_displacement_space(rng):
 
 
 def test_series_value_norm_within_gain_bound(rng):
-    # the solution norm never exceeds c*d*(1+t)/(1-t) times the source sup,
-    # up to the truncation tolerance
+    # the solution norm never exceeds the summed gain |P_M| + sum |A_M^k| +
+    # sum |A_N^k| (here 1 + 1 + 1/2, below c*d*(1+t)/(1-t) = 4) times the
+    # source sup, up to the truncation tolerance
     op = diag_half_three()
     beta = sine_perturbation(0.3, 1.0, window=[0, 1])
     policy = SeriesPolicy(tol=1e-8)
-    k = op.constants
-    gain = k.c * k.d * (1.0 + k.t) / (1.0 - k.t)
+    gain = op.constants.gain
+    assert gain == pytest.approx(2.5, rel=1e-12)
     for _ in range(50):
         x = DenseVector(rng.uniform(-2, 2, 2))
         value = intertwining_solution(
@@ -361,14 +367,49 @@ def test_series_value_norm_within_gain_bound(rng):
         assert norm(value) <= gain * beta.sup_bound + policy.tol
 
 
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.mark.parametrize("name", ["shift-conjugate", "matrix-conjugate", "quad-linearize"])
+def test_certified_error_is_the_sum_of_its_error_budget(monkeypatch, tmp_path, name):
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name]
+    cfg = workload.config
+    policy = SeriesPolicy(tol=cfg["tol"])
+    if workload.command == "conjugate":
+        op = operator_from_descriptor(cfg["operator"])
+        beta = perturbation_from_descriptor(cfg["perturbation"], op.norm_kind)
+        fwd = solve_conjugacy(op, beta, cfg["gamma"], policy, cfg["picard_tol"])
+        bwd = solve_inverse_conjugacy(op, beta, policy)
+    else:
+        problem = workloads._quadratic_problem(ghlin, cfg["problem"])
+        result = linearize(problem, policy, cfg["picard_tol"])
+        fwd, bwd = result.forward, result.backward
+    for cmap, parts in ((fwd, ("picard", "series")), (bwd, ("truncation", "inverse_propagation"))):
+        assert tuple(cmap.error_budget) == parts
+        assert cmap.certified_error == sum(cmap.error_budget.values())
+        assert cmap.report()["error_budget"] == cmap.error_budget
+    if workload.command == "conjugate":
+        prefix = str(tmp_path / "run")
+        cli.run(workload.command, workload.config_for(0), prefix)
+        with open(f"{prefix}.report.json") as fh:
+            report = json.load(fh)
+        for key, cmap in (("forward_map", fwd), ("backward_map", bwd)):
+            assert report[key]["error_budget"] == cmap.error_budget
+            assert report[key]["certified_error"] == sum(report[key]["error_budget"].values())
+
+
 def test_admissible_lipschitz_gives_contraction_factor_gamma():
     op = make_shift(WeightSpec(0.5, 2.0), t=0.55)
     gamma = 0.2
     eps = admissible_eps(op, gamma)
     beta = sine_perturbation(eps, 1.0, window=[0])
     fwd = solve_conjugacy(op, beta, gamma, SeriesPolicy(tol=1e-6), picard_tol=1e-3)
-    assert fwd.contraction == pytest.approx(gamma, rel=1e-12)
-    assert fwd.contraction < 1.0
+    # q = gain * Lip(beta), and the gain is at most the envelope c*d*(1+t)/(1-t)
+    # that admissible_eps divides gamma by
+    assert fwd.contraction == pytest.approx(op.constants.gain * eps, rel=1e-12)
+    assert fwd.contraction <= gamma
 
 
 def test_picard_increments_contract_pointwise(rng):
@@ -503,7 +544,7 @@ def test_sweep_matches_tree_bitwise_when_extra_terms_miss_beta(rng):
     # README config: the sweep's extra terms land at indices <= -K - 1,
     # outside beta's window [-1, 1], so beta never sees them
     fwd = _shift_sweep_instance(sine_perturbation(0.05, 1.0, window=range(-1, 2)))
-    assert fwd.terms == 16 and fwd.depth == 4
+    assert fwd.terms == 13 and fwd.depth == 4
     for _ in range(3):
         x = random_sparse(rng)
         assert fwd.displacement(x) == tree_displacement(fwd, x)
