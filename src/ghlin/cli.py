@@ -30,8 +30,8 @@ from functools import partial
 
 import numpy as np
 
-from .conjugacy import SeriesPolicy, solve_conjugacy, solve_inverse_conjugacy, verify_conjugacy
-from .conjugacy import _inverse_pair, _membership, _pack
+from .conjugacy import SeriesPolicy, solve_conjugacy, solve_inverse_conjugacy
+from .conjugacy import _conjugate_checks, _membership, _pack
 from .linearize import (
     LinearizationProblem,
     _default_certificate,
@@ -140,14 +140,11 @@ def _cmd_conjugate(config: dict, prefix: str, rng) -> int:
     fwd = solve_conjugacy(op, beta, gamma, policy, picard_tol)
     bwd = solve_inverse_conjugacy(op, beta, policy)
     points = sample_points(rng, op, n, beta)
-    fwd_report = verify_conjugacy(fwd, points)
-    bwd_report = verify_conjugacy(bwd, points)
     try:
         holder = _default_certificate(op, beta, 0.999)
     except ValueError:  # no certificate: a perturbed inverse pair is uncertified
         holder = None
-    inverse_report = _inverse_pair(fwd, bwd, points, fwd_report.values, bwd_report.values, holder)
-    reports = (fwd_report, bwd_report, inverse_report)
+    reports = fwd_report, bwd_report, inverse_report = _conjugate_checks(fwd, bwd, points, holder)
     per_point = zip(fwd_report.per_point, bwd_report.per_point, inverse_report.per_point)
     residuals = [max(f, b, *pair) for f, b, pair in per_point]
     bound = max(r.certified_bound for r in reports)
@@ -229,6 +226,8 @@ def _cmd_linearize(config: dict, prefix: str, rng) -> int:
             "max": report.max_residual,
             "mean": float(np.mean(report.per_point)) if report.per_point else 0.0,
         },
+        "forward_map": result.forward.report(),
+        "backward_map": result.backward.report(),
         "passed": report.passed,
     }
     _write_report(prefix, payload)

@@ -58,13 +58,20 @@ N-side sums move right, so a column that leaves the window never returns.
 ``ConjugacyMap.displacements`` runs its points in chunks sized so that their
 orbit array, estimated from the orbit length and the widest point, fits
 ``CHUNK_BYTES``.  The checks
-are batch expressions too: one lattice call per stage, no loop over points.
+are batch expressions too, with no loop over points.
 
 Every map is immutable and keeps no values; it carries a certified
 worst-case evaluation error, and verification routines compare observed
 identity residuals against bounds derived from it.  A check report holds
 the displacements it computed at its points (``values``), so a later check
 on the same points takes them from the report instead of evaluating again.
+Both identity checks and the inverse pair (``_conjugate_checks``) take three
+lattice calls: the forward map on the rows [T x, x], which gives h_fwd(x);
+the backward map once on [(T + beta) x, x, x + h_fwd(x)], for its identity
+check and the H_back o H_fwd leg of the pair; and the forward map on
+x + h_bwd(x).  Each check still evaluates H at an image through that
+image's own orbit: reading H(R x) off the orbit of x would make the identity
+hold by construction.
 """
 
 from __future__ import annotations
@@ -458,21 +465,28 @@ def verify_conjugacy(cmap: ConjugacyMap, samples: Sequence[StateVector]) -> Veri
     H((T + beta) x) - T(H(x)).  With E the map's certified error, the bound
     is E * (1 + Lip(outer)): Lip(T + beta) = |T| + Lip(beta), Lip(T) = |T|.
     """
+    x = _pack(cmap.op, samples)
+    images, outer, bound = _identity_terms(cmap, x)
+    return _identity_check(cmap, images, x, outer, bound)
+
+
+def _identity_terms(cmap, x: Batch) -> tuple:
+    # the images of the rows of x under the inner map, the outer map and the bound of the check
     op, beta = cmap.op, cmap.beta
     s_step = partial(perturbed_apply, op, beta)
     if cmap.direction == FORWARD:  # H o T = S o H with S = T + beta
         inner, outer, outer_beta_lip = op.step, s_step, beta.lip_bound
     else:  # H o S = T o H
         inner, outer, outer_beta_lip = s_step, op.step, 0.0
-    bound = cmap.certified_error * (1.0 + op.norm_T + outer_beta_lip)
-    x = _pack(op, samples)
-    return _identity_check(cmap, inner(x), x, outer, bound)
+    return inner(x), outer, cmap.certified_error * (1.0 + op.norm_T + outer_beta_lip)
 
 
-def _identity_check(cmap, images: Batch, points: Batch, outer, bound: float) -> VerificationReport:
-    # residuals |H(u) - outer(H(x))| over the rows u of images and x of points, one lattice call
+def _identity_check(cmap, images: Batch, points: Batch, outer, bound: float, values=None):
+    # residuals |H(u) - outer(H(x))| over the rows u of images and x of points; ``values``,
+    # the map's displacements at those rows when a caller already has them, or one lattice call
     both, n = _join(images, points), len(points)
-    values = cmap._rows(both)
+    if values is None:
+        values = cmap._rows(both)
     gaps = (images + values[:n]) - outer(points + values[n:])
     residuals = row_norms(gaps, cmap.op.norm_kind).tolist()
     return VerificationReport(
@@ -541,17 +555,39 @@ def verify_inverse_pair(
     without a certificate the bound is infinity and the check is
     uncertified (observed residuals only).
     """
-    samples = list(samples)
-    h_fwd, h_bwd = fwd.displacements(samples), bwd.displacements(samples)
-    return _inverse_pair(fwd, bwd, samples, h_fwd, h_bwd, holder)
-
-
-def _inverse_pair(fwd, bwd, samples, h_fwd, h_bwd, holder) -> InversePairReport:
-    # verify_inverse_pair, given both maps' displacements at the samples, as batch expressions
     if fwd.direction != FORWARD or bwd.direction != BACKWARD:
         raise ValueError("verify_inverse_pair needs a (forward, backward) pair")
     if fwd.op is not bwd.op or fwd.beta is not bwd.beta:
         raise ValueError("the two maps must share the same operator and perturbation")
+    x = _pack(fwd.op, list(samples))
+    there, n = x + fwd._rows(x), len(x)
+    values = bwd._rows(_join(x, there))
+    return _inverse_pair(fwd, bwd, x, there, values[:n], values[n:], holder)
+
+
+def _conjugate_checks(fwd, bwd, samples, holder) -> tuple:
+    """``verify_conjugacy`` of both maps and ``verify_inverse_pair``, in three lattice calls.
+
+    The backward map runs once, on the rows (T + beta) x, x and x + h_fwd(x):
+    its identity check and the H_back o H_fwd leg of the pair share that call.
+    A row gets the same value in any batch, so the reports are those of the
+    separate checks: bit for bit on the shift, up to the rounding of a matrix
+    product on the dense backend.
+    """
+    x, n = _pack(fwd.op, samples), len(samples)
+    fwd_report = verify_conjugacy(fwd, samples)
+    there = x + _pack(fwd.op, fwd_report.values)
+    images, outer, bound = _identity_terms(bwd, x)
+    values = bwd._rows(_join(images, x, there))
+    bwd_report = _identity_check(bwd, images, x, outer, bound, values[: 2 * n])
+    inverse_report = _inverse_pair(fwd, bwd, x, there, values[n : 2 * n], values[2 * n :], holder)
+    return fwd_report, bwd_report, inverse_report
+
+
+def _inverse_pair(fwd, bwd, x: Batch, there: Batch, h_bwd: Batch, h_bwd_there: Batch,
+                  holder) -> InversePairReport:
+    # verify_inverse_pair at the rows of x, given there = x + h_fwd(x) and the backward
+    # displacements at x and at there; the forward map runs once, at x + h_bwd(x)
     e_f, e_b = fwd.certified_error, bwd.certified_error
     if fwd.beta.is_zero:
         bound = 0.0
@@ -570,10 +606,9 @@ def _inverse_pair(fwd, bwd, samples, h_fwd, h_bwd, holder) -> InversePairReport:
         bound = max(left_bound, right_bound)
     else:
         bound = math.inf
-    op, x = fwd.op, _pack(fwd.op, samples)
-    there, back = x + _pack(op, h_fwd), x + _pack(op, h_bwd)
-    left = row_norms((there + bwd._rows(there)) - x, op.norm_kind).tolist()
-    right = row_norms((back + fwd._rows(back)) - x, op.norm_kind).tolist()
+    kind, back = fwd.op.norm_kind, x + h_bwd
+    left = row_norms((there + h_bwd_there) - x, kind).tolist()
+    right = row_norms((back + fwd._rows(back)) - x, kind).tolist()
     covered = fwd.covers(x, back) and bwd.covers(x, there)
     return InversePairReport(
         n_samples=len(x),

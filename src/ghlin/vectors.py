@@ -407,6 +407,10 @@ def row_norms(b: Batch, kind: NormKind = SUP_NORM) -> np.ndarray:
 #: magnitude bound of a config's sparse indices: their orbit steps stay far inside int64
 INDEX_LIMIT = 2**62
 
+#: most indices in a config window: the perturbation lists them, and the sampler draws
+#: samples x (width + 20) coordinates, about 52 MB at this width for 100 samples
+WINDOW_LIMIT = 2**16
+
 
 def _number(obj: dict, key: str, *default):
     """``obj[key]``, a JSON number (an int or a float, not a bool), as a float.
@@ -442,12 +446,17 @@ def _numbers(value, key: str) -> np.ndarray:
 
 
 def _window(obj: dict) -> range:
-    """The index window ``obj["window"]``: [lo, hi], two integers below ``INDEX_LIMIT``."""
+    """The index window ``obj["window"]``: [lo, hi], two integers below ``INDEX_LIMIT``.
+
+    It may hold at most ``WINDOW_LIMIT`` indices.
+    """
     window = obj["window"]
     if type(window) is not list or len(window) != 2 or any(type(i) is not int for i in window):
         raise ValueError(f"window must be [lo, hi] with integers lo and hi, got {window!r}")
     if max(map(abs, window)) >= INDEX_LIMIT:
         raise ValueError(f"window indices must lie below 2^62 in magnitude, got {window!r}")
+    if window[1] - window[0] + 1 > WINDOW_LIMIT:
+        raise ValueError(f"window may hold at most 2^16 indices, got {window!r}")
     return range(window[0], window[1] + 1)
 
 

@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ghlin import DenseVector, SparseVector, WeightSpec, norm, zero_like
+from ghlin import ConjugacyMap, DenseVector, SparseVector, WeightSpec, norm, zero_like
+
+
+def lattice_calls(monkeypatch) -> list[tuple[str, int]]:
+    """A list that receives the direction and row count of every ConjugacyMap._values call."""
+    calls, values = [], ConjugacyMap._values
+    monkeypatch.setattr(
+        ConjugacyMap, "_values", lambda m, xs: calls.append((m.direction, len(xs))) or values(m, xs)
+    )
+    return calls
 
 
 def random_sparse(rng: np.random.Generator, window=range(-5, 6), density=0.7) -> SparseVector:

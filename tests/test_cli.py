@@ -1,9 +1,11 @@
 """Command-line interface: configs, reports, CSV output and exit codes."""
 
 import csv
+import importlib
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -19,8 +21,13 @@ from ghlin import (
     displacement_space_residual,
     linearize,
     vectors,
+    verify_conjugacy,
+    verify_inverse_pair,
 )
 from ghlin.cli import main
+from conftest import lattice_calls
+
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 
 
 def write_config(tmp_path, name, payload):
@@ -420,6 +427,64 @@ def test_each_command_evaluates_its_lattice_rows_once(tmp_path, monkeypatch, com
     assert len(read_samples(tmp_path, "run")) == 1 + 5
 
 
+def test_conjugate_runs_the_backward_map_once(tmp_path, monkeypatch):
+    # forward at [T x, x]; backward once at [(T + beta) x, x, x + h_fwd(x)], which serves its
+    # identity check and the H_back o H_fwd leg; forward at x + h_bwd(x)
+    calls = lattice_calls(monkeypatch)
+    config = {"operator": SHIFT, "perturbation": SINE, "gamma": 0.2, "tol": 1e-5,
+              "picard_tol": 5e-4, "samples": 5, "seed": 1}
+    assert main(["conjugate", "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert calls == [("forward", 10), ("backward", 15), ("forward", 5)]
+
+
+@pytest.mark.parametrize("name", ["shift-conjugate", "matrix-conjugate"])
+def test_conjugate_blocks_equal_the_separate_library_checks(tmp_path, monkeypatch, name):
+    # a row gets the same value in any batch: bit for bit on the shift, and within the
+    # certified error on the dense backend, where gemm and gemv may round differently
+    monkeypatch.syspath_prepend(str(BENCH))
+    workload = importlib.import_module("workloads").WORKLOADS[name]
+    captured = {}
+
+    def capture(key):
+        fn = getattr(cli, key)
+
+        def wrapper(*args, **kwargs):
+            captured[key] = None  # _default_certificate raises when there is no certificate
+            captured[key] = out = fn(*args, **kwargs)
+            return out
+
+        monkeypatch.setattr(cli, key, wrapper)
+
+    for key in ("solve_conjugacy", "solve_inverse_conjugacy", "sample_points",
+                "_default_certificate"):
+        capture(key)
+    cli.run("conjugate", workload.config_for(61), str(tmp_path / "run"))
+    report, rows = read_report(tmp_path, "run"), read_samples(tmp_path, "run")[1:]
+    fwd, bwd = captured["solve_conjugacy"], captured["solve_inverse_conjugacy"]
+    points, holder = captured["sample_points"], captured["_default_certificate"]
+    separate = {
+        "forward": verify_conjugacy(fwd, points),
+        "backward": verify_conjugacy(bwd, points),
+        "inverse": verify_inverse_pair(fwd, bwd, points, holder),
+    }
+    per_point = zip(*(check.per_point for check in separate.values()))
+    residuals = [max(f, b, *pair) for f, b, pair in per_point]
+    if name == "shift-conjugate":
+        for key, check in separate.items():
+            assert report[key] == json.loads(json.dumps(check.to_dict()))
+        assert [float(row[1]) for row in rows] == residuals
+        return
+    tol = fwd.certified_error + bwd.certified_error
+    for key, check in separate.items():
+        for field, value in check.to_dict().items():
+            if field.startswith("max_residual"):
+                assert report[key][field] == pytest.approx(value, abs=tol)
+            else:
+                assert report[key][field] == value
+    assert [float(row[1]) for row in rows] == pytest.approx(residuals, abs=tol)
+
+
 @pytest.mark.parametrize("command, config", [
     ("conjugate", {"operator": SHIFT, "perturbation": SINE, "gamma": 0.2, "tol": 1e-5,
                    "picard_tol": 5e-4}),
@@ -641,6 +706,12 @@ FAR = 10**19  # an index beyond int64
          "right_tail must be a number in float range"),
         ("conjugate", {"operator": SHIFT, "perturbation": {**SINE, "window": [FAR, FAR]}},
          "window indices must lie below 2^62"),
+        # listing 10^9 indices and drawing samples over them would take tens of GB
+        ("conjugate", {"operator": SHIFT, "perturbation": {**SINE, "window": [0, 10**9]}},
+         "window may hold at most 2^16 indices"),
+        ("conjugate", {"operator": SHIFT, "perturbation": {
+            "kind": "saturating", "amplitude": 0.01, "scale": 1.0, "window": [-2**15, 2**15]}},
+         "window may hold at most 2^16 indices"),
         ("conjugate", {"operator": SHIFT,
                        "perturbation": {"kind": "constant", "vector": {str(FAR): 0.01}}},
          "vector index must lie below 2^62"),
@@ -652,7 +723,8 @@ FAR = 10**19  # an index beyond int64
                                     "core": {"40": 0.3}}},
          "the norm of T^-31 on N is not certifiable"),
     ],
-    ids=["gamma-huge", "right_tail-huge", "window-beyond-int64", "vector-index-beyond-int64",
+    ids=["gamma-huge", "right_tail-huge", "window-beyond-int64", "sine-window-too-wide",
+         "saturating-window-too-wide", "vector-index-beyond-int64",
          "core-index-beyond-int64", "right-tail-power-overflow"],
 )
 def test_out_of_range_config_exits_2(tmp_path, capsys, command, config, message):

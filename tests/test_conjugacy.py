@@ -41,7 +41,7 @@ from ghlin import cli, conjugacy, linearize, operator_from_descriptor, perturbat
 from ghlin.linearize import make_holder_certificate
 from ghlin.perturbations import perturbed_apply, solve_perturbed_inverse
 from ghlin.vectors import _row_wise
-from conftest import random_sparse
+from conftest import lattice_calls, random_sparse
 
 POLICY = SeriesPolicy(tol=1e-10)
 
@@ -306,6 +306,19 @@ def test_backward_check_beyond_eval_radius_is_uncertified():
     assert far.to_dict()["certified_bound"] is None
 
 
+def test_verify_inverse_pair_makes_three_lattice_calls(rng, monkeypatch):
+    # h_fwd at x; the backward map once at x and at x + h_fwd(x); the forward map at x + h_bwd(x)
+    op = make_shift(WeightSpec(0.5, 2.0), t=0.55)
+    beta = sine_perturbation(0.05, 1.0, window=[-1, 1])
+    fwd = solve_conjugacy(op, beta, 0.2, SeriesPolicy(tol=1e-5), picard_tol=5e-4)
+    bwd = solve_inverse_conjugacy(op, beta, SeriesPolicy(tol=1e-5))
+    points = [random_sparse(rng, window=range(-3, 4)) for _ in range(5)]
+    calls = lattice_calls(monkeypatch)
+    inverse = verify_inverse_pair(fwd, bwd, points)
+    assert calls == [("forward", 5), ("backward", 10), ("forward", 5)]
+    assert inverse.n_samples == 5 and inverse.max_residual < 1e-3
+
+
 def test_verify_inverse_requires_shared_instance(rng):
     op = diag_half_three()
     beta = sine_perturbation(0.02, 1.0, window=[0])
@@ -390,14 +403,14 @@ def test_certified_error_is_the_sum_of_its_error_budget(monkeypatch, tmp_path, n
         assert tuple(cmap.error_budget) == parts
         assert cmap.certified_error == sum(cmap.error_budget.values())
         assert cmap.report()["error_budget"] == cmap.error_budget
-    if workload.command == "conjugate":
-        prefix = str(tmp_path / "run")
-        cli.run(workload.command, workload.config_for(0), prefix)
-        with open(f"{prefix}.report.json") as fh:
-            report = json.load(fh)
-        for key, cmap in (("forward_map", fwd), ("backward_map", bwd)):
-            assert report[key]["error_budget"] == cmap.error_budget
-            assert report[key]["certified_error"] == sum(report[key]["error_budget"].values())
+    prefix = str(tmp_path / "run")
+    cli.run(workload.command, workload.config_for(0), prefix)
+    with open(f"{prefix}.report.json") as fh:
+        report = json.load(fh)
+    for key, cmap in (("forward_map", fwd), ("backward_map", bwd)):
+        assert report[key] == json.loads(json.dumps(cmap.report()))
+        assert report[key]["error_budget"] == cmap.error_budget
+        assert report[key]["certified_error"] == sum(report[key]["error_budget"].values())
 
 
 def test_admissible_lipschitz_gives_contraction_factor_gamma():

@@ -13,6 +13,7 @@ from ghlin import (
     norm,
     vector_from_json,
 )
+from ghlin.vectors import WINDOW_LIMIT, _window
 from conftest import random_sparse
 
 
@@ -156,3 +157,13 @@ def test_sparse_json_index_must_be_a_canonical_integer(key):
     # "01" and "1" would name one index, so one entry would be dropped; "1_0" would read as 10
     with pytest.raises(ValueError, match=f"vector index .*{re.escape(repr(key))}"):
         vector_from_json({"1": 0.5, key: 0.25})
+
+
+def test_window_holds_at_most_window_limit_indices():
+    # the width is checked before any index list is built
+    lo = -(2**15)
+    assert len(_window({"window": [lo, lo + WINDOW_LIMIT - 1]})) == WINDOW_LIMIT
+    with pytest.raises(ValueError, match="at most 2\\^16 indices"):
+        _window({"window": [lo, lo + WINDOW_LIMIT]})
+    with pytest.raises(ValueError, match="at most 2\\^16 indices"):
+        _window({"window": [-(2**61), 2**61]})
