@@ -52,7 +52,7 @@ from .vectors import Batch, DenseVector, SparseVector, _at_point, _number, _obje
 
 __all__ = ["main", "run"]
 
-DEFAULTS = {"samples": 100, "seed": 0, "output": "ghlin-run", "tol": 1e-6, "picard_tol": 1e-4}
+DEFAULTS = {"samples": 100, "seed": 0, "tol": 1e-6, "picard_tol": 1e-4}
 
 
 class ConfigError(ValueError):
@@ -205,8 +205,7 @@ def _problem_from_descriptor(obj: dict) -> LinearizationProblem:
 
 
 def _cmd_linearize(config: dict, prefix: str, rng) -> int:
-    shared = {key: config[key] for key in ("gamma", "theta", "cutoff_r") if key in config}
-    problem = _problem_from_descriptor({**shared, **_require(config, "problem")})
+    problem = _problem_from_descriptor(_require(config, "problem"))
     policy = _policy(config)
     picard_tol = _number(config, "picard_tol", DEFAULTS["picard_tol"])
     n = _integer(config, "samples", 1)
@@ -288,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     ]:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON config")
-        cmd.add_argument("--out", default=None, help="output path prefix")
+        cmd.add_argument("--out", default="ghlin-run", help="output path prefix")
         cmd.add_argument("--samples", type=int, default=None, help="sample count override")
         cmd.add_argument("--seed", type=int, default=None, help="RNG seed override")
     args = parser.parse_args(argv)
@@ -300,8 +299,7 @@ def main(argv: list[str] | None = None) -> int:
             config["samples"] = args.samples
         if args.seed is not None:
             config["seed"] = args.seed
-        prefix = args.out or config.get("output", DEFAULTS["output"])
-        return run(args.command, config, prefix)
+        return run(args.command, config, args.out)
     except IterationLimitError as exc:
         print(f"ghlin {args.command}: {exc}", file=sys.stderr)
         return 1

@@ -55,10 +55,10 @@ When the source declares an index window (``Perturbation.window``: it
 reads only the coordinates in [lo, hi]), the orbit and every level below
 the top keep only the columns in that window: M-side sums move left and
 N-side sums move right, so a column that leaves the window never returns.
-``ConjugacyMap.displacements`` runs its points in chunks sized so that their
-orbit array, estimated from the orbit length and the widest point, fits
-``CHUNK_BYTES``.  The checks
-are batch expressions too, with no loop over points.
+``ConjugacyMap.displacements`` runs its points in chunks sized so that the
+largest array of a call, the orbit or a sweep buffer, fits ``CHUNK_BYTES``;
+it is estimated from the orbit length, the widest point and the source's
+window.  The checks are batch expressions too, with no loop over points.
 
 Every map is immutable and keeps no values; it carries a certified
 worst-case evaluation error, and verification routines compare observed
@@ -122,8 +122,10 @@ INVERSE_TOL_REL = 1e-12
 #: most series terms per side that ``truncation_terms`` may ask for
 TERMS_CAP = 10_000
 
-#: byte budget of the orbit array of one lattice call; more points run in chunks
-CHUNK_BYTES = 2 << 20
+#: byte budget of the largest array (the orbit or a sweep buffer) of one lattice call; more
+#: points run in chunks.  A windowless shift map at K = 15 and depth 3 needs about 230 kB per
+#: forward row, and a 100-sample ``conjugate`` of it makes 4 lattice calls at this budget
+CHUNK_BYTES = 24 << 20
 
 
 @dataclass(frozen=True)
@@ -229,9 +231,9 @@ class ConjugacyMap:
     solve to residual ``inverse_tols[j]``.  ``certified_error`` bounds the
     distance between returned displacement values and the exact ones, on
     evaluation points within ``eval_radius`` in the ambient norm (``None``:
-    everywhere).  It is the sum of the named parts in ``error_budget``, in
-    their order: ``picard`` and ``series`` forward, ``truncation`` and
-    ``inverse_propagation`` backward.
+    everywhere).  It is not stored: it is the sum, in their order, of the
+    named parts in ``error_budget`` (``picard`` and ``series`` forward,
+    ``truncation`` and ``inverse_propagation`` backward), 0.0 for none.
 
     Evaluation is pure and the map keeps no values.  On the shift every
     batch computes identical values; on the dense backend two batches may
@@ -244,10 +246,13 @@ class ConjugacyMap:
     terms: int
     depth: int = 0
     contraction: float = 0.0
-    certified_error: float = 0.0
     inverse_tols: tuple = ()
     eval_radius: float | None = None
     error_budget: dict = field(default_factory=dict)
+
+    @property
+    def certified_error(self) -> float:
+        return sum(self.error_budget.values(), 0.0)
 
     def displacements(self, points: Sequence[StateVector]) -> list[StateVector]:
         """The offsets H(x) - x at the points, computed to the map's certified error.
@@ -274,11 +279,21 @@ class ConjugacyMap:
         return _join(*(self._values(_own_columns(x[i : i + size])) for i in range(0, len(x), size)))
 
     def _chunk_size(self, x: Batch) -> int:
-        # rows per lattice call: the orbit has at most depth*(2K + 1) + 1
-        # row blocks, each as wide as the widest point plus a margin
-        width = x.rows.shape[-1] if x.cols is None else np.count_nonzero(x.rows, -1).max(initial=0)
-        row_bytes = 8 * (self.depth * (2 * self.terms + 1) + 1) * (int(width) + 1)
-        return max(1, CHUNK_BYTES // row_bytes)
+        # rows per lattice call, from a bound per row on the largest array of a call, the orbit
+        # or a sweep buffer, of at most L + 1 indices (L = depth (2K + 1) + 1) by these columns:
+        # a dense point's; a sparse point's nonzeros, and with a window at least the window
+        # plus the top sweep's reach of 2K + 1, or without one 3L more for the orbit's spread
+        # and the lower sweeps' reach
+        length = self.depth * (2 * self.terms + 1) + 1
+        if x.cols is None:
+            span = x.rows.shape[-1]
+        else:
+            span = int(np.count_nonzero(x.rows, -1).max(initial=0))
+            if self.beta.window is None:
+                span += 3 * length
+            else:
+                span = max(span, self.beta.window[1] - self.beta.window[0] + 2 * self.terms + 2)
+        return max(1, CHUNK_BYTES // (8 * (length + 1) * (span + 1)))
 
     def _values(self, x: Batch) -> Batch:
         op, beta = self.op, self.beta
@@ -347,10 +362,7 @@ def solve_conjugacy(
         depth += 1
     terms = truncation_terms(op, beta.sup_bound, policy)
     budget = {"picard": picard_err, "series": policy.tol * (1.0 - q**depth) / (1.0 - q)}
-    return ConjugacyMap(
-        op, beta, FORWARD, terms, depth, contraction=q,
-        certified_error=sum(budget.values()), error_budget=budget,
-    )
+    return ConjugacyMap(op, beta, FORWARD, terms, depth, contraction=q, error_budget=budget)
 
 
 def solve_inverse_conjugacy(
@@ -399,10 +411,8 @@ def solve_inverse_conjugacy(
             k.power(0, j) * beta_gap(point_errors[j]) for j in range(terms + 1)
         ),
     }
-    return ConjugacyMap(
-        op, beta, BACKWARD, terms, depth=1, certified_error=sum(budget.values()),
-        inverse_tols=tuple(inverse_tols), eval_radius=eval_radius, error_budget=budget,
-    )
+    return ConjugacyMap(op, beta, BACKWARD, terms, depth=1, inverse_tols=tuple(inverse_tols),
+                        eval_radius=eval_radius, error_budget=budget)
 
 
 def eval_H(cmap: ConjugacyMap, x: StateVector) -> StateVector:

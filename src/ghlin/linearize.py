@@ -334,13 +334,13 @@ class LinearizationResult:
         return self.backward.certified_error * (1.0 + op.norm_T)
 
     def report(self) -> dict:
+        """The workflow's numbers; ``certified_residual_bound`` belongs to a check's report."""
         return {
             "u_radius": self.u_radius,
             "eps": self.eps,
             "gamma": self.problem.gamma,
             "theta": self.cert.theta,
             "C": self.cert.C,
-            "certified_residual_bound": self.certified_residual_bound,
         }
 
 

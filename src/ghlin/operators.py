@@ -391,11 +391,11 @@ class ShiftOperator:
         e_{j+n} / (w_{j+1} ... w_{j+n}), so |A_N^n| is the reciprocal of their
         infimum over j >= 1.  Windows that miss the core are pure tail
         powers, so each side scans one running product per j up to the core
-        and multiplies in one weight column per power.  Each block comes
-        with None, or the error of the next power when |A_N^n| is not
-        certifiable: a product that underflows leaves the reciprocal
-        unreliable, and a tail power that overflows is not a float.  No
-        block follows an error.
+        and multiplies in one weight column per power.  Before the first
+        power whose |A_N^n| is not certifiable (a product that underflows
+        leaves the reciprocal unreliable, and a tail power that overflows is
+        not a float) it yields the powers that precede it, then raises
+        ``CertificationError``.
         """
         lo, hi = self.weights.window
         j_m, j_n = np.arange(min(lo - 1, 0), 1), np.arange(1, max(hi + 1, 1) + 1)
@@ -419,10 +419,9 @@ class ShiftOperator:
                 i = int(np.argmax(bad))
                 what = (f"the tail power |w|^{n[i]} overflows" if overflow[i] else
                         f"a product of {n[i]} weights underflows (it must stay a normal float)")
-                error = CertificationError(f"the norm of T^-{n[i]} on N is not certifiable: {what}")
-                yield np.vstack([norm_m[:i], 1.0 / best[:i]]), error
-                return
-            yield np.vstack([norm_m, 1.0 / best]), None
+                yield np.vstack([norm_m[:i], 1.0 / best[:i]])
+                raise CertificationError(f"the norm of T^-{n[i]} on N is not certifiable: {what}")
+            yield np.vstack([norm_m, 1.0 / best])
             run_m, run_n, done = prod_m[-1], prod_n[-1], n[-1]
             count = done
 
@@ -550,8 +549,8 @@ class MatrixOperator:
         The first block doubles its run of powers, A^(k + j) = A^k A^j for
         k <= j.  After it, a block of powers A^(s+1), ..., A^(s+m) times A^m
         is the next block; the two are joined, and A^m squared, while the
-        joined block fits ``POWER_BLOCK_BYTES``.  Each block comes with None:
-        no power fails.
+        joined block fits ``POWER_BLOCK_BYTES``.  No power fails, and the
+        blocks never end.
         """
         size = max(1, min(count, POWER_BLOCK_BYTES // (16 * self.matrix.size)))
         block = np.empty((2, size) + self.matrix.shape)  # (side, power, n, n)
@@ -563,7 +562,7 @@ class MatrixOperator:
             done += more
         step = block[:, -1:]
         while True:
-            yield self._induced(block), None
+            yield self._induced(block)
             block = block @ step
             if 2 * block.nbytes <= POWER_BLOCK_BYTES:
                 block, step = np.concatenate([block, block @ step], axis=1), step @ step
@@ -710,36 +709,39 @@ def _decay_window(op: GHOperator, t: float, count: int) -> tuple[np.ndarray, int
     """The power table (|P|, |A^1|, ..., |A^W|) of each side, the window n_max and c.
 
     n_max is the first n with |A_M^n| <= t^n and |A_N^n| <= t^n, and c the
-    largest ratio |A^n| / t^n up to it; the table runs on to the first
-    W >= n_max with both norms at most ``POWER_TABLE_FLOOR``.  If the cap
-    or an uncertifiable power comes first, W is the last n >= n_max before
-    it with both norms below 1.
+    largest ratio |A^n| / t^n up to it.  The scan stops at the first power
+    from n_max on with both norms at most ``POWER_TABLE_FLOOR``, after
+    ``DECAY_WINDOW_CAP`` powers, or before a power that cannot be certified;
+    W is the last scanned n >= n_max with both norms below 1.
     """
-    blocks, n, n_max, c = [[[op.norm_P_M], [op.norm_P_N]]], 0, 0, 1.0
-    for block, error in op._power_norms(count):
-        blocks.append(block)
-        for peak in block.max(axis=0, initial=0.0).tolist():
-            n += 1
-            if not n_max:
-                tn = t**n
-                if tn < sys.float_info.min:  # subnormal or zero: the ratios are not reliable
-                    _uncertifiable(t, n)
-                c = max(c, peak / tn)
-                n_max = n if peak / tn <= 1.0 else 0
-            if n_max and peak <= POWER_TABLE_FLOOR:
-                return np.hstack(blocks)[:, : n + 1], n_max, c
-            if n == DECAY_WINDOW_CAP:
+    blocks, n_max, c = [[[op.norm_P_M], [op.norm_P_N]]], 0, 1.0
+    peaks = _peaks(op._power_norms(count), blocks)
+    for n in range(1, DECAY_WINDOW_CAP + 1):
+        if not n_max and (tn := t**n) < sys.float_info.min:  # subnormal or zero: ratios unreliable
+            _uncertifiable(t, n)
+        try:
+            peak = next(peaks)
+        except CertificationError:  # power n is not certifiable: fatal before n_max, the end after
+            if n_max:
                 break
-        if n == DECAY_WINDOW_CAP or error is not None:
+            raise
+        if not n_max:
+            c = max(c, peak / tn)
+            n_max = n if peak / tn <= 1.0 else 0
+        if n_max and peak <= POWER_TABLE_FLOOR:
             break
     if not n_max:
-        if n < DECAY_WINDOW_CAP and t ** (n + 1) >= sys.float_info.min:
-            raise error
-        _uncertifiable(t, min(n + 1, DECAY_WINDOW_CAP))
-    # the cap or an uncertifiable power came first
+        _uncertifiable(t, DECAY_WINDOW_CAP)
     table = np.hstack(blocks)[:, : n + 1]
     below = np.flatnonzero(table[:, n_max:].max(axis=0) < 1.0)
     return table[:, : n_max + below[-1] + 1], n_max, c
+
+
+def _peaks(powers, blocks: list):
+    # max(|A_M^n|, |A_N^n|) for n = 1, 2, ..., appending each block of powers to blocks
+    for block in powers:
+        blocks.append(block)
+        yield from block.max(axis=0).tolist()
 
 
 def _uncertifiable(t: float, n: int):

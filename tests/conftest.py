@@ -81,6 +81,34 @@ def banded_points(draw, zero, kind, r: float) -> list:
     return points
 
 
+@st.composite
+def hyperbolic_matrices(draw):
+    """Upper-triangular 2-4-dimensional matrices, spectrum at least 0.2 off the unit circle.
+
+    The strictly upper entries make them non-normal; a permutation
+    similarity, exact in floats, moves the triangular structure around.
+    """
+    n = draw(st.integers(2, 4))
+    sign = st.sampled_from([-1.0, 1.0])
+    diag = [draw(sign) * draw(st.one_of(st.floats(0.1, 0.8), st.floats(1.25, 4.0)))
+            for _ in range(n)]
+    a = np.diag(diag)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i, j] = draw(st.floats(-2.0, 2.0))
+    perm = draw(st.permutations(range(n)))
+    return a[np.ix_(perm, perm)]
+
+
+@st.composite
+def shifts(draw):
+    """Weighted shifts with tails 0.2-0.6 and 1.7-5 and a random core near 0."""
+    lo, size = draw(st.integers(-4, 4)), draw(st.integers(0, 5))
+    core = {i: draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.2, 3.0))
+            for i in range(lo, lo + size)}
+    return WeightSpec(draw(st.floats(0.2, 0.6)), draw(st.floats(1.7, 5.0)), core=core)
+
+
 def cut_at_point(alpha, x, kind, r: float):
     """chi(|x|) * alpha(x) at one point, with the radial cutoff chi written out per point."""
     s = norm(x, kind)

@@ -18,8 +18,10 @@ from ghlin import (
     Perturbation,
     ShiftOperator,
     cli,
+    conjugacy,
     displacement_space_residual,
     linearize,
+    operators,
     vectors,
     verify_conjugacy,
     verify_inverse_pair,
@@ -438,6 +440,45 @@ def test_conjugate_runs_the_backward_map_once(tmp_path, monkeypatch):
     assert calls == [("forward", 10), ("backward", 15), ("forward", 5)]
 
 
+def lattice_array_sizes(monkeypatch) -> list[int]:
+    """A list that receives the byte size of every orbit array and sweep buffer."""
+    sizes, stack, sweep = [], conjugacy.stack, operators._sweep_diagonals
+
+    def spy_stack(*args):
+        out = stack(*args)
+        sizes.append(out.rows.nbytes)
+        return out
+
+    def spy_sweep(x, *args):
+        buf = x
+        while buf.base is not None:  # the sweep fills a view of its buffer
+            buf = buf.base
+        sizes.append(buf.nbytes)
+        return sweep(x, *args)
+
+    monkeypatch.setattr(conjugacy, "stack", spy_stack)
+    monkeypatch.setattr(operators, "_sweep_diagonals", spy_sweep)
+    return sizes
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 20])
+def test_readme_conjugate_chunks_fit_the_chunk_budget(tmp_path, monkeypatch, budget):
+    # the chunk size counts the top sweep's buffer and the sine's window: at the shipped
+    # budget 100 samples take one call per map evaluation, and no array outgrows the budget
+    if budget is not None:
+        monkeypatch.setattr(conjugacy, "CHUNK_BYTES", budget)
+    calls, sizes = lattice_calls(monkeypatch), lattice_array_sizes(monkeypatch)
+    config = {"operator": SHIFT, "perturbation": SINE, "gamma": 0.2, "tol": 1e-5,
+              "picard_tol": 5e-4, "samples": 100, "seed": 7}
+    assert main(["conjugate", "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(tmp_path / "run")]) == 0
+    if budget is None:
+        assert calls == [("forward", 200), ("backward", 300), ("forward", 100)]
+    else:
+        assert len(calls) > 3
+    assert 0 < max(sizes) <= conjugacy.CHUNK_BYTES
+
+
 @pytest.mark.parametrize("name", ["shift-conjugate", "matrix-conjugate"])
 def test_conjugate_blocks_equal_the_separate_library_checks(tmp_path, monkeypatch, name):
     # a row gets the same value in any batch: bit for bit on the shift, and within the
@@ -680,10 +721,31 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, confi
          "saturating perturbation needs a nonempty window"),
         ("conjugate", {"operator": SHIFT, "perturbation": {**SINE, "window": [3, 1]}},
          "sine perturbation needs a nonempty window"),
+        ("constants", {"operator": {"kind": "matrix", "rows": [[1.0, 2.0]]}},
+         "matrix must be square, got shape (1, 2)"),
+        ("constants", {"operator": {**DIAGONAL, "norm": {"kind": "lp", "p": 3}}},
+         "induced matrix norms are available for p in {1, 2} and sup, not p=3.0"),
+        ("constants", {"operator": {**SHIFT, "t": 1.5}}, "t must lie in (0, 1), got 1.5"),
+        ("conjugate", {"operator": SHIFT, "perturbation": {**SINE, "amplitude": -0.05}},
+         "sine perturbation needs amplitude and rate >= 0"),
+        ("holder-probe", {"operator": SHIFT, "perturbation": SINE, "domain_diameter": 1.5},
+         "domain diameter must lie in (0, 1), got 1.5"),
+        ("holder-probe", {"operator": SHIFT, "perturbation": SINE, "domain_diameter": 0.0005},
+         "need max_distance > 0.001, got 0.0005"),
+        # theta_bound of this shift is 0.152
+        ("holder-probe", {"operator": {"kind": "shift", "left_tail": 0.5, "right_tail": 2.0,
+                                       "core": {"0": 0.9}}, "perturbation": SINE, "theta": 0.5},
+         "theta = 0.5 must stay below the exponent bound 0.152"),
+        ("linearize", {"problem": {**QUADRATIC, "gamma": 1.5}}, "gamma must lie in (0, 1), got 1.5"),
+        ("conjugate", {"operator": SHIFT, "perturbation": {"kind": "constant", "vector": 5}},
+         "cannot read a vector from int"),
     ],
     ids=["gh-check-matrix", "problem-kind", "operator-kind", "norm-kind", "gamma-range",
          "tol-zero", "core-index-leading-zero", "vector-index-underscore",
-         "saturating-empty-window", "sine-empty-window"],
+         "saturating-empty-window", "sine-empty-window", "rows-not-square", "matrix-l3-norm",
+         "t-above-1", "sine-amplitude-negative", "holder-diameter-above-1",
+         "holder-diameter-below-pair-distance", "holder-theta-above-bound",
+         "problem-gamma-range", "vector-int"],
 )
 def test_unsupported_config_exits_2(tmp_path, capsys, command, config, message):
     config = {"gamma": 0.2, "samples": 3, **config}

@@ -319,6 +319,15 @@ def test_verify_inverse_pair_makes_three_lattice_calls(rng, monkeypatch):
     assert inverse.n_samples == 5 and inverse.max_residual < 1e-3
 
 
+def test_verify_inverse_pair_rejects_swapped_maps():
+    op = diag_half_three()
+    beta = sine_perturbation(0.02, 1.0, window=[0])
+    fwd = solve_conjugacy(op, beta, 0.2, POLICY, picard_tol=1e-5)
+    bwd = solve_inverse_conjugacy(op, beta, POLICY)
+    with pytest.raises(ValueError, match=r"needs a \(forward, backward\) pair"):
+        verify_inverse_pair(bwd, fwd, [DenseVector([0.0, 0.0])])
+
+
 def test_verify_inverse_requires_shared_instance(rng):
     op = diag_half_three()
     beta = sine_perturbation(0.02, 1.0, window=[0])
