@@ -16,7 +16,8 @@ certified check passed, 1 means a check ran but exceeded its certified
 bound or could not be certified (its ``status`` is ``"uncertified"`` and its
 bound is written as null), or an iterative solve hit its iteration cap, 2
 means the configuration or preconditions were invalid.  Reports are strict
-JSON: a non-finite number is never written.
+JSON: a non-finite number is never written.  A check whose residuals hold a
+NaN fails, and its maximum is written as null.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import partial
 import numpy as np
 
 from .conjugacy import SeriesPolicy, solve_conjugacy, solve_inverse_conjugacy
-from .conjugacy import _conjugate_checks, _membership, _pack
+from .conjugacy import _conjugate_checks, _membership, _peak, _written
 from .linearize import (
     LinearizationProblem,
     _default_certificate,
@@ -84,9 +85,10 @@ def _write_report(prefix: str, payload: dict) -> None:
         fh.write(text + "\n")
 
 
-def _write_samples(prefix: str, op, residuals: list[float], bound: float, values: list) -> None:
-    # one row per sample; the last column is its displacement's distance from M + T^{-1}(N)
-    membership = _membership(op, _pack(op, values)).tolist()
+def _write_samples(prefix: str, op, residuals: list[float], bound: float, values: Batch) -> None:
+    # one row per sample; the last column is the distance of its displacement, a row of
+    # values, from M + T^{-1}(N)
+    membership = _membership(op, values).tolist()
     with open(f"{prefix}.samples.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["point_id", "residual", "certified_bound", "y_membership_residual"])
@@ -146,7 +148,7 @@ def _cmd_conjugate(config: dict, prefix: str, rng) -> int:
         holder = None
     reports = fwd_report, bwd_report, inverse_report = _conjugate_checks(fwd, bwd, points, holder)
     per_point = zip(fwd_report.per_point, bwd_report.per_point, inverse_report.per_point)
-    residuals = [max(f, b, *pair) for f, b, pair in per_point]
+    residuals = [_peak([f, b, *pair]) for f, b, pair in per_point]
     bound = max(r.certified_bound for r in reports)
     _write_samples(prefix, op, residuals, bound, fwd_report.values)
     passed = all(r.passed for r in reports)
@@ -215,15 +217,16 @@ def _cmd_linearize(config: dict, prefix: str, rng) -> int:
     points = (pack(offsets) + pack([problem.fixed_point])).unpack()
     report = result.verify(points)
     _write_samples(prefix, op, report.per_point, report.certified_bound, report.values)
+    check = report.to_dict()
     payload = {
         "command": "linearize",
         **result.report(),
-        "certified_residual_bound": report.to_dict()["certified_bound"],
+        "certified_residual_bound": check["certified_bound"],
         "status": report.status,
         "residual_stats": {
-            "n_samples": report.n_samples,
-            "max": report.max_residual,
-            "mean": float(np.mean(report.per_point)) if report.per_point else 0.0,
+            "n_samples": check["n_samples"],
+            "max": check["max_residual"],
+            "mean": _written(float(np.mean(report.per_point))) if report.per_point else 0.0,
         },
         "forward_map": result.forward.report(),
         "backward_map": result.backward.report(),

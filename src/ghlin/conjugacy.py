@@ -63,8 +63,9 @@ window.  The checks are batch expressions too, with no loop over points.
 Every map is immutable and keeps no values; it carries a certified
 worst-case evaluation error, and verification routines compare observed
 identity residuals against bounds derived from it.  A check report holds
-the displacements it computed at its points (``values``), so a later check
-on the same points takes them from the report instead of evaluating again.
+the displacements it computed at its points as a batch (``values``), so a
+later check on the same points takes them from the report instead of
+evaluating again.
 Both identity checks and the inverse pair (``_conjugate_checks``) take three
 lattice calls: the forward map on the rows [T x, x], which gives h_fwd(x);
 the backward map once on [(T + beta) x, x, x + h_fwd(x)], for its identity
@@ -386,31 +387,19 @@ def solve_inverse_conjugacy(
     terms = truncation_terms(op, beta.sup_bound, policy)
     lip_inv = op.norm_Tinv / (1.0 - op.norm_Tinv * beta.lip_bound)
     radius = eval_radius = max(2.0, op.norm_T + beta.sup_bound)
-    inverse_tols = []
-    point_errors = []  # error of the j-th backward orbit point
-    err = 0.0
-    for _ in range(terms + 1):
+    inverse_tols, err, propagated = [], 0.0, 0.0
+    for j in range(terms + 1):
         tol_j = INVERSE_TOL_REL * max(1.0, radius)
         inverse_tols.append(tol_j)
-        err = lip_inv * (err + tol_j)
-        point_errors.append(err)
+        err = lip_inv * (err + tol_j)  # error of the j-th backward orbit point
+        # A point error e enters a series term through beta, whose certified
+        # modulus of continuity is |beta(u) - beta(v)| <= min(Lip * e, 2 * sup),
+        # and the j-th term through T^j P_M, of norm at most ``power(0, j)``.
+        # The 2 * sup cap keeps the sum bounded when t * Lip(S^{-1}) >= 1, and no
+        # Holder modulus 2 * max(sup, Lip) * e^theta, theta in (0, 1], is smaller.
+        propagated += op.constants.power(0, j) * min(beta.lip_bound * err, 2.0 * beta.sup_bound)
         radius = op.norm_Tinv * (radius + beta.sup_bound) + err
-    # A point error e enters a series term through beta, whose certified
-    # modulus of continuity is |beta(u) - beta(v)| <= min(Lip * e, 2 * sup),
-    # and the j-th term through T^j P_M, of norm at most ``power(0, j)``.
-    # The 2 * sup cap keeps the sum bounded when t * Lip(S^{-1}) >= 1, and no
-    # Holder modulus 2 * max(sup, Lip) * e^theta, theta in (0, 1], is smaller.
-
-    def beta_gap(e: float) -> float:
-        return min(beta.lip_bound * e, 2.0 * beta.sup_bound)
-
-    k = op.constants
-    budget = {
-        "truncation": policy.tol,
-        "inverse_propagation": sum(
-            k.power(0, j) * beta_gap(point_errors[j]) for j in range(terms + 1)
-        ),
-    }
+    budget = {"truncation": policy.tol, "inverse_propagation": propagated}
     return ConjugacyMap(op, beta, BACKWARD, terms, depth=1, inverse_tols=tuple(inverse_tols),
                         eval_radius=eval_radius, error_budget=budget)
 
@@ -435,15 +424,42 @@ def _status(bound: float, covered: bool) -> str:
     return CERTIFIED if math.isfinite(bound) and covered else UNCERTIFIED
 
 
+def _peak(values) -> float:
+    """The largest of the values, 0.0 for none and NaN if any is NaN: every report's maximum."""
+    return float(np.max(values, initial=0.0))
+
+
+def _written(value: float) -> float | None:
+    # a report's maximum as strict JSON can hold it: a NaN or infinite one is null
+    return value if math.isfinite(value) else None
+
+
 class _CheckReport:
-    """The pass rule and the JSON form (without ``per_point`` and ``values``) of a check report."""
+    """The count, the maximum, the pass rule and the JSON form of a check report.
+
+    Count and maximum are read off ``per_point``; a NaN residual makes the
+    maximum NaN, so the check fails.  ``to_dict`` writes the keys in
+    ``_KEYS`` and ``passed``: a maximum that is not finite, and the bound of
+    a check that is not certified, as null.
+    """
+
+    _KEYS = ("n_samples", "max_residual", "certified_bound", "status")
+
+    @property
+    def n_samples(self) -> int:
+        return len(self.per_point)
+
+    @property
+    def max_residual(self) -> float:
+        return _peak(self.per_point)
 
     @property
     def passed(self) -> bool:
         return self.status == CERTIFIED and self.max_residual <= self.certified_bound
 
     def to_dict(self) -> dict:
-        out = {k: v for k, v in vars(self).items() if k not in ("per_point", "values")}
+        out = {key: getattr(self, key) for key in self._KEYS}
+        out.update({key: _written(out[key]) for key in out if key.startswith("max_")})
         if self.status != CERTIFIED:
             out["certified_bound"] = None
         return {**out, "passed": self.passed}
@@ -456,16 +472,16 @@ class VerificationReport(_CheckReport):
     ``status`` is ``"uncertified"`` when the bound is not finite or a map was
     evaluated outside its ``eval_radius``; such a check never passes, and
     its bound is written as null.  ``values`` holds the map's displacements
-    at the checked points.
+    at the checked points, one row each.
     """
 
+    _KEYS = ("kind",) + _CheckReport._KEYS
+
     kind: str
-    n_samples: int
-    max_residual: float
     certified_bound: float
-    status: str = CERTIFIED
-    per_point: list[float] = field(repr=False, default_factory=list)
-    values: list[StateVector] = field(repr=False, default_factory=list)
+    status: str
+    per_point: list[float] = field(repr=False)
+    values: Batch = field(repr=False)
 
 
 def verify_conjugacy(cmap: ConjugacyMap, samples: Sequence[StateVector]) -> VerificationReport:
@@ -475,20 +491,19 @@ def verify_conjugacy(cmap: ConjugacyMap, samples: Sequence[StateVector]) -> Veri
     H((T + beta) x) - T(H(x)).  With E the map's certified error, the bound
     is E * (1 + Lip(outer)): Lip(T + beta) = |T| + Lip(beta), Lip(T) = |T|.
     """
-    x = _pack(cmap.op, samples)
-    images, outer, bound = _identity_terms(cmap, x)
-    return _identity_check(cmap, images, x, outer, bound)
+    return _identity_check(cmap, *_identity_terms(cmap, _pack(cmap.op, samples)))
 
 
 def _identity_terms(cmap, x: Batch) -> tuple:
-    # the images of the rows of x under the inner map, the outer map and the bound of the check
+    # the arguments (images, points, outer, bound) of ``_identity_check`` at the rows of x:
+    # their images under the inner map, the rows, the outer map and the bound of the check
     op, beta = cmap.op, cmap.beta
     s_step = partial(perturbed_apply, op, beta)
     if cmap.direction == FORWARD:  # H o T = S o H with S = T + beta
         inner, outer, outer_beta_lip = op.step, s_step, beta.lip_bound
     else:  # H o S = T o H
         inner, outer, outer_beta_lip = s_step, op.step, 0.0
-    return inner(x), outer, cmap.certified_error * (1.0 + op.norm_T + outer_beta_lip)
+    return inner(x), x, outer, cmap.certified_error * (1.0 + op.norm_T + outer_beta_lip)
 
 
 def _identity_check(cmap, images: Batch, points: Batch, outer, bound: float, values=None):
@@ -499,15 +514,8 @@ def _identity_check(cmap, images: Batch, points: Batch, outer, bound: float, val
         values = cmap._rows(both)
     gaps = (images + values[:n]) - outer(points + values[n:])
     residuals = row_norms(gaps, cmap.op.norm_kind).tolist()
-    return VerificationReport(
-        kind=cmap.direction,
-        n_samples=n,
-        max_residual=max(residuals, default=0.0),
-        certified_bound=bound,
-        status=_status(bound, cmap.covers(both)),
-        per_point=residuals,
-        values=values[n:].unpack(),
-    )
+    status = _status(bound, cmap.covers(both))
+    return VerificationReport(cmap.direction, bound, status, residuals, values[n:])
 
 
 def _pack(op: GHOperator, points: Sequence[StateVector]) -> Batch:
@@ -532,19 +540,23 @@ def _join(*batches: Batch) -> Batch:
 class InversePairReport(_CheckReport):
     """Residuals of H_back o H_fwd = I and H_fwd o H_back = I over samples.
 
-    ``status`` has the meaning of ``VerificationReport.status``.
+    ``status`` has the meaning of ``VerificationReport.status``; ``per_point``
+    holds the (left, right) residuals at each sample.
     """
 
-    n_samples: int
-    max_residual_left: float
-    max_residual_right: float
+    _KEYS = ("n_samples", "max_residual_left", "max_residual_right", "certified_bound", "status")
+
     certified_bound: float
-    status: str = CERTIFIED
-    per_point: list[tuple[float, float]] = field(repr=False, default_factory=list)
+    status: str
+    per_point: list[tuple[float, float]] = field(repr=False)
 
     @property
-    def max_residual(self) -> float:
-        return max(self.max_residual_left, self.max_residual_right)
+    def max_residual_left(self) -> float:
+        return _peak([left for left, _ in self.per_point])
+
+    @property
+    def max_residual_right(self) -> float:
+        return _peak([right for _, right in self.per_point])
 
 
 def verify_inverse_pair(
@@ -586,10 +598,10 @@ def _conjugate_checks(fwd, bwd, samples, holder) -> tuple:
     """
     x, n = _pack(fwd.op, samples), len(samples)
     fwd_report = verify_conjugacy(fwd, samples)
-    there = x + _pack(fwd.op, fwd_report.values)
-    images, outer, bound = _identity_terms(bwd, x)
-    values = bwd._rows(_join(images, x, there))
-    bwd_report = _identity_check(bwd, images, x, outer, bound, values[: 2 * n])
+    there = x + fwd_report.values
+    terms = _identity_terms(bwd, x)
+    values = bwd._rows(_join(terms[0], x, there))
+    bwd_report = _identity_check(bwd, *terms, values[: 2 * n])
     inverse_report = _inverse_pair(fwd, bwd, x, there, values[n : 2 * n], values[2 * n :], holder)
     return fwd_report, bwd_report, inverse_report
 
@@ -620,14 +632,7 @@ def _inverse_pair(fwd, bwd, x: Batch, there: Batch, h_bwd: Batch, h_bwd_there: B
     left = row_norms((there + h_bwd_there) - x, kind).tolist()
     right = row_norms((back + fwd._rows(back)) - x, kind).tolist()
     covered = fwd.covers(x, back) and bwd.covers(x, there)
-    return InversePairReport(
-        n_samples=len(x),
-        max_residual_left=max(left, default=0.0),
-        max_residual_right=max(right, default=0.0),
-        certified_bound=bound,
-        status=_status(bound, covered),
-        per_point=list(zip(left, right)),
-    )
+    return InversePairReport(bound, _status(bound, covered), list(zip(left, right)))
 
 
 def displacement_space_residual(op: GHOperator, v: StateVector) -> float:

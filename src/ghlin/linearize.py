@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from .conjugacy import ConjugacyMap, SeriesPolicy, VerificationReport
 from .conjugacy import solve_conjugacy, solve_inverse_conjugacy
-from .conjugacy import _identity_check, _join, _pack
+from .conjugacy import _identity_check, _join, _pack, _peak, _written
 from .operators import GHOperator, admissible_eps
 from .perturbations import CutoffProfile, Perturbation, cutoff, zero_perturbation
 from .perturbations import _require_norm
@@ -178,16 +178,25 @@ def _default_certificate(op, beta: Perturbation, diameter: float, theta=None) ->
 class HolderProbeReport:
     """Observed Holder ratios of a displacement against the certified constant.
 
-    ``values`` holds the displacements at the first point of each kept pair.
+    ``values`` holds the displacements at the first point of each kept pair,
+    one row each.  Count and maximum are read off ``per_pair`` as in a
+    conjugacy check report: a NaN ratio fails the probe and its maximum is
+    written as null.
     """
 
     theta: float
     constant: float
     inflation: float
-    n_pairs: int
-    max_ratio: float
     per_pair: list[float]
-    values: list[StateVector] = field(repr=False, default_factory=list)
+    values: Batch = field(repr=False)
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.per_pair)
+
+    @property
+    def max_ratio(self) -> float:
+        return _peak(self.per_pair)
 
     @property
     def bound(self) -> float:
@@ -198,8 +207,8 @@ class HolderProbeReport:
         return self.max_ratio <= self.bound
 
     def to_dict(self) -> dict:
-        out = {k: v for k, v in vars(self).items() if k not in ("per_pair", "values")}
-        return {**out, "bound": self.bound, "passed": self.passed}
+        keys = ("theta", "constant", "inflation", "n_pairs", "max_ratio", "bound", "passed")
+        return {key: getattr(self, key) for key in keys} | {"max_ratio": _written(self.max_ratio)}
 
 
 def empirical_holder(
@@ -232,15 +241,7 @@ def empirical_holder(
     ratios = [gap / dist**cert.theta for gap, dist in zip(gaps, kept_dists)]
     min_dist = min(kept_dists, default=math.inf)
     inflation = 2.0 * cmap.certified_error / min_dist**cert.theta if ratios else 0.0
-    return HolderProbeReport(
-        theta=cert.theta,
-        constant=cert.C,
-        inflation=inflation,
-        n_pairs=len(ratios),
-        max_ratio=max(ratios, default=0.0),
-        per_pair=ratios,
-        values=values[:k].unpack(),
-    )
+    return HolderProbeReport(cert.theta, cert.C, inflation, ratios, values[:k])
 
 
 @dataclass

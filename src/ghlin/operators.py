@@ -620,6 +620,8 @@ def make_matrix_operator(
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not a.size:
+        raise ValueError("matrix must have at least one row, got shape (0, 0)")
     n = a.shape[0]
     eigs = np.linalg.eigvals(a)
     mods = np.abs(eigs)

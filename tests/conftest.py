@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ghlin import ConjugacyMap, DenseVector, SparseVector, WeightSpec, norm, zero_like
+from ghlin import ConjugacyMap, DenseVector, Perturbation, SparseVector, WeightSpec, norm
+from ghlin import zero_like
+from ghlin.vectors import Batch
 
 
 def lattice_calls(monkeypatch) -> list[tuple[str, int]]:
@@ -18,6 +20,20 @@ def lattice_calls(monkeypatch) -> list[tuple[str, int]]:
         ConjugacyMap, "_values", lambda m, xs: calls.append((m.direction, len(xs))) or values(m, xs)
     )
     return calls
+
+
+def nan_far_out(limit: float = -1000.0) -> Perturbation:
+    """beta = 0.01 tanh, but NaN at every coordinate below ``limit``.
+
+    With T = [[0.5]] the backward orbit of -0.1 passes the limit within the
+    series' terms, so a check there meets a NaN residual, while the orbit of
+    0.1 stays finite.
+    """
+
+    def rows(b: Batch) -> Batch:
+        return Batch(np.where(b.rows < limit, np.nan, 0.01 * np.tanh(b.rows)), b.cols)
+
+    return Perturbation(rows, sup_bound=0.01, lip_bound=0.01)
 
 
 def random_sparse(rng: np.random.Generator, window=range(-5, 6), density=0.7) -> SparseVector:

@@ -22,6 +22,7 @@ from ghlin import (
     displacement_space_residual,
     linearize,
     operators,
+    perturbations,
     vectors,
     verify_conjugacy,
     verify_inverse_pair,
@@ -360,6 +361,33 @@ def test_iteration_limit_exits_with_check_failure(tmp_path, capsys, monkeypatch)
     assert "did not converge" in capsys.readouterr().err
 
 
+def test_perturbed_inverse_cap_exits_1(tmp_path, capsys, monkeypatch):
+    # one iteration cannot reach the residual target of the backward orbit's inverse solves
+    monkeypatch.setattr(perturbations, "INVERSE_MAX_ITER", 1)
+    readme = {"operator": SHIFT, "gamma": 0.2, "tol": 1e-5, "picard_tol": 5e-4, "seed": 7,
+              "perturbation": {"kind": "sine", "amplitude": 0.05, "frequency": 1.0,
+                               "window": [-1, 1]}}
+    cfg = write_config(tmp_path, "c.json", {**readme, "samples": 3})
+    code = main(["conjugate", "--config", cfg, "--out", str(tmp_path / "run")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ghlin conjugate: ") and "did not reach residual" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read config"),
+    ("[1, 2]", "config root must be a JSON object"),
+], ids=["missing-file", "array-root"])
+def test_unreadable_config_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "c.json"
+    if text is not None:
+        path.write_text(text)
+    code = main(["constants", "--config", str(path), "--out", str(tmp_path / "run")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("ghlin constants: ") and message in err
+
+
 def test_linearize_quadratic_problem(tmp_path):
     cfg = write_config(
         tmp_path,
@@ -551,6 +579,27 @@ def test_checks_make_no_single_point_calls(tmp_path, monkeypatch, command, confi
     cfg = write_config(tmp_path, "c.json", {**config, "samples": 10, "seed": 7})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
     assert calls == []
+
+
+def test_conjugate_packs_the_samples_twice_and_unpacks_once(tmp_path, monkeypatch):
+    # the sampler unpacks its draws once; the checks and verify_conjugacy pack them once each,
+    # and every displacement after that stays a batch, up to the CSV's membership column
+    counts = {"pack": 0, "unpack": 0}
+    pack, unpack = vectors.pack, vectors.Batch.unpack
+
+    def counted(key, fn):
+        return lambda *args: counts.__setitem__(key, counts[key] + 1) or fn(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("ghlin")]:
+        for attr, value in list(vars(module).items()):
+            if value is pack:
+                monkeypatch.setattr(module, attr, counted("pack", pack))
+    monkeypatch.setattr(vectors.Batch, "unpack", counted("unpack", unpack))
+    config = {"operator": SHIFT, "perturbation": SINE, "gamma": 0.2, "tol": 1e-5,
+              "picard_tol": 5e-4, "samples": 10, "seed": 7}
+    cfg = write_config(tmp_path, "c.json", config)
+    assert main(["conjugate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert counts == {"pack": 2, "unpack": 1}
 
 
 def test_reports_are_deterministic(tmp_path):

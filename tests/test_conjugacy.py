@@ -38,10 +38,11 @@ from ghlin import (
     zero_perturbation,
 )
 from ghlin import cli, conjugacy, linearize, operator_from_descriptor, perturbation_from_descriptor
+from ghlin.conjugacy import InversePairReport
 from ghlin.linearize import make_holder_certificate
 from ghlin.perturbations import perturbed_apply, solve_perturbed_inverse
 from ghlin.vectors import _row_wise
-from conftest import lattice_calls, random_sparse
+from conftest import lattice_calls, nan_far_out, random_sparse
 
 POLICY = SeriesPolicy(tol=1e-10)
 
@@ -304,6 +305,30 @@ def test_backward_check_beyond_eval_radius_is_uncertified():
     far = verify_conjugacy(bwd, [DenseVector([0.0, 2.0 * bwd.eval_radius])])
     assert far.status == "uncertified" and not far.passed
     assert far.to_dict()["certified_bound"] is None
+
+
+def test_a_nan_residual_fails_its_check():
+    # the residual at -0.1 is NaN; a maximum that skipped it passed this certified check
+    op = make_matrix_operator([[0.5]])
+    fwd = solve_conjugacy(op, nan_far_out(), 0.2, POLICY, picard_tol=1e-8)
+    report = verify_conjugacy(fwd, [DenseVector([0.1]), DenseVector([-0.1])])
+    assert report.per_point[0] <= report.certified_bound and math.isnan(report.per_point[1])
+    assert report.status == "certified" and report.n_samples == 2
+    assert math.isnan(report.max_residual) and not report.passed
+    written = report.to_dict()
+    assert written["max_residual"] is None and written["passed"] is False
+    json.dumps(written, allow_nan=False)
+
+
+def test_an_inverse_pair_with_a_nan_residual_fails():
+    report = InversePairReport(1.0, "certified", [(0.1, 0.2), (math.nan, 0.3)])
+    assert report.n_samples == 2 and report.max_residual_right == 0.3
+    assert math.isnan(report.max_residual_left) and math.isnan(report.max_residual)
+    assert not report.passed
+    written = report.to_dict()
+    assert written["max_residual_left"] is None and written["max_residual_right"] == 0.3
+    assert written["passed"] is False
+    json.dumps(written, allow_nan=False)
 
 
 def test_verify_inverse_pair_makes_three_lattice_calls(rng, monkeypatch):

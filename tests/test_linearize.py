@@ -1,6 +1,7 @@
 """Holder certification and the fixed-point linearization workflow."""
 
 import dataclasses
+import json
 import math
 from functools import partial
 
@@ -22,6 +23,7 @@ from ghlin import (
     make_matrix_operator,
     norm,
     sine_perturbation,
+    solve_conjugacy,
     solve_inverse_conjugacy,
     theta_bound,
     zero_like,
@@ -30,7 +32,7 @@ from ghlin import (
 from ghlin.cli import _problem_from_descriptor
 from ghlin.sampling import sample_pairs, sample_points
 from ghlin.vectors import Batch, _at_point, pack
-from conftest import banded_points, cut_at_point
+from conftest import banded_points, cut_at_point, nan_far_out
 
 
 def test_theta_bound_balanced_diagonal():
@@ -173,7 +175,21 @@ def test_empirical_holder_values_line_up_with_the_kept_pairs(rng):
     report = empirical_holder(bwd, cert, pairs)
     assert report.n_pairs == len(report.values) == 4
     ends = [x for x, _ in kept] + [y for _, y in kept]
-    assert report.values == bwd.displacements(ends)[:4]
+    assert report.values.unpack() == bwd.displacements(ends)[:4]
+
+
+def test_a_nan_ratio_fails_the_holder_probe():
+    # the displacement at -0.1 is NaN; a maximum that skipped its ratio passed the probe
+    op = make_matrix_operator([[0.5]])
+    fwd = solve_conjugacy(op, nan_far_out(), 0.2, SeriesPolicy(tol=1e-10), picard_tol=1e-8)
+    cert = HolderCertificate(theta=0.5, C=1.0, domain_diameter=0.5)
+    pairs = [(DenseVector([0.1]), DenseVector([0.11])), (DenseVector([-0.1]), DenseVector([-0.11]))]
+    report = empirical_holder(fwd, cert, pairs)
+    assert report.per_pair[0] == pytest.approx(0.0049, abs=1e-4) and math.isnan(report.per_pair[1])
+    assert report.n_pairs == 2 and math.isnan(report.max_ratio) and not report.passed
+    written = report.to_dict()
+    assert written["max_ratio"] is None and written["passed"] is False
+    json.dumps(written, allow_nan=False)
 
 
 def test_empirical_holder_rejects_distant_pairs():

@@ -255,6 +255,12 @@ def test_matrix_singular_rejected():
         make_matrix_operator([[0.0, 0.0], [0.0, 2.0]])
 
 
+def test_matrix_empty_rejected():
+    # a ValueError, which the CLI maps to exit 2, before any power table is sized
+    with pytest.raises(ValueError, match="at least one row"):
+        make_matrix_operator(np.zeros((0, 0)))
+
+
 def test_matrix_mixed_spectrum_with_complex_pair():
     # scaled rotation block (complex pair inside the disc) plus a dilation
     block = [[0.0, -0.5, 0.3], [0.5, 0.0, -0.2], [0.0, 0.0, 3.0]]

@@ -25,6 +25,7 @@ from ghlin import (
     truncation_tail_bound,
     truncation_terms,
 )
+from ghlin.operators import POWER_TABLE_FLOOR
 from conftest import hyperbolic_matrices, shifts
 
 #: rounding room of a float table entry against the same norm computed another way
@@ -154,6 +155,17 @@ def test_table_ends_at_the_floor_past_the_window():
     # past the end, |A^(mW + r)| <= |A^W|^m |A^r| is exact for a scalar
     assert k.power(0, 45) == 0.5**45
     assert k.tail(0, 30) == pytest.approx(0.5**29, rel=1e-12)
+
+
+def test_table_ends_before_a_power_that_cannot_be_certified():
+    # n_max is 1, and 1e10^31 overflows in |A_N^31|: the scan stops there, not at the floor,
+    # and the table ends at W = 30, the last power with both norms below 1
+    spec = WeightSpec(0.999, 1e10)
+    op = make_shift(spec, t=0.9995)
+    k = op.constants
+    assert k.n_max == 1 and k.powers.shape == (2, 31)
+    assert k.powers[0, 30] > POWER_TABLE_FLOOR and k.powers[1, 30] < 1.0
+    assert_table_sound(op, shift_power_norms(spec, 30))
 
 
 def test_matrix_conjugate_table_halves_the_series():
