@@ -43,14 +43,17 @@ H' o (T + beta) = T o H' is minus the depth-1 lattice with R = T + beta and
 source beta.  Both displacements land in the subspace M + T^{-1}(N) term by
 term.
 
-The lattice runs on a batch of points at once (``vectors.Batch``).  Each
-orbit step maps every row; the orbit is then one array of shape (orbit
-index, N, columns), each level one row-batch call of the source and one
-``orbit_sweep``.  Every entry is computed as the single-point lattice
-computes it, so a point gets the same value in any batch: bit for bit on the
-shift, and up to the rounding of a matrix product (gemm against gemv) on the
-dense backend.  Sparse columns are the union of the rows' supports, and the
-sweep adds the runs its partial sums can reach, joined by zero-weight seams.
+The lattice runs on a batch of points at once (``vectors.Batch``).  The
+orbit is one array of shape (orbit index, N, columns): the orbit of T is
+the operator's ``orbit`` (on the shift, one accumulate per side with no
+step per index), and the orbit of T + beta is stepped an index at a time,
+each step mapping every row.  Each level is one row-batch call of the
+source and one ``orbit_sweep``.  Every entry is computed as the
+single-point lattice computes it, so a point gets the same value in any
+batch: bit for bit on the shift, and up to the rounding of a matrix
+product (gemm against gemv) on the dense backend.  Sparse columns are the
+union of the rows' supports, and the sweep adds the runs its partial sums
+can reach, joined by zero-weight seams.
 When the source declares an index window (``Perturbation.window``: it
 reads only the coordinates in [lo, hi]), the orbit and every level below
 the top keep only the columns in that window: M-side sums move left and
@@ -85,13 +88,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operators import CertificationError, GHOperator, MatrixOperator, admissible_eps
+from .operators import _stepped_orbit
 from .perturbations import (
     Perturbation,
     _require_contraction,
     perturbed_apply,
     solve_perturbed_inverse,
 )
-from .vectors import Batch, StateVector, merge_rows, pack, row_norms, stack, zero_rows
+from .vectors import Batch, StateVector, merge_rows, pack, row_norms, zero_rows
 from .vectors import _at_point, _row_wise
 
 __all__ = [
@@ -178,32 +182,29 @@ def intertwining_solution(
     """
     if terms is None:
         terms = truncation_terms(op, source_sup, policy)
-    maps = [_row_wise(f) for f in (r_apply, r_invert, source)]
-    window = getattr(source, "window", None)
-    return _at_point(lambda b: _picard_lattice(op, *maps, b, terms, 1, window), x)
+    orbit = partial(_stepped_orbit, _row_wise(r_apply), _row_wise(r_invert))
+    source, window = _row_wise(source), getattr(source, "window", None)
+    return _at_point(lambda b: _picard_lattice(op, orbit, source, b, terms, 1, window), x)
 
 
-def _picard_lattice(op, r_apply, r_invert, source, x: Batch, terms, depth, window=None) -> Batch:
+def _picard_lattice(op, orbit, source, x: Batch, terms, depth, window=None) -> Batch:
     """Depth-``depth`` Picard iterate of phi = solution-of(source o (I + phi)) at the rows of x.
 
-    ``r_apply``, ``r_invert`` and ``source`` map batches to batches.  A side
-    takes k = K + 1 sources when its projection is nontrivial and none when
-    it is trivial.  Level l uses the sources at orbit indices
+    ``source`` maps batches to batches, and ``orbit(x, back, ahead, within)``
+    returns R^-back x, ..., R^ahead x as one (orbit index, N, columns) batch
+    kept on the columns of ``within``: the operator's ``orbit`` for R = T, a
+    ``_stepped_orbit`` of R and its inverse otherwise.  A side takes
+    k = K + 1 sources when its projection is nontrivial and none when it is
+    trivial.  Level l uses the sources at orbit indices
     [-(depth - l + 1) k_M, (depth - l + 1)(k_N - 1)] and covers
-    [-(depth - l) k_M, (depth - l)(k_N - 1)]; the bare orbit, inverted
-    outward from x first and built only as far as those sources reach, is
-    level 0.  ``window`` = (lo, hi), the source's declared window, is the
-    only span of columns that the orbit and the levels below the top keep.
+    [-(depth - l) k_M, (depth - l)(k_N - 1)]; the bare orbit, built only as
+    far as those sources reach, is level 0.  ``window`` = (lo, hi), the
+    source's declared window, is the only span of columns that the orbit
+    and the levels below the top keep.
     """
     m_count = 0 if op.m_is_trivial else terms + 1
     n_count = 0 if op.n_is_trivial else terms + 1
-    orbit = [x]
-    for _ in range(depth * m_count):
-        orbit.append(r_invert(orbit[-1]))
-    orbit.reverse()
-    for _ in range(depth * (n_count - 1)):  # none when N = {0}
-        orbit.append(r_apply(orbit[-1]))
-    orbit = stack(orbit, window)
+    orbit = orbit(x, depth * m_count, depth * max(n_count - 1, 0), window)  # none ahead if N = {0}
     values = None  # phi_{l-1} on the source range of level l
     for level in range(1, depth + 1):
         start = (level - 1) * m_count
@@ -301,19 +302,16 @@ class ConjugacyMap:
         if self.depth == 0 or beta.is_zero:
             return zero_rows(x)
         if self.direction == FORWARD:  # source beta on the orbit of T
-            return _picard_lattice(
-                op, op.step, op.step_inverse, beta.batch, x, self.terms, self.depth, beta.window
-            )
+            return _picard_lattice(op, op.orbit, beta.batch, x, self.terms, self.depth,
+                                   beta.window)
         inverse_tols = iter(self.inverse_tols)
 
         def r_invert(p: Batch) -> Batch:
             return solve_perturbed_inverse(op, beta, p, next(inverse_tols))
 
-        # source -beta on the orbit of T + beta; negating the value is exact
-        return -_picard_lattice(
-            op, partial(perturbed_apply, op, beta), r_invert, beta.batch, x,
-            self.terms, self.depth, beta.window,
-        )
+        # source -beta on the orbit of T + beta, stepped; negating the value is exact
+        orbit = partial(_stepped_orbit, partial(perturbed_apply, op, beta), r_invert)
+        return -_picard_lattice(op, orbit, beta.batch, x, self.terms, self.depth, beta.window)
 
     def report(self) -> dict:
         keys = ("direction", "terms", "depth", "contraction", "certified_error", "error_budget",

@@ -24,7 +24,8 @@ bounded-solution operator, the series tails and the backward orbit weights
 ``c d t^n`` envelope.
 
 Both act on batches (``vectors.Batch``): ``step``, ``step_inverse``,
-``project_M_rows`` and ``project_N_rows`` map every row, and
+``project_M_rows`` and ``project_N_rows`` map every row, ``orbit`` builds
+the orbit T^-a x, ..., T^b x of every row as one array, and
 ``orbit_sweep`` is the only orbit-series primitive.  Given sources
 s_a, ..., s_b, one row block per orbit index (an array of shape (orbit
 index, N, columns)), and a source count per side, k_M and k_N (K + 1 for a
@@ -38,9 +39,11 @@ A_N = T^{-1} P_N keeps partial sums on their side of the splitting.  Each
 value holds at least the K + 1 nearest terms of every nontrivial series, so
 its omitted tail lies inside the (K + 1)-term tail.
 
-The dense backend steps all N rows at once, ``acc @ A_M.T``.  On the shift,
-T moves a row one column to the left, so ``step`` only relabels the columns
-and multiplies by one weight array.  The sweep lays its rows over the
+The dense backend steps all N rows at once, ``acc @ A_M.T``, and builds an
+orbit a step per index.  On the shift, T moves a row one column to the left,
+so ``step`` only relabels the columns and multiplies by one weight array,
+and ``orbit`` is one multiplying and one dividing accumulate along the orbit
+axis, rounding as the steps do.  The sweep lays its rows over the
 columns the sources can reach: a union of runs [i - steps, i] for each
 source column i <= 0 and [i, i + steps] for each i >= 1.  Neighbouring runs
 are joined by a seam, a zero weight, and no partial sum ever reaches one,
@@ -67,6 +70,7 @@ from .vectors import (
     NormKind,
     SparseVector,
     StateVector,
+    stack,
 )
 from .vectors import _at_point, _dense_raw, _indexed, _number, _numbers, _object, _sparse_raw
 
@@ -235,14 +239,32 @@ def _reach(cols: np.ndarray, left: int, right: int) -> np.ndarray:
         return cols
     starts, ends = cols - left, cols + right
     first = np.flatnonzero(np.r_[True, starts[1:] > ends[:-1] + 1])
-    last = np.r_[first[1:] - 1, len(cols) - 1]
-    return np.concatenate([np.arange(starts[a], ends[b] + 1) for a, b in zip(first, last)])
+    lo, hi = starts[first], ends[np.r_[first[1:] - 1, len(cols) - 1]]  # the merged runs
+    sizes = hi - lo + 1
+    # entry k of the result, in run r, is lo[r] plus k less the entries before run r
+    return np.arange(sizes.sum()) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
 
 
 def _sparse_batch(b: Batch) -> Batch:
     if b.cols is None:
         raise ValueError("shift operators act on sparse vectors")
     return b
+
+
+def _stepped_orbit(step, step_inverse, x: Batch, back: int, ahead: int, within=None) -> Batch:
+    """R^-back x, ..., x, ..., R^ahead x as one (orbit index, N, columns) batch, a step at a time.
+
+    ``step`` and ``step_inverse`` map batches to batches; the inverse steps
+    run first, outward from x.  Sparse columns are kept only inside the
+    index range ``within`` when one is given (``stack``).
+    """
+    points = [x]
+    for _ in range(back):
+        points.append(step_inverse(points[-1]))
+    points.reverse()
+    for _ in range(ahead):
+        points.append(step(points[-1]))
+    return stack(points, within)
 
 
 def _sweep_diagonals(x: np.ndarray, first, second, f, g) -> None:
@@ -293,8 +315,7 @@ class ShiftOperator:
 
     def _weight(self, idx: np.ndarray) -> np.ndarray:
         """The weights w_i at the indices ``idx``, read from one weight array."""
-        lo = self.weights.window[0]
-        return self._table[np.minimum(np.maximum(idx - (lo - 1), 0), len(self._table) - 1)]
+        return self._table.take(idx - (self.weights.window[0] - 1), mode="clip")
 
     # -- action ---------------------------------------------------------
 
@@ -313,6 +334,31 @@ class ShiftOperator:
         """T^{-1} on every row: (T^{-1} y)_{i+1} = y_i / w_{i+1}."""
         b = _sparse_batch(b)
         return Batch(b.rows / self._weight(b.cols + 1), b.cols + 1)
+
+    def orbit(self, x: Batch, back: int, ahead: int, within=None) -> Batch:
+        """T^-back x, ..., x, ..., T^ahead x, bit for bit the ``_stepped_orbit`` of T.
+
+        Column c of x lands on column c - i of T^i x as x_c w_c ... w_{c-i+1}
+        for i > 0 and x_c / w_{c+1} / ... / w_{c-i} for i < 0.  Each side's
+        chain is one accumulate along the orbit axis, multiplying or dividing
+        in the order ``step`` and ``step_inverse`` do; the chains are then laid
+        out over the columns they reach, those of ``within`` if it is given.
+        """
+        cols = _sparse_batch(x).cols
+        chains = np.empty((back + ahead + 1,) + x.rows.shape)
+        chains[back] = x.rows
+        chains[:back] = self._weight(cols + np.arange(back, 0, -1)[:, None])[:, None]
+        chains[back + 1 :] = self._weight(cols - np.arange(ahead)[:, None])[:, None]
+        np.divide.accumulate(chains[back::-1], axis=0, out=chains[back::-1])
+        np.multiply.accumulate(chains[back:], axis=0, out=chains[back:])
+        keys = cols - np.arange(-back, ahead + 1)[:, None]  # the columns of each T^i x
+        lo, hi = (-np.inf, np.inf) if within is None else within
+        index, p = np.nonzero((keys >= lo) & (keys <= hi))
+        out_cols = _reach(cols, ahead, back)
+        out_cols = out_cols[(out_cols >= lo) & (out_cols <= hi)]
+        out = np.zeros(chains.shape[:2] + out_cols.shape)
+        out[index, :, np.searchsorted(out_cols, keys[index, p])] = chains[index, :, p]
+        return Batch(out, out_cols)
 
     def project_M(self, x: SparseVector) -> SparseVector:
         return _sparse_raw({i: v for i, v in x.items() if i <= 0})
@@ -493,6 +539,10 @@ class MatrixOperator:
     def step_inverse(self, b: Batch) -> Batch:
         """T^{-1} on every row at once."""
         return Batch(self._dense_batch(b).rows @ self.matrix_inv.T)
+
+    def orbit(self, x: Batch, back: int, ahead: int, within=None) -> Batch:
+        """T^-back x, ..., x, ..., T^ahead x: ``_stepped_orbit`` of its steps."""
+        return _stepped_orbit(self.step, self.step_inverse, x, back, ahead, within)
 
     def _dense_batch(self, b: Batch) -> Batch:
         if b.cols is not None or b.rows.shape[-1] != self.dim:

@@ -10,8 +10,8 @@ A perturbation is given in one form, as its map on a ``Batch`` of points
 its bounds hold in, and the solvers reject it with an operator in another
 norm.  On the sparse backend it may declare an index ``window``, which
 holds both the coordinates it reads and the support of its values.  The
-coordinatewise builder calls its scalar f on the window entries, the
-constant and zero maps broadcast, and the cutoff takes the row norms, makes
+coordinatewise builder calls its scalar f on the nonzero window entries,
+the constant and zero maps broadcast, and the cutoff takes the row norms, makes
 one call of alpha (a row form too) on the rows inside its outer ball and
 scales them by chi in one product.  A point map lifts to a row form with
 ``pack`` and ``unpack``.
@@ -66,7 +66,10 @@ class ContractionError(ValueError):
 
 
 class IterationLimitError(RuntimeError):
-    """An iteration cap was exhausted before the tolerance was met."""
+    """An iterative solve stopped before it met its tolerance.
+
+    It ran out of iterations, or met a residual that is not finite.
+    """
 
 
 #: iteration cap of ``solve_perturbed_inverse``
@@ -141,8 +144,15 @@ def _coordinatewise(kind: str, f, a: float, r: float, window, norm_kind: NormKin
     cols = None if idx is None else np.array(idx, dtype=np.int64)
 
     def entrywise(v: np.ndarray) -> np.ndarray:
-        # the scalar f on each entry: numpy's sin and tanh round differently
-        return a * np.array(list(map(f, (r * v).ravel().tolist()))).reshape(v.shape)
+        """a * f(r * v) entry by entry, with the scalar f: numpy's sin and tanh round differently.
+
+        f runs on the nonzero entries of r * v only (a NaN is nonzero): since
+        f(+-0) = +-0, a zero entry already holds f's value, sign included.
+        """
+        u = r * v
+        live = u != 0.0
+        u[live] = np.fromiter(map(f, u[live].tolist()), float, np.count_nonzero(live))
+        return a * u
 
     def batch(b: Batch) -> Batch:
         if idx is None:
@@ -301,7 +311,9 @@ def solve_perturbed_inverse(
     rows keep one column layout for the solve, y's columns and those of
     beta's first value, widened on an iteration whose beta value has a
     column off it.  A batch of no rows is returned at once.  Raises
-    ``IterationLimitError`` after ``INVERSE_MAX_ITER`` iterations.
+    ``IterationLimitError`` after ``INVERSE_MAX_ITER`` iterations, or at
+    the first iteration where a row still iterating has a residual that is
+    not finite (a NaN value of beta), which never meets ``tol``.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -319,7 +331,7 @@ def _solve_rows(op: GHOperator, beta: Perturbation, y: Batch, tol: float) -> Bat
     solved = []
     # y's rows lie over the layout cols, x's over cols + 1, beta's columns at ``at`` in cols
     cols, rows, seen, at = y.cols, y.rows, None, slice(None)
-    for _ in range(INVERSE_MAX_ITER):
+    for iteration in range(1, INVERSE_MAX_ITER + 1):
         b = beta.batch(x)
         if b.cols is not seen:
             seen, wide = b.cols, np.union1d(cols, b.cols)
@@ -329,10 +341,15 @@ def _solve_rows(op: GHOperator, beta: Perturbation, y: Batch, tol: float) -> Bat
         r = rows.copy()
         r[..., at] -= b.rows  # y - beta(x) entry by entry, as Batch.__sub__ computes it
         x_next = op.step_inverse(Batch(r, cols))
-        done = row_norms(op.step(Batch(x.rows - x_next.rows, x_next.cols)), op.norm_kind) <= tol
-        if done.any():
+        residuals = row_norms(op.step(Batch(x.rows - x_next.rows, x_next.cols)), op.norm_kind)
+        peak = residuals.max()  # NaN if any residual is NaN
+        if not peak < math.inf:  # it never meets tol: say so now, not after the cap
+            raise IterationLimitError(f"perturbed inverse stopped at iteration {iteration}: a "
+                                      f"residual is not finite ({peak})")
+        done = residuals <= tol
+        if finished := np.count_nonzero(done):  # cheaper per iteration than done.any()
             solved.append((pending[done], x[done]))
-            if done.all():
+            if finished == len(done):
                 return merge_rows(solved, len(y))
             pending, rows, x_next = pending[~done], rows[~done], x_next[~done]
         x = x_next

@@ -22,8 +22,8 @@ def lattice_calls(monkeypatch) -> list[tuple[str, int]]:
     return calls
 
 
-def nan_far_out(limit: float = -1000.0) -> Perturbation:
-    """beta = 0.01 tanh, but NaN at every coordinate below ``limit``.
+def nan_far_out(limit: float = -1000.0, value: float = math.nan) -> Perturbation:
+    """beta = 0.01 tanh, but NaN (or ``value``) at every coordinate below ``limit``.
 
     With T = [[0.5]] the backward orbit of -0.1 passes the limit within the
     series' terms, so a check there meets a NaN residual, while the orbit of
@@ -31,7 +31,7 @@ def nan_far_out(limit: float = -1000.0) -> Perturbation:
     """
 
     def rows(b: Batch) -> Batch:
-        return Batch(np.where(b.rows < limit, np.nan, 0.01 * np.tanh(b.rows)), b.cols)
+        return Batch(np.where(b.rows < limit, value, 0.01 * np.tanh(b.rows)), b.cols)
 
     return Perturbation(rows, sup_bound=0.01, lip_bound=0.01)
 

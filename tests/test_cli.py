@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ghlin import (
@@ -469,23 +470,36 @@ def test_conjugate_runs_the_backward_map_once(tmp_path, monkeypatch):
 
 
 def lattice_array_sizes(monkeypatch) -> list[int]:
-    """A list that receives the byte size of every orbit array and sweep buffer."""
-    sizes, stack, sweep = [], conjugacy.stack, operators._sweep_diagonals
+    """A list that receives the byte size of every orbit array and sweep buffer.
+
+    A stepped orbit is ``stack``'s array.  The shift's orbit kernel (its
+    accumulate buffer and its laid-out orbit) and both sweeps allocate theirs
+    with ``np.empty`` or ``np.zeros`` in ``operators``, whose numpy is swapped
+    for one that records each array those two make.
+    """
+    sizes, stack = [], operators.stack
 
     def spy_stack(*args):
         out = stack(*args)
         sizes.append(out.rows.nbytes)
         return out
 
-    def spy_sweep(x, *args):
-        buf = x
-        while buf.base is not None:  # the sweep fills a view of its buffer
-            buf = buf.base
-        sizes.append(buf.nbytes)
-        return sweep(x, *args)
+    def recorded(make):
+        def spy(*args, **kwargs):
+            out = make(*args, **kwargs)
+            sizes.append(out.nbytes)
+            return out
 
-    monkeypatch.setattr(conjugacy, "stack", spy_stack)
-    monkeypatch.setattr(operators, "_sweep_diagonals", spy_sweep)
+        return spy
+
+    class RecordingNumpy:
+        empty, zeros = staticmethod(recorded(np.empty)), staticmethod(recorded(np.zeros))
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(operators, "stack", spy_stack)
+    monkeypatch.setattr(operators, "np", RecordingNumpy())
     return sizes
 
 

@@ -40,7 +40,8 @@ from ghlin import (
 from ghlin import cli, conjugacy, linearize, operator_from_descriptor, perturbation_from_descriptor
 from ghlin.conjugacy import InversePairReport
 from ghlin.linearize import make_holder_certificate
-from ghlin.perturbations import perturbed_apply, solve_perturbed_inverse
+from ghlin.operators import ShiftOperator
+from ghlin.perturbations import IterationLimitError, perturbed_apply, solve_perturbed_inverse
 from ghlin.vectors import _row_wise
 from conftest import lattice_calls, nan_far_out, random_sparse
 
@@ -320,6 +321,19 @@ def test_a_nan_residual_fails_its_check():
     json.dumps(written, allow_nan=False)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_a_non_finite_beta_stops_the_inverse_solve_at_once(value):
+    # the backward orbit of -0.1 meets beta's NaN (or inf): the solver names the residual it
+    # makes after a few beta calls instead of running its 10 000 iterations to "did not reach"
+    op, calls = make_matrix_operator([[0.5]]), []
+    bad_beta = nan_far_out(value=value)
+    beta = dataclasses.replace(bad_beta, batch=lambda b: calls.append(len(b)) or bad_beta.batch(b))
+    bwd = solve_inverse_conjugacy(op, beta, POLICY)
+    with pytest.raises(IterationLimitError, match=f"a residual is not finite \\({value}\\)"):
+        verify_conjugacy(bwd, [DenseVector([0.1]), DenseVector([-0.1])])
+    assert 0 < len(calls) < 100
+
+
 def test_an_inverse_pair_with_a_nan_residual_fails():
     report = InversePairReport(1.0, "certified", [(0.1, 0.2), (math.nan, 0.3)])
     assert report.n_samples == 2 and report.max_residual_right == 0.3
@@ -329,6 +343,33 @@ def test_an_inverse_pair_with_a_nan_residual_fails():
     assert written["max_residual_left"] is None and written["max_residual_right"] == 0.3
     assert written["passed"] is False
     json.dumps(written, allow_nan=False)
+
+
+def test_the_forward_lattice_makes_no_per_index_step(rng, monkeypatch):
+    # the shift's forward orbit is one accumulate kernel; the backward map still steps
+    # T + beta and solves its inverse one orbit index at a time
+    op = make_shift(WeightSpec(0.5, 2.0, core={0: 0.3, 1: 2.5}), t=0.55)
+    beta = sine_perturbation(0.01, 1.0, window=[-2, 2])
+    fwd = solve_conjugacy(op, beta, 0.2, POLICY, picard_tol=1e-6)
+    bwd = solve_inverse_conjugacy(op, beta, POLICY)
+    calls = []
+
+    def counted(name):
+        method = getattr(ShiftOperator, name)
+
+        def spy(self, b):
+            calls.append(name)
+            return method(self, b)
+
+        return spy
+
+    for name in ("step", "step_inverse"):
+        monkeypatch.setattr(ShiftOperator, name, counted(name))
+    points = [random_sparse(rng) for _ in range(4)]
+    fwd.displacements(points)
+    assert calls == []
+    bwd.displacements(points)
+    assert calls.count("step") >= bwd.terms and calls.count("step_inverse") > bwd.terms
 
 
 def test_verify_inverse_pair_makes_three_lattice_calls(rng, monkeypatch):

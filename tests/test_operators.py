@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ghlin
 from ghlin import (
@@ -20,8 +22,8 @@ from ghlin import (
     operator_from_descriptor,
 )
 from ghlin import operators
-from ghlin.vectors import pack, stack
-from conftest import brute_force_margins, random_sparse
+from ghlin.vectors import Batch, pack, stack
+from conftest import brute_force_margins, hyperbolic_matrices, random_sparse, shifts
 
 
 # -- weight specs and the splitting criterion ---------------------------
@@ -228,6 +230,47 @@ def test_shift_sweep_prunes_sums_that_cancel_to_zero():
     (got,) = sweep_vectors(op, sources, 2, 2)
     assert got == reference_shift_sweep(op, sources, 1)[0]
     assert got.support() == [-3, 5]
+
+
+@st.composite
+def orbit_inputs(draw):
+    """An operator of either backend and a 2-d batch for it; sparse batches may have no column.
+
+    Entries are zeros of either sign or magnitudes in [1e-3, 5], so 60 steps
+    of any drawn operator neither overflow nor underflow.
+    """
+    entry = st.sampled_from([0.0, -0.0]) | st.floats(1e-3, 5.0) | st.floats(-5.0, -1e-3)
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        op = make_matrix_operator(draw(hyperbolic_matrices()))
+        width, cols = op.dim, None
+    else:
+        op = make_shift(draw(shifts()))
+        cols = np.array(sorted(draw(st.sets(st.integers(-12, 12), max_size=8))), dtype=np.int64)
+        width = len(cols)
+    rows = [[draw(entry) for _ in range(width)] for _ in range(n)]
+    return op, Batch(np.array(rows).reshape(n, width), cols)
+
+
+EMPTY_POINT = Batch(np.zeros((1, 0)), np.zeros(0, dtype=np.int64))
+ONE_ROW = Batch(np.array([[1.5, 0.0, -0.0, -2.0]]), np.array([-3, -1, 0, 4]))
+
+
+@settings(max_examples=60, deadline=None)
+@example(inputs=(make_shift(SWEEP_WEIGHTS), EMPTY_POINT), back=7, ahead=5, within=None)
+@example(inputs=(make_shift(SWEEP_WEIGHTS), ONE_ROW), back=60, ahead=60, within=None)
+@example(inputs=(make_shift(SWEEP_WEIGHTS), ONE_ROW), back=9, ahead=0, within=(-2, 3))
+@given(inputs=orbit_inputs(), back=st.integers(0, 60), ahead=st.integers(0, 60),
+       within=st.none() | st.tuples(st.integers(-40, 40), st.integers(0, 30)))
+def test_orbit_equals_the_stepped_orbit_bitwise(inputs, back, ahead, within):
+    # the shift's accumulate kernel multiplies and divides as step and step_inverse do
+    op, x = inputs
+    if within is not None:
+        within = (within[0], within[0] + within[1])
+    got = op.orbit(x, back, ahead, within)
+    want = operators._stepped_orbit(op.step, op.step_inverse, x, back, ahead, within)
+    assert got.rows.shape == want.rows.shape and got.rows.tobytes() == want.rows.tobytes()
+    assert (got.cols is None and want.cols is None) or np.array_equal(got.cols, want.cols)
 
 
 # -- matrix operators -----------------------------------------------------

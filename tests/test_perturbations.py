@@ -1,6 +1,7 @@
 """Perturbation bounds, the cutoff construction and the perturbed inverse."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -114,6 +115,44 @@ def test_sparse_outputs_stay_in_window(rng):
     for _ in range(50):
         out = beta(random_sparse(rng, window=range(-8, 9)))
         assert all(lo <= i <= hi for i in out.support())
+
+
+# zeros of either sign, a NaN, the smallest subnormals and magnitudes near the top of the range
+EDGE_ENTRIES = [0.0, -0.0, math.nan, 5e-324, -5e-324, 1e300, -1e300, 0.3, -2.5]
+
+
+@pytest.mark.parametrize("sparse", [True, False], ids=["sparse", "dense"])
+@pytest.mark.parametrize("window", [None, [-1, 0, 1, 2, 6]], ids=["windowless", "windowed"])
+@pytest.mark.parametrize("make, f", [(sine_perturbation, math.sin),
+                                     (saturating_perturbation, math.tanh)], ids=["sine", "tanh"])
+def test_coordinatewise_entries_have_the_bits_of_the_scalar_map(make, f, window, sparse):
+    # f runs on the nonzero entries only, yet every entry, a zero's sign included, holds the
+    # bits of a * f(r * x) worked out entry by entry, and a NaN entry goes through f
+    a, r = 0.05, 1.5
+    beta = make(a, r, window)
+    rows = np.array([EDGE_ENTRIES, EDGE_ENTRIES[::-1]])
+    cols = np.arange(-4, 5) if sparse else None
+    index = list(range(-4, 5)) if sparse else list(range(len(EDGE_ENTRIES)))
+    out = beta.batch(Batch(rows, cols))
+    if window is None:
+        want, want_cols = [[a * f(r * v) for v in row] for row in rows.tolist()], cols
+    elif sparse:  # the window's columns; index 6 lies off the point
+        want_cols = np.array(window)
+        want = [[a * f(r * row[index.index(i)]) if i in index else 0.0 for i in window]
+                for row in rows.tolist()]
+    else:  # window index -1 lies off the dense coordinates
+        want_cols = None
+        want = [[a * f(r * v) if i in window else 0.0 for i, v in zip(index, row)]
+                for row in rows.tolist()]
+    assert out.rows.tobytes() == np.array(want).tobytes()
+    assert np.signbit(out.rows[out.rows == 0.0]).any()
+    assert (out.cols is None) if want_cols is None else np.array_equal(out.cols, want_cols)
+
+
+def test_sine_of_an_infinite_entry_still_raises():
+    beta = sine_perturbation(0.05, 1.0, window=[0, 1])
+    with pytest.raises(ValueError, match="math domain error"):
+        beta.batch(Batch(np.array([[0.0, math.inf]]), np.array([0, 1])))
 
 
 # -- cutoff -----------------------------------------------------------------
