@@ -60,13 +60,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(config: dict, key: str, read=_object):
-    # config[key], read by ``read`` (a descriptor object by default); it must be present
-    if key not in config:
-        raise ConfigError(f"config key '{key}' is required for this command")
-    return read(config, key)
-
-
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -107,7 +100,7 @@ def _policy(config: dict) -> SeriesPolicy:
 
 
 def _cmd_gh_check(config: dict, prefix: str, rng) -> int:
-    descriptor = _require(config, "operator")
+    descriptor = _object(config, "operator")
     if descriptor.get("kind") != "shift":
         raise ConfigError("gh-check needs a shift operator descriptor")
     report = check_shift_criterion(WeightSpec.from_descriptor(descriptor))
@@ -124,7 +117,7 @@ def _cmd_gh_check(config: dict, prefix: str, rng) -> int:
 
 
 def _cmd_constants(config: dict, prefix: str, rng) -> int:
-    op = operator_from_descriptor(_require(config, "operator"))
+    op = operator_from_descriptor(_object(config, "operator"))
     gamma = _number(config, "gamma", 0.5)
     payload = {"command": "constants", **constants_report(op), "gamma": gamma}
     payload["eps"] = admissible_eps(op, gamma)
@@ -133,9 +126,9 @@ def _cmd_constants(config: dict, prefix: str, rng) -> int:
 
 
 def _cmd_conjugate(config: dict, prefix: str, rng) -> int:
-    op = operator_from_descriptor(_require(config, "operator"))
-    beta = perturbation_from_descriptor(_require(config, "perturbation"), op.norm_kind)
-    gamma = _require(config, "gamma", _number)
+    op = operator_from_descriptor(_object(config, "operator"))
+    beta = perturbation_from_descriptor(_object(config, "perturbation"), op.norm_kind)
+    gamma = _number(config, "gamma")
     policy = _policy(config)
     picard_tol = _number(config, "picard_tol", DEFAULTS["picard_tol"])
     n = _integer(config, "samples", 1)
@@ -207,15 +200,14 @@ def _problem_from_descriptor(obj: dict) -> LinearizationProblem:
 
 
 def _cmd_linearize(config: dict, prefix: str, rng) -> int:
-    problem = _problem_from_descriptor(_require(config, "problem"))
+    problem = _problem_from_descriptor(_object(config, "problem"))
     policy = _policy(config)
     picard_tol = _number(config, "picard_tol", DEFAULTS["picard_tol"])
     n = _integer(config, "samples", 1)
     result = linearize(problem, policy, picard_tol)
     op = problem.derivative
     offsets = sample_points(rng, op, n, result.beta, radius=result.u_radius)
-    points = (pack(offsets) + pack([problem.fixed_point])).unpack()
-    report = result.verify(points)
+    report = result.verify(pack(offsets) + pack([problem.fixed_point]))
     _write_samples(prefix, op, report.per_point, report.certified_bound, report.values)
     check = report.to_dict()
     payload = {
@@ -237,8 +229,8 @@ def _cmd_linearize(config: dict, prefix: str, rng) -> int:
 
 
 def _cmd_holder_probe(config: dict, prefix: str, rng) -> int:
-    op = operator_from_descriptor(_require(config, "operator"))
-    beta = perturbation_from_descriptor(_require(config, "perturbation"), op.norm_kind)
+    op = operator_from_descriptor(_object(config, "operator"))
+    beta = perturbation_from_descriptor(_object(config, "perturbation"), op.norm_kind)
     policy = _policy(config)
     n = _integer(config, "samples", 1)
     bwd = solve_inverse_conjugacy(op, beta, policy)

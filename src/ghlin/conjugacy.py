@@ -262,7 +262,7 @@ class ConjugacyMap:
         The points run through the lattice together, in chunks sized from
         ``CHUNK_BYTES``.
         """
-        return self._rows(_pack(self.op, list(points))).unpack()
+        return self._rows(_pack(self.op, points)).unpack()
 
     def displacement(self, x: StateVector) -> StateVector:
         """The offset H(x) - x: ``displacements`` of one point."""
@@ -483,7 +483,7 @@ class VerificationReport(_CheckReport):
 
 
 def verify_conjugacy(cmap: ConjugacyMap, samples: Sequence[StateVector]) -> VerificationReport:
-    """Residuals of the conjugacy identity over the samples.
+    """Residuals of the conjugacy identity over the samples: points, or the rows of a ``Batch``.
 
     Forward maps check H(T x) - (T + beta)(H(x)); backward maps check
     H((T + beta) x) - T(H(x)).  With E the map's certified error, the bound
@@ -492,16 +492,20 @@ def verify_conjugacy(cmap: ConjugacyMap, samples: Sequence[StateVector]) -> Veri
     return _identity_check(cmap, *_identity_terms(cmap, _pack(cmap.op, samples)))
 
 
-def _identity_terms(cmap, x: Batch) -> tuple:
+def _identity_terms(cmap, x: Batch, images: Batch | None = None) -> tuple:
     # the arguments (images, points, outer, bound) of ``_identity_check`` at the rows of x:
-    # their images under the inner map, the rows, the outer map and the bound of the check
-    op, beta = cmap.op, cmap.beta
-    s_step = partial(perturbed_apply, op, beta)
-    if cmap.direction == FORWARD:  # H o T = S o H with S = T + beta
-        inner, outer, outer_beta_lip = op.step, s_step, beta.lip_bound
-    else:  # H o S = T o H
-        inner, outer, outer_beta_lip = s_step, op.step, 0.0
-    return inner(x), x, outer, cmap.certified_error * (1.0 + op.norm_T + outer_beta_lip)
+    # their images (under the inner map unless a caller gives them), the rows, the outer map
+    # and the bound of the check; forward H o T = S o H with S = T + beta, backward H o S = T o H
+    s_step = partial(perturbed_apply, cmap.op, cmap.beta)
+    inner, outer = (cmap.op.step, s_step) if cmap.direction == FORWARD else (s_step, cmap.op.step)
+    return inner(x) if images is None else images, x, outer, _identity_bound(cmap)
+
+
+def _identity_bound(cmap) -> float:
+    # E (1 + Lip(outer)) with E the map's certified error: Lip(T + beta) = |T| + Lip(beta)
+    # forward, Lip(T) = |T| backward
+    outer_beta_lip = cmap.beta.lip_bound if cmap.direction == FORWARD else 0.0
+    return cmap.certified_error * (1.0 + cmap.op.norm_T + outer_beta_lip)
 
 
 def _identity_check(cmap, images: Batch, points: Batch, outer, bound: float, values=None):
@@ -516,9 +520,12 @@ def _identity_check(cmap, images: Batch, points: Batch, outer, bound: float, val
     return VerificationReport(cmap.direction, bound, status, residuals, values[n:])
 
 
-def _pack(op: GHOperator, points: Sequence[StateVector]) -> Batch:
-    # the points as the rows of one batch; with no points, a batch of no rows on op's backend
-    if points:
+def _pack(op: GHOperator, points: Sequence[StateVector] | Batch) -> Batch:
+    # the points as the rows of one batch, a batch as it is; with no points, a batch of no
+    # rows on op's backend
+    if isinstance(points, Batch):
+        return points
+    if points := list(points):
         return pack(points)
     dense = isinstance(op, MatrixOperator)
     return Batch(np.zeros((0, op.dim if dense else 0)), None if dense else np.zeros(0, np.int64))
@@ -579,7 +586,7 @@ def verify_inverse_pair(
         raise ValueError("verify_inverse_pair needs a (forward, backward) pair")
     if fwd.op is not bwd.op or fwd.beta is not bwd.beta:
         raise ValueError("the two maps must share the same operator and perturbation")
-    x = _pack(fwd.op, list(samples))
+    x = _pack(fwd.op, samples)
     there, n = x + fwd._rows(x), len(x)
     values = bwd._rows(_join(x, there))
     return _inverse_pair(fwd, bwd, x, there, values[:n], values[n:], holder)
@@ -594,8 +601,8 @@ def _conjugate_checks(fwd, bwd, samples, holder) -> tuple:
     separate checks: bit for bit on the shift, up to the rounding of a matrix
     product on the dense backend.
     """
-    x, n = _pack(fwd.op, samples), len(samples)
-    fwd_report = verify_conjugacy(fwd, samples)
+    x = _pack(fwd.op, samples)
+    n, fwd_report = len(x), verify_conjugacy(fwd, x)
     there = x + fwd_report.values
     terms = _identity_terms(bwd, x)
     values = bwd._rows(_join(terms[0], x, there))

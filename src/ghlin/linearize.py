@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .conjugacy import ConjugacyMap, SeriesPolicy, VerificationReport
-from .conjugacy import solve_conjugacy, solve_inverse_conjugacy
-from .conjugacy import _identity_check, _join, _pack, _peak, _written
+from .conjugacy import eval_H_prime, solve_conjugacy, solve_inverse_conjugacy
+from .conjugacy import _identity_bound, _identity_check, _identity_terms, _join, _pack, _peak
+from .conjugacy import _written
 from .operators import GHOperator, admissible_eps
 from .perturbations import CutoffProfile, Perturbation, cutoff, zero_perturbation
 from .perturbations import _require_norm
@@ -307,23 +308,22 @@ class LinearizationResult:
         return self.problem.fixed_point
 
     def linearized(self, y: StateVector) -> StateVector:
-        """Coordinates in which the map acts linearly: K(y - p)."""
-        u = y - self.fixed_point
-        return u + self.backward.displacement(u)
+        """Coordinates in which the map acts linearly: H(y - p) with H the backward map."""
+        return eval_H_prime(self.backward, y - self.fixed_point)
 
-    def verify(self, ys: Sequence[StateVector]) -> VerificationReport:
+    def verify(self, ys: Sequence[StateVector] | Batch) -> VerificationReport:
         """Residuals |H(F(y) - p) - DF_p(H(y - p))| with H the backward map, in one call.
 
-        F is evaluated once, on all the points, through the problem's row
-        form.  Checked against ``certified_residual_bound``;
+        This is the backward map's identity check (``verify_conjugacy``) at
+        the points y - p, with the images F(y) - p in place of
+        (T + beta)(y - p); F is evaluated once, on all the points, through
+        the problem's row form.  Checked against ``certified_residual_bound``;
         uncertified when F(y) - p or y - p leaves the map's ``eval_radius``.
         Meaningful inside ``u_radius``.
         """
-        op, p = self.problem.derivative, pack([self.fixed_point])
-        y = _pack(op, list(ys))
-        return _identity_check(
-            self.backward, self.problem._rows(y) - p, y - p, op.step, self.certified_residual_bound
-        )
+        bwd, p = self.backward, pack([self.fixed_point])
+        y = _pack(self.problem.derivative, ys)
+        return _identity_check(bwd, *_identity_terms(bwd, y - p, self.problem._rows(y) - p))
 
     def conjugacy_residual(self, y: StateVector) -> float:
         """The residual of ``verify`` at one point y."""
@@ -331,8 +331,8 @@ class LinearizationResult:
 
     @property
     def certified_residual_bound(self) -> float:
-        op = self.problem.derivative
-        return self.backward.certified_error * (1.0 + op.norm_T)
+        """The bound of ``verify``: the backward map's identity bound."""
+        return _identity_bound(self.backward)
 
     def report(self) -> dict:
         """The workflow's numbers; ``certified_residual_bound`` belongs to a check's report."""

@@ -72,7 +72,8 @@ from .vectors import (
     StateVector,
     stack,
 )
-from .vectors import _at_point, _dense_raw, _indexed, _number, _numbers, _object, _sparse_raw
+from .vectors import _at_point, _dense_raw, _indexed, _number, _numbers, _object, _required
+from .vectors import _sparse_raw
 
 __all__ = [
     "CertificationError",
@@ -833,5 +834,5 @@ def operator_from_descriptor(obj: dict) -> GHOperator:
     if kind == "shift":
         return make_shift(WeightSpec.from_descriptor(obj), norm_kind, t)
     if kind == "matrix":
-        return make_matrix_operator(_numbers(obj["rows"], "rows entry"), norm_kind, t)
+        return make_matrix_operator(_numbers(_required(obj, "rows"), "rows entry"), norm_kind, t)
     raise ValueError(f"unknown operator kind {kind!r}")

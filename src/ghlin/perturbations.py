@@ -43,7 +43,7 @@ from .vectors import (
     row_norms,
     zero_rows,
 )
-from .vectors import _at_point, _number, _window, vector_from_json
+from .vectors import _at_point, _number, _required, _window, vector_from_json
 
 __all__ = [
     "Perturbation",
@@ -369,7 +369,7 @@ def perturbation_from_descriptor(obj: dict, norm_kind: NormKind = SUP_NORM) -> P
     if kind == "zero":
         return zero_perturbation()
     if kind == "constant":
-        return constant_perturbation(vector_from_json(obj["vector"]), norm_kind)
+        return constant_perturbation(vector_from_json(_required(obj, "vector")), norm_kind)
     if kind == "sine":
         amp, freq = _number(obj, "amplitude"), _number(obj, "frequency")
         return sine_perturbation(amp, freq, _window(obj), norm_kind)

@@ -412,15 +412,22 @@ INDEX_LIMIT = 2**62
 WINDOW_LIMIT = 2**16
 
 
+def _required(obj: dict, key: str):
+    """``obj[key]``; an absent key raises ValueError saying that the config requires it."""
+    if key not in obj:
+        raise ValueError(f"config key '{key}' is required")
+    return obj[key]
+
+
 def _number(obj: dict, key: str, *default):
     """``obj[key]``, a JSON number (an int or a float, not a bool), as a float.
 
-    ``default`` if given and ``key`` is absent; any other value, or an integer beyond float
-    range, raises ValueError naming the key.
+    ``default`` if given and ``key`` is absent; any other value, an absent key without a
+    default, or an integer beyond float range, raises ValueError naming the key.
     """
     if default and key not in obj:
         return default[0]
-    value = obj[key]
+    value = _required(obj, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a number, got {value!r}")
     try:
@@ -433,7 +440,7 @@ def _object(obj: dict, key: str, *default) -> dict:
     """``obj[key]``, a JSON object such as a descriptor; ``default`` and errors as in ``_number``."""
     if default and key not in obj:
         return default[0]
-    value = obj[key]
+    value = _required(obj, key)
     if not isinstance(value, dict):
         raise ValueError(f"{key} must be a JSON object, got {value!r}")
     return value
@@ -450,7 +457,7 @@ def _window(obj: dict) -> range:
 
     It may hold at most ``WINDOW_LIMIT`` indices.
     """
-    window = obj["window"]
+    window = _required(obj, "window")
     if type(window) is not list or len(window) != 2 or any(type(i) is not int for i in window):
         raise ValueError(f"window must be [lo, hi] with integers lo and hi, got {window!r}")
     if max(map(abs, window)) >= INDEX_LIMIT:

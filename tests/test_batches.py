@@ -24,6 +24,7 @@ from ghlin import (
     solve_conjugacy,
     solve_inverse_conjugacy,
     solve_perturbed_inverse,
+    verify_conjugacy,
 )
 from ghlin import vectors
 from ghlin.perturbations import INVERSE_MAX_ITER
@@ -271,3 +272,46 @@ def test_declared_read_window_changes_no_value(rng, beta_of, kind):
     points = sample_points(rng, op, 5, beta)
     for maps in (fwd, bwd):
         assert maps[0].displacements(points) == maps[1].displacements(points)
+
+
+def matrix_maps():
+    """Fresh (forward, backward) maps on a non-normal 2x2 matrix: the dense backend."""
+    op = make_matrix_operator([[0.5, 0.3], [0.0, 3.0]], t=0.6)
+    beta = saturating_perturbation(0.01, 1.0)
+    return (solve_conjugacy(op, beta, 0.5, POLICY, picard_tol=1e-6),
+            solve_inverse_conjugacy(op, beta, POLICY))
+
+
+def assert_same_report(got, want):
+    """Two check reports with the same bits: bound, status, residuals and displacements."""
+    assert (got.kind, got.certified_bound, got.status) == (want.kind, want.certified_bound,
+                                                           want.status)
+    assert got.per_point == want.per_point and got.values.unpack() == want.values.unpack()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: shift_maps(SHIFT_BETAS["windowed sine"], NormKind.sup()), matrix_maps,
+], ids=["shift", "dense"])
+def test_verify_conjugacy_gives_the_same_bits_for_a_batch(rng, build):
+    # a Batch is taken as its rows, with no unpack and repack; list(batch) would be its rows
+    # as 1-d batches
+    for cmap in build():
+        points = sample_points(rng, cmap.op, 5, cmap.beta, radius=0.9)
+        assert_same_report(verify_conjugacy(cmap, pack(points)), verify_conjugacy(cmap, points))
+
+
+@pytest.mark.parametrize("problem", [
+    {"kind": "shift_plus_sine", "operator": {"kind": "shift", "left_tail": 0.5,
+                                             "right_tail": 2.0, "core": {"0": 0.3}, "t": 0.55},
+     "amplitude": 1e-4, "frequency": 1.0, "window": [-1, 1], "gamma": 0.2, "cutoff_r": 0.01},
+    {"kind": "quadratic_1d", "slope": 0.5, "quad": 1.0, "p": 0.3, "t": 0.6, "gamma": 0.5,
+     "cutoff_r": 0.01},
+], ids=["shift", "dense"])
+def test_linearization_verify_gives_the_same_bits_for_a_batch(rng, problem):
+    result = linearize(_problem_from_descriptor(problem), POLICY, picard_tol=5e-4)
+    op, p = result.problem.derivative, result.fixed_point
+    offsets = sample_points(rng, op, 6, result.beta, radius=result.u_radius)
+    points = [u + p for u in offsets]
+    report = result.verify(points)
+    assert report.status == "certified"
+    assert_same_report(result.verify(pack(points)), report)

@@ -284,20 +284,26 @@ def test_linearize_outside_eval_radius_is_uncertified(tmp_path):
     assert report["certified_residual_bound"] is None
 
 
-def test_linearize_inside_eval_radius_is_certified(tmp_path):
+@pytest.mark.parametrize("config", [
+    {"problem": {"kind": "quadratic_1d", "slope": 0.5, "quad": 1.0, "p": 0.3, "t": 0.6,
+                 "gamma": 0.5, "cutoff_r": 0.01},
+     "tol": 1e-10, "picard_tol": 1e-10, "samples": 30, "seed": 2},
+    {"problem": {"kind": "shift_plus_sine", "operator": {**SHIFT, "core": {"0": 0.3}},
+                 "amplitude": 1e-4, "frequency": 1.0, "window": [-1, 1], "gamma": 0.2,
+                 "cutoff_r": 0.01},
+     "tol": 1e-5, "picard_tol": 5e-4, "samples": 20, "seed": 0},
+], ids=["quadratic_1d", "shift_plus_sine"])
+def test_linearize_inside_eval_radius_is_certified(tmp_path, config):
+    # the benchmark compares the report's bound with the set-up bound bit for bit
     from ghlin.cli import _policy, _problem_from_descriptor
 
-    problem = {
-        "kind": "quadratic_1d", "slope": 0.5, "quad": 1.0, "p": 0.3,
-        "t": 0.6, "gamma": 0.5, "cutoff_r": 0.01,
-    }
-    config = {"problem": problem, "tol": 1e-10, "picard_tol": 1e-10, "samples": 30, "seed": 2}
     code = main(["linearize", "--config", write_config(tmp_path, "c.json", config),
                  "--out", str(tmp_path / "run")])
     assert code == 0
     report = read_report(tmp_path, "run")
     assert report["status"] == "certified" and report["passed"] is True
-    result = linearize(_problem_from_descriptor(problem), _policy(config), 1e-10)
+    problem = _problem_from_descriptor(config["problem"])
+    result = linearize(problem, _policy(config), config["picard_tol"])
     assert report["certified_residual_bound"] == result.certified_residual_bound
 
 
@@ -595,9 +601,17 @@ def test_checks_make_no_single_point_calls(tmp_path, monkeypatch, command, confi
     assert calls == []
 
 
-def test_conjugate_packs_the_samples_twice_and_unpacks_once(tmp_path, monkeypatch):
-    # the sampler unpacks its draws once; the checks and verify_conjugacy pack them once each,
-    # and every displacement after that stays a batch, up to the CSV's membership column
+@pytest.mark.parametrize("command, config, packs", [
+    ("conjugate", {"operator": SHIFT, "perturbation": SINE, "gamma": 0.2, "tol": 1e-5,
+                   "picard_tol": 5e-4}, 1),
+    # the fixed point is packed by LinearizationProblem.__post_init__, linearize and verify,
+    # the origin by cutoff, and the offsets and the fixed point once more for the check points
+    ("linearize", {"problem": QUAD, "tol": 1e-10, "picard_tol": 1e-10}, 6),
+], ids=["conjugate", "linearize"])
+def test_commands_pack_the_samples_once_and_unpack_once(tmp_path, monkeypatch, command, config,
+                                                        packs):
+    # the sampler unpacks its draws once and the command packs them once; every batch after
+    # that, the check points and the displacements, stays a batch up to the CSV's last column
     counts = {"pack": 0, "unpack": 0}
     pack, unpack = vectors.pack, vectors.Batch.unpack
 
@@ -609,11 +623,9 @@ def test_conjugate_packs_the_samples_twice_and_unpacks_once(tmp_path, monkeypatc
             if value is pack:
                 monkeypatch.setattr(module, attr, counted("pack", pack))
     monkeypatch.setattr(vectors.Batch, "unpack", counted("unpack", unpack))
-    config = {"operator": SHIFT, "perturbation": SINE, "gamma": 0.2, "tol": 1e-5,
-              "picard_tol": 5e-4, "samples": 10, "seed": 7}
-    cfg = write_config(tmp_path, "c.json", config)
-    assert main(["conjugate", "--config", cfg, "--out", str(tmp_path / "run")]) == 0
-    assert counts == {"pack": 2, "unpack": 1}
+    cfg = write_config(tmp_path, "c.json", {**config, "samples": 10, "seed": 7})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
+    assert counts == {"pack": packs, "unpack": 1}
 
 
 def test_reports_are_deterministic(tmp_path):
@@ -699,6 +711,10 @@ def test_holder_probe_uses_the_configured_theta(tmp_path, capsys):
         assert main(["holder-probe", "--config", cfg, "--out", str(tmp_path / "run")]) == expected
     assert "theta must lie in (0, 1]" in capsys.readouterr().err
     assert read_report(tmp_path, "run")["theta"] == 0.1
+
+
+def without(descriptor, key):
+    return {k: v for k, v in descriptor.items() if k != key}
 
 
 SINE = {"kind": "sine", "amplitude": 0.05, "frequency": 1.0, "window": [-1, 1]}
@@ -802,13 +818,24 @@ def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, command, confi
         ("linearize", {"problem": {**QUADRATIC, "gamma": 1.5}}, "gamma must lie in (0, 1), got 1.5"),
         ("conjugate", {"operator": SHIFT, "perturbation": {"kind": "constant", "vector": 5}},
          "cannot read a vector from int"),
+        # a missing nested key is named as required, not printed bare as Python's KeyError does
+        ("linearize", {"problem": without(SHIFT_PLUS_SINE, "window")},
+         "config key 'window' is required"),
+        ("constants", {"operator": without(DIAGONAL, "rows")}, "config key 'rows' is required"),
+        ("constants", {"operator": without(SHIFT, "left_tail")},
+         "config key 'left_tail' is required"),
+        ("conjugate", {"operator": SHIFT, "perturbation": {"kind": "constant"}},
+         "config key 'vector' is required"),
+        ("constants", {"operator": {**SHIFT, "norm": {"kind": "lp"}}},
+         "config key 'p' is required"),
     ],
     ids=["gh-check-matrix", "problem-kind", "operator-kind", "norm-kind", "gamma-range",
          "tol-zero", "core-index-leading-zero", "vector-index-underscore",
          "saturating-empty-window", "sine-empty-window", "rows-not-square", "matrix-l3-norm",
          "t-above-1", "sine-amplitude-negative", "holder-diameter-above-1",
          "holder-diameter-below-pair-distance", "holder-theta-above-bound",
-         "problem-gamma-range", "vector-int"],
+         "problem-gamma-range", "vector-int", "window-missing", "rows-missing",
+         "left_tail-missing", "vector-missing", "lp-p-missing"],
 )
 def test_unsupported_config_exits_2(tmp_path, capsys, command, config, message):
     config = {"gamma": 0.2, "samples": 3, **config}
