@@ -64,12 +64,11 @@ it is estimated from the orbit length, the widest point and the source's
 window.  The checks are batch expressions too, with no loop over points.
 
 Every map is immutable and keeps no values; it carries a certified
-worst-case evaluation error in exact arithmetic and, forward, a bound on
-what its float orbit adds (``_orbit_rounding``), and verification routines
-compare observed identity residuals against bounds derived from their sum.
-A check report holds the displacements it computed at its points as a batch
-(``values``), so a later check on the same points takes them from the report
-instead of evaluating again.
+worst-case evaluation error, and verification routines compare observed
+identity residuals against bounds derived from it.  A check report holds
+the displacements it computed at its points as a batch (``values``), so a
+later check on the same points takes them from the report instead of
+evaluating again.
 Both identity checks and the inverse pair (``_conjugate_checks``) take three
 lattice calls: the forward map on the rows [T x, x], which gives h_fwd(x);
 the backward map once on [(T + beta) x, x, x + h_fwd(x)], for its identity
@@ -88,8 +87,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .operators import UNIT_ROUNDOFF, CertificationError, GHOperator, MatrixOperator
-from .operators import admissible_eps
+from .operators import CertificationError, GHOperator, MatrixOperator, admissible_eps
 from .operators import _stepped_orbit
 from .perturbations import (
     Perturbation,
@@ -233,19 +231,15 @@ class ConjugacyMap:
     Forward direction: H o T = S o H; backward: H o S = T o H, where
     S = T + beta and the j-th backward step of the orbit of S is an inverse
     solve to residual ``inverse_tols[j]``.  ``certified_error`` bounds the
-    distance between the lattice's values in exact arithmetic and the exact
-    displacement, on evaluation points within ``eval_radius`` in the ambient
-    norm (``None``: everywhere).  It is not stored: it is the sum, in their
-    order, of the named parts in ``error_budget`` (``picard`` and ``series``
-    forward, ``truncation`` and ``inverse_propagation`` backward), 0.0 for
-    none.  ``rounding_error`` bounds what the float steps of the orbit add
-    on the same points; the forward map bounds it (``_orbit_rounding``), and
-    the backward map, whose steps of T + beta are taken as exact, leaves it
-    ``None``.  ``error_bound``, their sum, is what the checks quote.
+    distance between returned displacement values and the exact ones, on
+    evaluation points within ``eval_radius`` in the ambient norm (``None``:
+    everywhere).  It is not stored: it is the sum, in their order, of the
+    named parts in ``error_budget`` (``picard`` and ``series`` forward,
+    ``truncation`` and ``inverse_propagation`` backward), 0.0 for none.
 
     Evaluation is pure and the map keeps no values.  On the shift every
     batch computes identical values; on the dense backend two batches may
-    differ in the last bits, both within ``error_bound``.
+    differ in the last bits, both within ``certified_error``.
     """
 
     op: GHOperator
@@ -257,19 +251,13 @@ class ConjugacyMap:
     inverse_tols: tuple = ()
     eval_radius: float | None = None
     error_budget: dict = field(default_factory=dict)
-    rounding_error: float | None = None
 
     @property
     def certified_error(self) -> float:
         return sum(self.error_budget.values(), 0.0)
 
-    @property
-    def error_bound(self) -> float:
-        """``certified_error`` plus ``rounding_error`` where it is bounded."""
-        return self.certified_error + (self.rounding_error or 0.0)
-
     def displacements(self, points: Sequence[StateVector]) -> list[StateVector]:
-        """The offsets H(x) - x at the points, computed to the map's ``error_bound``.
+        """The offsets H(x) - x at the points, computed to the map's certified error.
 
         The points run through the lattice together, in chunks sized from
         ``CHUNK_BYTES``.
@@ -281,7 +269,7 @@ class ConjugacyMap:
         return self.displacements([x])[0]
 
     def covers(self, *batches: Batch) -> bool:
-        """Whether ``error_bound`` is quoted at every row of the batches."""
+        """Whether ``certified_error`` is quoted at every row of the batches."""
         radius, kind = self.eval_radius, self.op.norm_kind
         return radius is None or all((row_norms(b, kind) <= radius).all() for b in batches)
 
@@ -327,7 +315,7 @@ class ConjugacyMap:
 
     def report(self) -> dict:
         keys = ("direction", "terms", "depth", "contraction", "certified_error", "error_budget",
-                "rounding_error", "eval_radius")
+                "eval_radius")
         return {key: getattr(self, key) for key in keys}
 
 
@@ -348,10 +336,7 @@ def solve_conjugacy(
     with B = gain * sup(beta) the certified first-step norm, and each series
     evaluation adds its truncation tolerance once per level.  The depth is
     the smallest n >= 1 whose error meets ``picard_tol`` (0 when beta is
-    zero).  The float orbit's part, ``rounding_error``, grows with the
-    point's norm; both are quoted within eval_radius = max(2, |T| + sup beta),
-    which holds the unit ball's image under T and, with |h_back| < 1, under
-    the backward conjugacy.
+    zero).
     """
     if not picard_tol > 0.0:
         raise ValueError(f"picard_tol must be positive, got {picard_tol}")
@@ -376,91 +361,7 @@ def solve_conjugacy(
         depth += 1
     terms = truncation_terms(op, beta.sup_bound, policy)
     budget = {"picard": picard_err, "series": policy.tol * (1.0 - q**depth) / (1.0 - q)}
-    radius = max(2.0, op.norm_T + beta.sup_bound)
-    return ConjugacyMap(op, beta, FORWARD, terms, depth, contraction=q, eval_radius=radius,
-                        error_budget=budget,
-                        rounding_error=_orbit_rounding(op, beta, terms, depth, radius, gamma))
-
-
-def _orbit_rounding(op, beta, terms: int, depth: int, radius: float, value_bound: float) -> float:
-    """What the float orbit of T may add to the forward lattice's value at x, |x| <= radius.
-
-    A step rounds by at most rho times its argument's norm
-    (``op.step_rounding``), and T carries what one step adds into the next,
-    so the float point u_s lies within e(s) of T^s x (``_stepping_error``).
-    A source point off by e moves beta by at most min(Lip e, 2 sup), and the
-    sweep carries the source at orbit index s into the value at j with weight
-    |A_M^(j-1-s)| for s < j and |A_N^(s-j+1)| for s >= j (``power``), over
-    every source of the level.  Level l reads beta at u_s + phi_{l-1}(s): off
-    by e(s), by the error of phi_{l-1}(s), and by the rounding of the sum,
-    at most u (|u_s| + value_bound) with value_bound >= |phi_{l-1}|.  The
-    bound is the resulting error of the top level at index 0; 0 at depth 0,
-    and 0 for a beta with Lipschitz bound 0, which no point error moves.
-    """
-    if not beta.lip_bound:
-        return 0.0
-    m = 0 if op.m_is_trivial else terms + 1
-    n = 0 if op.n_is_trivial else terms  # the sources right of an index: k_N - 1
-    back, ahead = depth * m, depth * n
-    rho, cap = op.step_rounding, 2.0 * beta.sup_bound
-    powers = op.orbit_powers(back, ahead)
-    limit = cap / beta.lip_bound  # a source point off by this may move beta by the cap
-    left, right = (_stepping_error(norms, r, radius, limit) for norms, r in zip(powers, rho))
-    with np.errstate(over="ignore"):
-        err = np.concatenate([left[::-1], right[1:]])  # orbit indices -back..ahead
-        size = np.concatenate([powers[0][::-1], powers[1][1:]]) * radius + err
-        summed = err + UNIT_ROUNDOFF * (size + value_bound)
-    length = len(err)
-    # the sums keep the weights |A^k| for k < ``count``; from ``count`` on they add up to at
-    # most 2^-60 (``tail``), and that times the cap, ``omitted``, is added to every value
-    k = op.constants
-    count = min(length + 1, max(2, math.ceil(math.log(2.0**-60 * (1.0 - k.t) / (k.c * k.d))
-                                               / math.log(k.t))))
-    sides = [side for side, trivial in ((0, not m), (1, op.n_is_trivial)) if not trivial]
-    weights = {side: k.power(side, np.arange(count)) for side in sides}
-    omitted = sum((cap * k.tail(side, count) for side in sides if count <= length), 0.0)
-    if 1 in weights:
-        weights[1][0] = 0.0  # an N-side source is carried by at least one step of A_N
-    # the error of phi_{l-1} at each orbit index (phi_0 = 0); level l reads it on its sources
-    # and overwrites it on its values, the sources of level l + 1
-    delta = np.zeros(length)
-    for level in range(1, depth + 1):
-        lo, hi = back - (depth - level + 1) * m, back + (depth - level + 1) * n  # the sources
-        source = (err if level == 1 else summed)[lo : hi + 1] + delta[lo : hi + 1]
-        sigma, width = np.minimum(beta.lip_bound * source, cap), hi - lo + 1
-        # value c sums the sources c' <= c + m - 1 (M side) and c' >= c + m (N side) of sigma
-        value = omitted
-        if 0 in weights:
-            value = value + np.convolve(sigma, weights[0][:width])[m - 1 : width - n - 1]
-        if 1 in weights:
-            reverse = np.convolve(sigma[::-1], weights[1][: width + 1])
-            value = value + reverse[n + 1 : width - m + 1][::-1]
-        delta[lo + m : hi - n + 1] = value
-    return float(delta[back])
-
-
-def _stepping_error(norms: np.ndarray, rho: float, radius: float, limit: float) -> np.ndarray:
-    # e(j) for j = 0..len - 1: how far j float steps of S from a point of norm <= radius may
-    # land from its exact image, given |S^i| <= norms[i] and steps that round by at most rho
-    # times their argument's norm.  S^(j-i) carries step i's error on, so
-    # e(j) <= rho sum_{i=1..j} norms[j-i] (norms[i-1] radius + e(i-1)).  Without e(i-1) on the
-    # right the sum is e0, and then e <= (1 + 1/16) e0 by induction while the e(i-1) part,
-    # 17/16 of ``feedback``, stays within e0 / 16.  Past the first index where that fails or
-    # the bound reaches ``limit``, e is inf; the sums run over growing prefixes until then
-    n, size = len(norms), 128
-    if n == 1:
-        return np.zeros(1)
-    while True:
-        size = min(size, n)
-        e0, feedback = np.zeros(size), np.zeros(size)
-        with np.errstate(over="ignore", invalid="ignore"):
-            e0[1:] = rho * radius * np.convolve(norms[:size], norms[:size])[: size - 1]
-            feedback[1:] = rho * np.convolve(norms[:size], e0)[: size - 1]
-            bound = (1.0 + 1.0 / 16.0) * e0
-            held = np.logical_and.accumulate((17.0 * feedback <= e0) & (bound < limit))
-        if size == n or not held[-1]:
-            return np.concatenate([np.where(held, bound, np.inf), np.full(n - size, np.inf)])
-        size *= 4
+    return ConjugacyMap(op, beta, FORWARD, terms, depth, contraction=q, error_budget=budget)
 
 
 def solve_inverse_conjugacy(
@@ -485,7 +386,6 @@ def solve_inverse_conjugacy(
     lip_inv = op.norm_Tinv / (1.0 - op.norm_Tinv * beta.lip_bound)
     radius = eval_radius = max(2.0, op.norm_T + beta.sup_bound)
     inverse_tols, err, propagated = [], 0.0, 0.0
-    weights = op.constants.power(0, np.arange(terms + 1)).tolist()
     for j in range(terms + 1):
         tol_j = INVERSE_TOL_REL * max(1.0, radius)
         inverse_tols.append(tol_j)
@@ -495,7 +395,7 @@ def solve_inverse_conjugacy(
         # and the j-th term through T^j P_M, of norm at most ``power(0, j)``.
         # The 2 * sup cap keeps the sum bounded when t * Lip(S^{-1}) >= 1, and no
         # Holder modulus 2 * max(sup, Lip) * e^theta, theta in (0, 1], is smaller.
-        propagated += weights[j] * min(beta.lip_bound * err, 2.0 * beta.sup_bound)
+        propagated += op.constants.power(0, j) * min(beta.lip_bound * err, 2.0 * beta.sup_bound)
         radius = op.norm_Tinv * (radius + beta.sup_bound) + err
     budget = {"truncation": policy.tol, "inverse_propagation": propagated}
     return ConjugacyMap(op, beta, BACKWARD, terms, depth=1, inverse_tols=tuple(inverse_tols),
@@ -602,10 +502,10 @@ def _identity_terms(cmap, x: Batch, images: Batch | None = None) -> tuple:
 
 
 def _identity_bound(cmap) -> float:
-    # E (1 + Lip(outer)) with E the map's error bound: Lip(T + beta) = |T| + Lip(beta)
+    # E (1 + Lip(outer)) with E the map's certified error: Lip(T + beta) = |T| + Lip(beta)
     # forward, Lip(T) = |T| backward
     outer_beta_lip = cmap.beta.lip_bound if cmap.direction == FORWARD else 0.0
-    return cmap.error_bound * (1.0 + cmap.op.norm_T + outer_beta_lip)
+    return cmap.certified_error * (1.0 + cmap.op.norm_T + outer_beta_lip)
 
 
 def _identity_check(cmap, images: Batch, points: Batch, outer, bound: float, values=None):
@@ -715,7 +615,7 @@ def _inverse_pair(fwd, bwd, x: Batch, there: Batch, h_bwd: Batch, h_bwd_there: B
                   holder) -> InversePairReport:
     # verify_inverse_pair at the rows of x, given there = x + h_fwd(x) and the backward
     # displacements at x and at there; the forward map runs once, at x + h_bwd(x)
-    e_f, e_b = fwd.error_bound, bwd.error_bound
+    e_f, e_b = fwd.certified_error, bwd.certified_error
     if fwd.beta.is_zero:
         bound = 0.0
     elif holder is not None:

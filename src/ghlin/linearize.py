@@ -241,7 +241,7 @@ def empirical_holder(
     kept_dists = dists[kept].tolist()
     ratios = [gap / dist**cert.theta for gap, dist in zip(gaps, kept_dists)]
     min_dist = min(kept_dists, default=math.inf)
-    inflation = 2.0 * cmap.error_bound / min_dist**cert.theta if ratios else 0.0
+    inflation = 2.0 * cmap.certified_error / min_dist**cert.theta if ratios else 0.0
     return HolderProbeReport(cert.theta, cert.C, inflation, ratios, values[:k])
 
 

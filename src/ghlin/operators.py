@@ -53,10 +53,6 @@ on one entry of the previous one, its diagonal neighbour in the (orbit
 index, column) plane, so each side steps along the shorter axis of its
 plane, a column or an index at a time, with the same floating-point
 operations either way.
-
-For the forward map's rounding bound each backend states how far one float
-step may land from the exact one (``step_rounding``) and bounds the norms
-of the powers of T and T^-1 along an orbit (``orbit_powers``).
 """
 
 from __future__ import annotations
@@ -64,7 +60,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -108,13 +103,6 @@ POWER_TABLE_FLOOR = 1e-6
 
 #: byte budget of one block of the power table's products
 POWER_BLOCK_BYTES = 1 << 20
-
-#: powers of T and T^-1 that ``orbit_powers`` computes on the dense backend before it
-#: extends them by submultiplicativity
-ORBIT_POWER_WINDOW = 64
-
-#: unit roundoff of float64: a correctly rounded operation is off by at most this, relatively
-UNIT_ROUNDOFF = 2.0**-53
 
 
 class CertificationError(ValueError):
@@ -220,16 +208,15 @@ class _Constants:
         a_w = self.powers[:, -1:]
         object.__setattr__(self, "_sums", sums + a_w * sums[:, :1] / (1.0 - a_w))
 
-    def power(self, side: int, k):
-        """Bound on |A^k| on a side (0: A_M, 1: A_N), the projection norm at k = 0.
-
-        ``k`` is an int, or an array of ints for an array of bounds.
-        """
-        w, row = self.powers.shape[1] - 1, self.powers[side]
-        m, r = np.divmod(np.maximum(k, 1) - 1, w)
-        table = np.where(k <= w, row[np.minimum(k, w)], row[w] ** m * row[r + 1])
-        bound = np.minimum(table, self.c * self.d * self.t ** np.asarray(k))
-        return bound if np.ndim(k) else float(bound)
+    def power(self, side: int, k: int) -> float:
+        """Bound on |A^k| on a side (0: A_M, 1: A_N), the projection norm at k = 0."""
+        w = self.powers.shape[1] - 1
+        if k <= w:
+            table = self.powers[side, k]
+        else:
+            m, r = divmod(k - 1, w)
+            table = self.powers[side, w] ** m * self.powers[side, r + 1]
+        return min(float(table), self.c * self.d * self.t**k)
 
     def tail(self, side: int, first: int) -> float:
         """Bound on sum_{k >= first} |A^k| on a side (0: A_M, 1: A_N), first >= 1."""
@@ -489,23 +476,6 @@ class ShiftOperator:
         """(spectral radius on M, spectral radius of the inverse on N)."""
         return abs(self.weights.left_tail), 1.0 / abs(self.weights.right_tail)
 
-    # -- rounding -------------------------------------------------------
-
-    @property
-    def step_rounding(self) -> tuple[float, float]:
-        """Bounds on |step_inverse(y) - T^-1 y| / |y| and |step(x) - T x| / |x| in floats.
-
-        Each entry of a step, and of ``orbit``, is one rounded division or
-        product, off by at most the unit roundoff of its exact value.
-        """
-        return UNIT_ROUNDOFF * self.norm_Tinv, UNIT_ROUNDOFF * self.norm_T
-
-    def orbit_powers(self, back: int, ahead: int) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds on |T^-j| for j = 0..back and |T^j| for j = 0..ahead: one-step norms' powers."""
-        with np.errstate(over="ignore"):
-            return (np.power(self.norm_Tinv, np.arange(back + 1.0)),
-                    np.power(self.norm_T, np.arange(ahead + 1.0)))
-
 
 class MatrixOperator:
     """Invertible matrix with spectrum off the unit circle.
@@ -653,61 +623,8 @@ class MatrixOperator:
         rho_n = 1.0 / mods.min(initial=np.inf, where=mods > 1.0)
         return float(mods[mods < 1.0].max(initial=0.0)), float(rho_n)
 
-    # -- rounding -------------------------------------------------------
-
-    @cached_property
-    def step_rounding(self) -> tuple[float, float]:
-        """Bounds on |step_inverse(y) - T^-1 y| / |y| and |step(x) - T x| / |x| in floats.
-
-        A product with a matrix B is off by at most gamma_n |B| |x| entrywise,
-        gamma_n = n u / (1 - n u) (Higham, ch. 3), so by gamma_n || |B| || |x|
-        in a norm that grows with the entries' magnitudes.  The inverse step
-        multiplies by the computed inverse X, and |X - T^-1| <= |X| r / (1 - r)
-        for any r >= |I - T X|.
-        """
-        n = self.dim
-        gamma = n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
-        a, a_inv = np.abs(self.matrix), np.abs(self.matrix_inv)
-        abs_t, abs_inv, abs_both = self._induced(np.array([a, a_inv, a @ a_inv]))
-        residual = self._induced(np.eye(n) - self.matrix @ self.matrix_inv)
-        r = (1.0 + UNIT_ROUNDOFF) * residual + 2.0 * gamma * abs_both
-        defect = self.norm_Tinv * r / (1.0 - r) if r < 1.0 else math.inf
-        return float(gamma * abs_inv + defect), float(gamma * abs_t)
-
-    def orbit_powers(self, back: int, ahead: int) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds on |T^-j| for j = 0..back and |T^j| for j = 0..ahead (``_power_runs``)."""
-        steps = np.array([self.matrix_inv, self.matrix])
-        return tuple(_power_runs(steps, (back, ahead), self._induced))
-
 
 GHOperator = ShiftOperator | MatrixOperator
-
-
-def _power_runs(steps: np.ndarray, counts, induced) -> list[np.ndarray]:
-    """|A^j| for j = 0..count, for each matrix A of ``steps`` and its count.
-
-    The first W + 1 powers, W = ``ORBIT_POWER_WINDOW``, are computed by
-    doubling, A^(k + j) = A^k A^j, for all the matrices at once; past W,
-    |A^(m W + r)| <= |A^W|^m |A^r| with 1 <= r <= W.  A power that leaves the
-    float range counts as inf.
-    """
-    w = min(max(counts), ORBIT_POWER_WINDOW)
-    block = np.empty((len(steps), w + 1) + steps.shape[1:])
-    block[:, 0], done = np.eye(steps.shape[-1]), 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        while done <= w:
-            more = min(done, w + 1 - done)
-            block[:, done : done + more] = block[:, :more] @ (block[:, done - 1] @ steps)[:, None]
-            done += more
-        heads = induced(block)
-        heads[np.isnan(heads)] = np.inf
-        runs = []
-        for head, count in zip(heads, counts):
-            if count > w:
-                m, r = np.divmod(np.arange(w, count), w)
-                head = np.concatenate([head, head[w] ** m * head[r + 1]])
-            runs.append(head[: count + 1])
-        return runs
 
 
 def _matrix_norm_order(kind: NormKind):
