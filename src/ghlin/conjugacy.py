@@ -45,11 +45,12 @@ term.
 
 The lattice runs on a batch of points at once (``vectors.Batch``).  The
 orbit is one array of shape (orbit index, N, columns): the orbit of T is
-the operator's ``orbit`` (on the shift, one accumulate per side with no
-step per index), and the orbit of T + beta is stepped an index at a time,
-each step mapping every row.  Each level is one row-batch call of the
-source and one ``orbit_sweep``.  Every entry is computed as the
-single-point lattice computes it, so a point gets the same value in any
+the operator's ``orbit`` (one accumulate per side on the shift, stacked
+products of both sides on a matrix, with no step call per index), and the
+orbit of T + beta is stepped an index at a time, each step mapping every
+row.  Each level is one row-batch call of the source and one
+``orbit_sweep``.  Every entry is computed as the single-point lattice
+computes it, so a point gets the same value in any
 batch: bit for bit on the shift, and up to the rounding of a matrix
 product (gemm against gemv) on the dense backend.  Sparse columns are the
 union of the rows' supports, and the sweep adds the runs its partial sums

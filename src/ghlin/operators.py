@@ -40,10 +40,11 @@ value holds at least the K + 1 nearest terms of every nontrivial series, so
 its omitted tail lies inside the (K + 1)-term tail.
 
 The dense backend steps all N rows at once, ``acc @ A_M.T``, and builds an
-orbit a step per index.  On the shift, T moves a row one column to the left,
-so ``step`` only relabels the columns and multiplies by one weight array,
-and ``orbit`` is one multiplying and one dividing accumulate along the orbit
-axis, rounding as the steps do.  The sweep lays its rows over the
+orbit with one stacked product of T^-1 and T per index while both sides run,
+each slice rounding as a step.  On the shift, T moves a row one column to
+the left, so ``step`` only relabels the columns and multiplies by one weight
+array, and ``orbit`` is one multiplying and one dividing accumulate along
+the orbit axis, rounding as the steps do.  The sweep lays its rows over the
 columns the sources can reach: a union of runs [i - steps, i] for each
 source column i <= 0 and [i, i + steps] for each i >= 1.  Neighbouring runs
 are joined by a seam, a zero weight, and no partial sum ever reaches one,
@@ -239,8 +240,9 @@ def _reach(cols: np.ndarray, left: int, right: int) -> np.ndarray:
     if not len(cols):
         return cols
     starts, ends = cols - left, cols + right
-    first = np.flatnonzero(np.r_[True, starts[1:] > ends[:-1] + 1])
-    lo, hi = starts[first], ends[np.r_[first[1:] - 1, len(cols) - 1]]  # the merged runs
+    breaks = np.flatnonzero(starts[1:] > ends[:-1] + 1)  # a run ends at each entry named here
+    lo = np.concatenate([starts[:1], starts[breaks + 1]])  # the merged runs
+    hi = np.append(ends[breaks], ends[-1])
     sizes = hi - lo + 1
     # entry k of the result, in run r, is lo[r] plus k less the entries before run r
     return np.arange(sizes.sum()) + np.repeat(lo - (np.cumsum(sizes) - sizes), sizes)
@@ -344,8 +346,13 @@ class ShiftOperator:
         chain is one accumulate along the orbit axis, multiplying or dividing
         in the order ``step`` and ``step_inverse`` do; the chains are then laid
         out over the columns they reach, those of ``within`` if it is given.
+        Column c reaches (lo, hi) = ``within`` only if lo - back <= c <= hi +
+        ahead, so the other columns get no chain.
         """
         cols = _sparse_batch(x).cols
+        if within is not None:
+            keep = (cols >= within[0] - back) & (cols <= within[1] + ahead)
+            x, cols = Batch(x.rows[..., keep], cols[keep]), cols[keep]
         chains = np.empty((back + ahead + 1,) + x.rows.shape)
         chains[back] = x.rows
         chains[:back] = self._weight(cols + np.arange(back, 0, -1)[:, None])[:, None]
@@ -542,8 +549,26 @@ class MatrixOperator:
         return Batch(self._dense_batch(b).rows @ self.matrix_inv.T)
 
     def orbit(self, x: Batch, back: int, ahead: int, within=None) -> Batch:
-        """T^-back x, ..., x, ..., T^ahead x: ``_stepped_orbit`` of its steps."""
-        return _stepped_orbit(self.step, self.step_inverse, x, back, ahead, within)
+        """T^-back x, ..., x, ..., T^ahead x, bit for bit the ``_stepped_orbit`` of its steps.
+
+        While both chains run, T^-j x and T^j x are one stacked product of
+        T^-(j-1) x and T^(j-1) x with T^-1 and T, each slice the product
+        ``step_inverse`` or ``step`` makes; the longer chain then goes on one
+        product per index.  ``within`` is a sparse layout hint and is ignored.
+        """
+        rows = self._dense_batch(x).rows
+        out = np.empty((back + ahead + 1,) + rows.shape)
+        out[back] = rows
+        both = min(back, ahead)
+        maps = np.stack([self.matrix_inv.T, self.matrix.T])
+        for j in range(1, both + 1):  # from back - j + 1 and back + j - 1 (both x at j = 1)
+            np.matmul(out[back - j + 1 : back + j : max(2 * j - 2, 1)], maps,
+                      out=out[back - j : back + j + 1 : 2 * j])
+        for i in range(back - both - 1, -1, -1):
+            np.matmul(out[i + 1], self.matrix_inv.T, out=out[i])
+        for i in range(back + both + 1, back + ahead + 1):
+            np.matmul(out[i - 1], self.matrix.T, out=out[i])
+        return Batch(out)
 
     def _dense_batch(self, b: Batch) -> Batch:
         if b.cols is not None or b.rows.shape[-1] != self.dim:

@@ -259,6 +259,9 @@ def cutoff(
         live = np.flatnonzero(chi)  # rows inside the outer ball
         if not len(live):
             return zero_rows(b)
+        if len(live) == len(b):
+            values = alpha(b)
+            return Batch(chi[:, None] * values.rows, values.cols)
         values = alpha(b[live])
         return merge_rows([(live, Batch(chi[live, None] * values.rows, values.cols))], len(b))
 
@@ -342,16 +345,18 @@ def _solve_rows(op: GHOperator, beta: Perturbation, y: Batch, tol: float) -> Bat
         r[..., at] -= b.rows  # y - beta(x) entry by entry, as Batch.__sub__ computes it
         x_next = op.step_inverse(Batch(r, cols))
         residuals = row_norms(op.step(Batch(x.rows - x_next.rows, x_next.cols)), op.norm_kind)
+        done = residuals <= tol  # False at a residual that is not finite
+        finished = np.count_nonzero(done)
+        if finished == len(done):  # the rows solved before, if any, and these
+            return merge_rows(solved + [(pending, x)], len(y)) if solved else x
         peak = residuals.max()  # NaN if any residual is NaN
         if not peak < math.inf:  # it never meets tol: say so now, not after the cap
             raise IterationLimitError(f"perturbed inverse stopped at iteration {iteration}: a "
                                       f"residual is not finite ({peak})")
-        done = residuals <= tol
-        if finished := np.count_nonzero(done):  # cheaper per iteration than done.any()
+        if finished:
+            left = ~done
             solved.append((pending[done], x[done]))
-            if finished == len(done):
-                return merge_rows(solved, len(y))
-            pending, rows, x_next = pending[~done], rows[~done], x_next[~done]
+            pending, rows, x_next = pending[left], rows[left], x_next[left]
         x = x_next
     raise IterationLimitError(
         f"perturbed inverse did not reach residual {tol} within {INVERSE_MAX_ITER} iterations"

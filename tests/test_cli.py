@@ -478,10 +478,11 @@ def test_conjugate_runs_the_backward_map_once(tmp_path, monkeypatch):
 def lattice_array_sizes(monkeypatch) -> list[int]:
     """A list that receives the byte size of every orbit array and sweep buffer.
 
-    A stepped orbit is ``stack``'s array.  The shift's orbit kernel (its
-    accumulate buffer and its laid-out orbit) and both sweeps allocate theirs
-    with ``np.empty`` or ``np.zeros`` in ``operators``, whose numpy is swapped
-    for one that records each array those two make.
+    A stepped orbit is ``stack``'s array.  The orbit kernels (the shift's
+    accumulate buffer and its laid-out orbit, the dense backend's orbit) and
+    both sweeps allocate theirs with ``np.empty`` or ``np.zeros`` in
+    ``operators``, whose numpy is swapped for one that records each array
+    those two make.
     """
     sizes, stack = [], operators.stack
 
@@ -525,6 +526,22 @@ def test_readme_conjugate_chunks_fit_the_chunk_budget(tmp_path, monkeypatch, bud
     else:
         assert len(calls) > 3
     assert 0 < max(sizes) <= conjugacy.CHUNK_BYTES
+
+
+def test_far_apart_points_fit_the_chunk_budget(monkeypatch):
+    # 100 points with disjoint 5-column supports over [-2000, 1964] share one forward call;
+    # the orbit kernel builds chains only for the columns that reach the sine's window
+    op = operators.make_shift(operators.WeightSpec(0.5, 2.0), t=0.55)
+    beta = perturbations.sine_perturbation(0.05, 1.0, window=[-1, 1])
+    fwd = conjugacy.solve_conjugacy(op, beta, 0.2, conjugacy.SeriesPolicy(tol=1e-5),
+                                    picard_tol=5e-4)
+    rng = np.random.default_rng(5)
+    points = [vectors.SparseVector(dict(zip(range(lo, lo + 5), rng.uniform(-0.5, 0.5, 5))))
+              for lo in range(-2000, 1961, 40)]
+    calls, sizes = lattice_calls(monkeypatch), lattice_array_sizes(monkeypatch)
+    values = fwd.displacements(points)
+    assert calls == [("forward", 100)] and 0 < max(sizes) <= conjugacy.CHUNK_BYTES
+    assert [v.memo_key() for v in values] == [fwd.displacement(x).memo_key() for x in points]
 
 
 @pytest.mark.parametrize("name", ["shift-conjugate", "matrix-conjugate"])

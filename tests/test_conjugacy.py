@@ -40,7 +40,6 @@ from ghlin import (
 from ghlin import cli, conjugacy, linearize, operator_from_descriptor, perturbation_from_descriptor
 from ghlin.conjugacy import InversePairReport
 from ghlin.linearize import make_holder_certificate
-from ghlin.operators import ShiftOperator
 from ghlin.perturbations import IterationLimitError, perturbed_apply, solve_perturbed_inverse
 from ghlin.vectors import _row_wise
 from conftest import lattice_calls, nan_far_out, random_sparse
@@ -345,17 +344,24 @@ def test_an_inverse_pair_with_a_nan_residual_fails():
     json.dumps(written, allow_nan=False)
 
 
-def test_the_forward_lattice_makes_no_per_index_step(rng, monkeypatch):
-    # the shift's forward orbit is one accumulate kernel; the backward map still steps
-    # T + beta and solves its inverse one orbit index at a time
-    op = make_shift(WeightSpec(0.5, 2.0, core={0: 0.3, 1: 2.5}), t=0.55)
+@pytest.mark.parametrize("backend", ["shift", "dense"])
+def test_the_forward_lattice_makes_no_per_index_step(rng, monkeypatch, backend):
+    # the forward orbit is one kernel (an accumulate on the shift, stacked products on a
+    # non-normal matrix); the backward map still steps T + beta and solves its inverse one
+    # orbit index at a time
+    if backend == "shift":
+        op = make_shift(WeightSpec(0.5, 2.0, core={0: 0.3, 1: 2.5}), t=0.55)
+        points = [random_sparse(rng) for _ in range(4)]
+    else:
+        op = make_matrix_operator([[0.5, 0.3, 0.0], [0.0, 2.0, 0.4], [0.0, 0.0, 3.0]])
+        points = [DenseVector(rng.uniform(-1.0, 1.0, 3)) for _ in range(4)]
     beta = sine_perturbation(0.01, 1.0, window=[-2, 2])
     fwd = solve_conjugacy(op, beta, 0.2, POLICY, picard_tol=1e-6)
     bwd = solve_inverse_conjugacy(op, beta, POLICY)
     calls = []
 
     def counted(name):
-        method = getattr(ShiftOperator, name)
+        method = getattr(type(op), name)
 
         def spy(self, b):
             calls.append(name)
@@ -364,8 +370,7 @@ def test_the_forward_lattice_makes_no_per_index_step(rng, monkeypatch):
         return spy
 
     for name in ("step", "step_inverse"):
-        monkeypatch.setattr(ShiftOperator, name, counted(name))
-    points = [random_sparse(rng) for _ in range(4)]
+        monkeypatch.setattr(type(op), name, counted(name))
     fwd.displacements(points)
     assert calls == []
     bwd.displacements(points)

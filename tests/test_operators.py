@@ -254,16 +254,23 @@ def orbit_inputs(draw):
 
 EMPTY_POINT = Batch(np.zeros((1, 0)), np.zeros(0, dtype=np.int64))
 ONE_ROW = Batch(np.array([[1.5, 0.0, -0.0, -2.0]]), np.array([-3, -1, 0, 4]))
+NON_NORMAL = [[0.5, 0.3, 0.0], [0.0, 2.0, 0.4], [0.0, 0.0, 3.0]]
+DENSE_ROWS = Batch(np.array([[1.5, -0.0, 0.25], [-2.0, 0.75, 3.0]]))
 
 
 @settings(max_examples=60, deadline=None)
 @example(inputs=(make_shift(SWEEP_WEIGHTS), EMPTY_POINT), back=7, ahead=5, within=None)
 @example(inputs=(make_shift(SWEEP_WEIGHTS), ONE_ROW), back=60, ahead=60, within=None)
 @example(inputs=(make_shift(SWEEP_WEIGHTS), ONE_ROW), back=9, ahead=0, within=(-2, 3))
+@example(inputs=(make_matrix_operator(NON_NORMAL), DENSE_ROWS), back=0, ahead=9, within=None)
+@example(inputs=(make_matrix_operator(NON_NORMAL), DENSE_ROWS), back=9, ahead=0, within=None)
+@example(inputs=(make_matrix_operator(NON_NORMAL), DENSE_ROWS), back=13, ahead=4, within=None)
+@example(inputs=(make_matrix_operator(NON_NORMAL), DENSE_ROWS), back=3, ahead=12, within=None)
 @given(inputs=orbit_inputs(), back=st.integers(0, 60), ahead=st.integers(0, 60),
        within=st.none() | st.tuples(st.integers(-40, 40), st.integers(0, 30)))
 def test_orbit_equals_the_stepped_orbit_bitwise(inputs, back, ahead, within):
-    # the shift's accumulate kernel multiplies and divides as step and step_inverse do
+    # the shift's accumulate kernel multiplies and divides as step and step_inverse do, and
+    # the dense kernel's stacked and one-chain products round as their 2-d steps
     op, x = inputs
     if within is not None:
         within = (within[0], within[0] + within[1])

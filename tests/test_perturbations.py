@@ -33,7 +33,7 @@ from ghlin import (
     solve_perturbed_inverse,
     zero_perturbation,
 )
-from ghlin.vectors import Batch, _row_wise, pack
+from ghlin.vectors import Batch, _row_wise, pack, row_norms
 from conftest import banded_points, cut_at_point, random_sparse
 
 
@@ -238,6 +238,28 @@ def test_cutoff_rows_equal_single_points(data, zero, kind):
     ):
         assert [v.memo_key() for v in beta.batch(pack(points)).unpack()] == expected
         assert [beta(x).memo_key() for x in points] == expected
+
+
+@pytest.mark.parametrize("bands", [[0.5, 1.5, 1.9, 0.0], [0.5, 3.0, 1.5, 2.5], [2.5, 3.0, 40.0]],
+                         ids=["all inside", "some inside", "none inside"])
+@pytest.mark.parametrize("cols", [None, np.array([-2, 0, 1, 5])], ids=["dense", "sparse"])
+def test_cutoff_row_form_equals_its_rows_one_at_a_time_bitwise(bands, cols):
+    # a batch with every row inside the outer ball calls alpha on itself, one with some rows
+    # inside on those rows only, and one with none calls it never: each row gets the bits of
+    # chi(|x|) alpha(x) with chi written out and alpha on that row alone, signed zeros included
+    r, kind = 0.01, NormKind.lp(2)
+    zero = DenseVector([0.0] * 4) if cols is None else SparseVector({})
+    rng = np.random.default_rng(3)
+    rows = rng.uniform(-1.0, 1.0, (len(bands), 4))
+    rows[:, 1] = -0.0
+    rows *= (np.array(bands) * r / np.linalg.norm(rows, axis=1))[:, None]
+    b = Batch(rows, cols)
+    for alpha in (square_rows, saturating_perturbation(1.0, 2.0).batch):
+        got = cutoff(alpha, 0.05, CutoffProfile(r), kind, zero=zero).batch(b).on(cols).rows
+        for i, s in enumerate(row_norms(b, kind)):
+            alone = alpha(b[i : i + 1]).on(cols).rows[0]
+            want = np.zeros(4) if s >= 2.0 * r else alone if s <= r else ((2.0 * r - s) / r) * alone
+            assert got[i].tobytes() == want.tobytes()
 
 
 # -- perturbed inverse --------------------------------------------------------
