@@ -207,7 +207,7 @@ def _cmd_linearize(config: dict, prefix: str, rng) -> int:
     result = linearize(problem, policy, picard_tol)
     op = problem.derivative
     offsets = sample_points(rng, op, n, result.beta, radius=result.u_radius)
-    report = result.verify(pack(offsets) + pack([problem.fixed_point]))
+    report = result.verify(offsets + pack([problem.fixed_point]))
     _write_samples(prefix, op, report.per_point, report.certified_bound, report.values)
     check = report.to_dict()
     payload = {
@@ -236,8 +236,7 @@ def _cmd_holder_probe(config: dict, prefix: str, rng) -> int:
     bwd = solve_inverse_conjugacy(op, beta, policy)
     diameter = _number(config, "domain_diameter", 0.9)
     cert = _default_certificate(op, beta, diameter, _number(config, "theta", None))
-    pairs = sample_pairs(rng, op, n, diameter, beta)
-    report = empirical_holder(bwd, cert, pairs)
+    report = empirical_holder(bwd, cert, *sample_pairs(rng, op, n, diameter, beta))
     _write_samples(prefix, op, report.per_pair, report.bound, report.values)
     _write_report(prefix, {"command": "holder-probe", **report.to_dict()})
     return 0 if report.passed else 1

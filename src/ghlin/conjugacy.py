@@ -89,7 +89,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .operators import CertificationError, GHOperator, MatrixOperator, admissible_eps
-from .operators import _stepped_orbit
+from .operators import _reach, _stepped_orbit
 from .perturbations import (
     Perturbation,
     _require_contraction,
@@ -282,20 +282,21 @@ class ConjugacyMap:
         return _join(*(self._values(_own_columns(x[i : i + size])) for i in range(0, len(x), size)))
 
     def _chunk_size(self, x: Batch) -> int:
-        # rows per lattice call, from a bound per row on the largest array of a call, the orbit
-        # or a sweep buffer, of at most L + 1 indices (L = depth (2K + 1) + 1) by these columns:
-        # a dense point's; a sparse point's nonzeros, and with a window at least the window
-        # plus the top sweep's reach of 2K + 1, or without one 3L more for the orbit's spread
-        # and the lower sweeps' reach
+        # rows per lattice call, from a bound on the largest array of a call, the orbit or a
+        # sweep buffer, of at most L + 1 indices (L = depth (2K + 1) + 1) by these columns: a
+        # dense point's; with a window, a sparse point's nonzeros and at least the window plus
+        # the top sweep's reach of 2K + 1; without one, as a chunk's orbit spans the union of
+        # its rows' columns, every column of x within 3L/2 of a nonzero (the orbit's spread
+        # and the lower sweeps' reach)
         length = self.depth * (2 * self.terms + 1) + 1
         if x.cols is None:
             span = x.rows.shape[-1]
+        elif self.beta.window is None:
+            reach = (3 * length + 1) // 2
+            span = len(_reach(_own_columns(x).cols, reach, reach))
         else:
             span = int(np.count_nonzero(x.rows, -1).max(initial=0))
-            if self.beta.window is None:
-                span += 3 * length
-            else:
-                span = max(span, self.beta.window[1] - self.beta.window[0] + 2 * self.terms + 2)
+            span = max(span, self.beta.window[1] - self.beta.window[0] + 2 * self.terms + 2)
         return max(1, CHUNK_BYTES // (8 * (length + 1) * (span + 1)))
 
     def _values(self, x: Batch) -> Batch:

@@ -215,16 +215,20 @@ class HolderProbeReport:
 def empirical_holder(
     cmap: ConjugacyMap,
     cert: HolderCertificate,
-    pairs: Sequence[tuple[StateVector, StateVector]],
+    xs: Sequence[StateVector] | Batch,
+    ys: Sequence[StateVector] | Batch,
 ) -> HolderProbeReport:
     """Max displacement Holder ratio over point pairs within the quoted diameter.
 
-    The reported bound is C plus an inflation term 2*E / min_distance^theta
-    covering the maps' certified evaluation error E on both endpoints, so
-    every pair point must lie where E is quoted (``cmap.covers``).
+    The pairs are (xs[i], ys[i]); each end is a sequence of points or a
+    batch, and both ends hold the same number.  The reported bound is C plus
+    an inflation term 2*E / min_distance^theta covering the maps' certified
+    evaluation error E on both endpoints, so every pair point must lie where
+    E is quoted (``cmap.covers``).
     """
-    kind, pairs = cmap.op.norm_kind, list(pairs)
-    xs, ys = (_pack(cmap.op, [pair[end] for pair in pairs]) for end in (0, 1))
+    kind, xs, ys = cmap.op.norm_kind, _pack(cmap.op, xs), _pack(cmap.op, ys)
+    if len(xs) != len(ys):
+        raise ValueError(f"pair ends differ in length: {len(xs)} and {len(ys)} points")
     dists = row_norms(xs - ys, kind)
     far = dists > cert.domain_diameter * (1.0 + 1e-12)
     if far.any():

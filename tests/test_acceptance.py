@@ -165,7 +165,7 @@ def test_acceptance_04_conjugacy_and_inverse_identities(rng):
 
 def test_acceptance_05_displacement_codomain(rng):
     op, beta, policy, fwd = _gamma_bound_instance()
-    points = sample_points(rng, op, 100, beta)
+    points = sample_points(rng, op, 100, beta).unpack()
     cap = policy.tol * op.norm_T
     worst_coord = 0.0
     worst_residual = 0.0
@@ -272,7 +272,7 @@ def test_acceptance_08_holder_certification(rng):
     bwd = solve_inverse_conjugacy(op, beta, SeriesPolicy(tol=1e-8))
     cert = make_holder_certificate(op, beta, theta, eps, 0.9)
     pairs = sample_pairs(rng, op, 1000, 0.9, beta)
-    probe = empirical_holder(bwd, cert, pairs)
+    probe = empirical_holder(bwd, cert, *pairs)
     ok = theta_ok and constant_ok and probe.passed
     check(
         "08 holder certification",

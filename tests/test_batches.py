@@ -86,7 +86,7 @@ def assert_batch_matches_single(build, points):
 @pytest.mark.parametrize("build", shift_cases())
 def test_shift_batch_equals_single_points(rng, build):
     fwd, _ = build()
-    points = sample_points(rng, fwd.op, 6, fwd.beta, radius=0.9)
+    points = sample_points(rng, fwd.op, 6, fwd.beta, radius=0.9).unpack()
     # duplicates, the zero point, and two points far apart on one batch
     points += [points[0], SparseVector({}), points[3], SparseVector({-40: 0.3, 55: -0.2})]
     assert_batch_matches_single(build, points)
@@ -117,8 +117,8 @@ def test_batch_larger_than_one_chunk_equals_single_points(rng, monkeypatch):
     single, _ = shift_maps(SHIFT_BETAS["windowed sine"], NormKind.sup())
     # sampled points all fill the same 23-column window; the chunk size follows the widest
     # point, and each chunk keeps only its own points' columns
-    size = batched._chunk_size(pack(sample_points(rng, batched.op, 1, batched.beta)))
-    points = sample_points(rng, batched.op, size + 3, batched.beta)
+    size = batched._chunk_size(sample_points(rng, batched.op, 1, batched.beta))
+    points = sample_points(rng, batched.op, size + 3, batched.beta).unpack()
     points[-3:] = [SparseVector({i + 1000: v for i, v in x.items()}) for x in points[-3:]]
     assert batched._chunk_size(pack(points)) == size
     chunks = []
@@ -209,7 +209,8 @@ def test_one_layout_inverse_equals_per_row_reference(rng, build, widens):
     # row alone
     fwd, _ = build()
     op, beta = fwd.op, fwd.beta
-    ys = [y * scale for y, scale in zip(sample_points(rng, op, 6), (1e-6, 0.01, 0.3, 1, 2, 3))]
+    scales = (1e-6, 0.01, 0.3, 1, 2, 3)
+    ys = [y * scale for y, scale in zip(sample_points(rng, op, 6).unpack(), scales)]
     ys += [SparseVector({}), SparseVector({-40: 0.3, 55: -0.2}), ys[2]]
     got = solve_perturbed_inverse(op, beta, pack(ys), 1e-12).unpack()
     want = [reference_inverse(op, beta, y, 1e-12) for y in ys]
@@ -296,7 +297,7 @@ def test_verify_conjugacy_gives_the_same_bits_for_a_batch(rng, build):
     # a Batch is taken as its rows, with no unpack and repack; list(batch) would be its rows
     # as 1-d batches
     for cmap in build():
-        points = sample_points(rng, cmap.op, 5, cmap.beta, radius=0.9)
+        points = sample_points(rng, cmap.op, 5, cmap.beta, radius=0.9).unpack()
         assert_same_report(verify_conjugacy(cmap, pack(points)), verify_conjugacy(cmap, points))
 
 
@@ -310,7 +311,7 @@ def test_verify_conjugacy_gives_the_same_bits_for_a_batch(rng, build):
 def test_linearization_verify_gives_the_same_bits_for_a_batch(rng, problem):
     result = linearize(_problem_from_descriptor(problem), POLICY, picard_tol=5e-4)
     op, p = result.problem.derivative, result.fixed_point
-    offsets = sample_points(rng, op, 6, result.beta, radius=result.u_radius)
+    offsets = sample_points(rng, op, 6, result.beta, radius=result.u_radius).unpack()
     points = [u + p for u in offsets]
     report = result.verify(points)
     assert report.status == "certified"

@@ -331,7 +331,7 @@ def test_linearize_membership_reuses_the_residual_evaluation(tmp_path, monkeypat
     code = main(["linearize", "--config", write_config(tmp_path, "c.json", config),
                  "--out", str(tmp_path / "run")])
     assert code == 0
-    result, offsets = captured["linearize"], captured["sample_points"]
+    result, offsets = captured["linearize"], captured["sample_points"].unpack()
     p = result.fixed_point
     assert len(offsets) == 20
     assert sum(rows_evaluated) == 2 * 20
@@ -528,19 +528,25 @@ def test_readme_conjugate_chunks_fit_the_chunk_budget(tmp_path, monkeypatch, bud
     assert 0 < max(sizes) <= conjugacy.CHUNK_BYTES
 
 
-def test_far_apart_points_fit_the_chunk_budget(monkeypatch):
-    # 100 points with disjoint 5-column supports over [-2000, 1964] share one forward call;
-    # the orbit kernel builds chains only for the columns that reach the sine's window
+@pytest.mark.parametrize("beta, tol, picard_tol, calls", [
+    # one forward call: the orbit kernel builds chains only for the columns that reach the
+    # sine's window
+    (perturbations.sine_perturbation(0.05, 1.0, window=[-1, 1]), 1e-5, 5e-4, [100]),
+    # K 15, depth 3: a chunk's orbit spans the union of its rows' columns, each spread by the
+    # lattice's reach, so the points run in chunks of 7
+    (perturbations.saturating_perturbation(0.02, 1.0), 1e-6, 1e-4, [7] * 14 + [2]),
+], ids=["windowed", "windowless"])
+def test_far_apart_points_fit_the_chunk_budget(monkeypatch, beta, tol, picard_tol, calls):
+    # 100 points with disjoint 5-column supports over [-2000, 1964]
     op = operators.make_shift(operators.WeightSpec(0.5, 2.0), t=0.55)
-    beta = perturbations.sine_perturbation(0.05, 1.0, window=[-1, 1])
-    fwd = conjugacy.solve_conjugacy(op, beta, 0.2, conjugacy.SeriesPolicy(tol=1e-5),
-                                    picard_tol=5e-4)
+    fwd = conjugacy.solve_conjugacy(op, beta, 0.2, conjugacy.SeriesPolicy(tol=tol),
+                                    picard_tol=picard_tol)
     rng = np.random.default_rng(5)
     points = [vectors.SparseVector(dict(zip(range(lo, lo + 5), rng.uniform(-0.5, 0.5, 5))))
               for lo in range(-2000, 1961, 40)]
-    calls, sizes = lattice_calls(monkeypatch), lattice_array_sizes(monkeypatch)
+    got, sizes = lattice_calls(monkeypatch), lattice_array_sizes(monkeypatch)
     values = fwd.displacements(points)
-    assert calls == [("forward", 100)] and 0 < max(sizes) <= conjugacy.CHUNK_BYTES
+    assert got == [("forward", n) for n in calls] and 0 < max(sizes) <= conjugacy.CHUNK_BYTES
     assert [v.memo_key() for v in values] == [fwd.displacement(x).memo_key() for x in points]
 
 
@@ -620,15 +626,17 @@ def test_checks_make_no_single_point_calls(tmp_path, monkeypatch, command, confi
 
 @pytest.mark.parametrize("command, config, packs", [
     ("conjugate", {"operator": SHIFT, "perturbation": SINE, "gamma": 0.2, "tol": 1e-5,
-                   "picard_tol": 5e-4}, 1),
+                   "picard_tol": 5e-4}, 0),
     # the fixed point is packed by LinearizationProblem.__post_init__, linearize and verify,
-    # the origin by cutoff, and the offsets and the fixed point once more for the check points
-    ("linearize", {"problem": QUAD, "tol": 1e-10, "picard_tol": 1e-10}, 6),
-], ids=["conjugate", "linearize"])
+    # the origin by cutoff, and the fixed point once more to translate the offsets
+    ("linearize", {"problem": QUAD, "tol": 1e-10, "picard_tol": 1e-10}, 5),
+    ("holder-probe", {"operator": SHIFT, "perturbation": SINE, "tol": 1e-5, "samples": 100}, 0),
+], ids=["conjugate", "linearize", "holder-probe"])
 def test_commands_pack_the_samples_once_and_unpack_once(tmp_path, monkeypatch, command, config,
                                                         packs):
-    # the sampler unpacks its draws once and the command packs them once; every batch after
-    # that, the check points and the displacements, stays a batch up to the CSV's last column
+    # the sampler draws a batch and every command checks it as it is: no sample is packed or
+    # unpacked, and every batch after the draw, the check points and the displacements, stays
+    # a batch up to the CSV's last column
     counts = {"pack": 0, "unpack": 0}
     pack, unpack = vectors.pack, vectors.Batch.unpack
 
@@ -640,9 +648,9 @@ def test_commands_pack_the_samples_once_and_unpack_once(tmp_path, monkeypatch, c
             if value is pack:
                 monkeypatch.setattr(module, attr, counted("pack", pack))
     monkeypatch.setattr(vectors.Batch, "unpack", counted("unpack", unpack))
-    cfg = write_config(tmp_path, "c.json", {**config, "samples": 10, "seed": 7})
+    cfg = write_config(tmp_path, "c.json", {"samples": 10, "seed": 7, **config})
     assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 0
-    assert counts == {"pack": packs, "unpack": 1}
+    assert counts == {"pack": packs, "unpack": 0}
 
 
 def test_reports_are_deterministic(tmp_path):

@@ -134,7 +134,7 @@ def test_empirical_holder_zero_perturbation(rng):
     bwd = solve_inverse_conjugacy(op, zero_perturbation(), SeriesPolicy(tol=1e-8))
     cert = HolderCertificate(theta=0.5, C=0.0, domain_diameter=0.9)
     pairs = sample_pairs(rng, op, 50, 0.9)
-    report = empirical_holder(bwd, cert, pairs)
+    report = empirical_holder(bwd, cert, *pairs)
     assert report.max_ratio == 0.0 and report.passed
 
 
@@ -146,7 +146,7 @@ def test_empirical_holder_constant_displacement(rng):
     bwd = solve_inverse_conjugacy(op, beta, SeriesPolicy(tol=1e-10))
     cert = make_holder_certificate(op, beta, 0.25, 0.01, 0.9)
     pairs = sample_pairs(rng, op, 50, 0.9)
-    report = empirical_holder(bwd, cert, pairs)
+    report = empirical_holder(bwd, cert, *pairs)
     # constant perturbation gives a constant displacement: ratios collapse
     assert report.max_ratio <= 1e-9
     assert report.passed
@@ -158,7 +158,7 @@ def test_empirical_holder_sine_instance(rng):
     bwd = solve_inverse_conjugacy(op, beta, SeriesPolicy(tol=1e-8))
     cert = make_holder_certificate(op, beta, 0.25, 0.01, 0.9)
     pairs = sample_pairs(rng, op, 100, 0.9)
-    report = empirical_holder(bwd, cert, pairs)
+    report = empirical_holder(bwd, cert, *pairs)
     assert report.passed
     assert report.max_ratio <= cert.C + report.inflation
 
@@ -170,11 +170,10 @@ def test_empirical_holder_values_line_up_with_the_kept_pairs(rng):
     beta = sine_perturbation(0.01, 1.0, window=[0, 1])
     bwd = solve_inverse_conjugacy(op, beta, SeriesPolicy(tol=1e-8))
     cert = make_holder_certificate(op, beta, 0.25, 0.01, 0.9)
-    kept = sample_pairs(rng, op, 4, 0.9)
-    pairs = kept[:1] + [(kept[1][0], kept[1][0])] + kept[1:]
-    report = empirical_holder(bwd, cert, pairs)
+    xs, ys = (end.unpack() for end in sample_pairs(rng, op, 4, 0.9))
+    report = empirical_holder(bwd, cert, xs[:1] + xs[1:2] + xs[1:], ys[:1] + xs[1:2] + ys[1:])
     assert report.n_pairs == len(report.values) == 4
-    ends = [x for x, _ in kept] + [y for _, y in kept]
+    ends = xs + ys
     assert report.values.unpack() == bwd.displacements(ends)[:4]
 
 
@@ -183,8 +182,8 @@ def test_a_nan_ratio_fails_the_holder_probe():
     op = make_matrix_operator([[0.5]])
     fwd = solve_conjugacy(op, nan_far_out(), 0.2, SeriesPolicy(tol=1e-10), picard_tol=1e-8)
     cert = HolderCertificate(theta=0.5, C=1.0, domain_diameter=0.5)
-    pairs = [(DenseVector([0.1]), DenseVector([0.11])), (DenseVector([-0.1]), DenseVector([-0.11]))]
-    report = empirical_holder(fwd, cert, pairs)
+    xs, ys = [DenseVector([0.1]), DenseVector([-0.1])], [DenseVector([0.11]), DenseVector([-0.11])]
+    report = empirical_holder(fwd, cert, xs, ys)
     assert report.per_pair[0] == pytest.approx(0.0049, abs=1e-4) and math.isnan(report.per_pair[1])
     assert report.n_pairs == 2 and math.isnan(report.max_ratio) and not report.passed
     written = report.to_dict()
@@ -192,13 +191,26 @@ def test_a_nan_ratio_fails_the_holder_probe():
     json.dumps(written, allow_nan=False)
 
 
+@pytest.mark.parametrize("n_xs", [0, 1, 2])
+def test_empirical_holder_rejects_ends_of_different_lengths(rng, n_xs):
+    # a 1-row xs would otherwise broadcast against every row of ys, and the probe would fail,
+    # if at all, on a check that names something else (the diameter, an index)
+    op = make_matrix_operator([[0.5, 0.0], [0.0, 3.0]])
+    bwd = solve_inverse_conjugacy(op, zero_perturbation(), SeriesPolicy(tol=1e-8))
+    cert = HolderCertificate(theta=0.5, C=0.0, domain_diameter=0.9)
+    xs, ys = sample_pairs(rng, op, 3, 0.9)
+    with pytest.raises(ValueError, match="differ in length"):
+        empirical_holder(bwd, cert, xs[:n_xs], ys)
+    with pytest.raises(ValueError, match="differ in length"):
+        empirical_holder(bwd, cert, xs.unpack()[:n_xs], ys.unpack())
+
+
 def test_empirical_holder_rejects_distant_pairs():
     op = make_matrix_operator([[0.5, 0.0], [0.0, 3.0]])
     bwd = solve_inverse_conjugacy(op, zero_perturbation(), SeriesPolicy(tol=1e-8))
     cert = HolderCertificate(theta=0.5, C=0.0, domain_diameter=0.1)
-    far = (DenseVector([0.0, 0.0]), DenseVector([1.0, 0.0]))
     with pytest.raises(ValueError, match="diameter"):
-        empirical_holder(bwd, cert, [far])
+        empirical_holder(bwd, cert, [DenseVector([0.0, 0.0])], [DenseVector([1.0, 0.0])])
 
 
 def test_empirical_holder_rejects_pairs_outside_eval_radius():
@@ -207,11 +219,11 @@ def test_empirical_holder_rejects_pairs_outside_eval_radius():
     bwd = solve_inverse_conjugacy(op, beta, SeriesPolicy(tol=1e-8))
     cert = make_holder_certificate(op, beta, 0.25, 0.01, 0.9)
     assert bwd.eval_radius == 3.01
-    inside = (DenseVector([0.0, 2.9]), DenseVector([0.0, 3.0]))
-    assert empirical_holder(bwd, cert, [inside]).n_pairs == 1
-    outside = (DenseVector([0.0, 3.0]), DenseVector([0.0, 3.1]))
+    inside = [DenseVector([0.0, 2.9])], [DenseVector([0.0, 3.0])]
+    assert empirical_holder(bwd, cert, *inside).n_pairs == 1
+    outside = [DenseVector([0.0, 3.0])], [DenseVector([0.0, 3.1])]
     with pytest.raises(ValueError, match="eval_radius"):
-        empirical_holder(bwd, cert, [outside])
+        empirical_holder(bwd, cert, *outside)
 
 
 # -- the linearization workflow ---------------------------------------------
@@ -406,7 +418,7 @@ def test_linearize_with_and_without_row_form(rng, build):
     assert results[0].u_radius == results[1].u_radius
     assert results[0].report() == results[1].report()
     op, p = problem.derivative, problem.fixed_point
-    offsets = sample_points(rng, op, 12, results[0].beta, radius=results[0].u_radius)
+    offsets = sample_points(rng, op, 12, results[0].beta, radius=results[0].u_radius).unpack()
     reports = [result.verify([u + p for u in offsets]) for result in results]
     assert reports[0].per_point == reports[1].per_point
     assert reports[0].passed and reports[1].passed

@@ -8,6 +8,7 @@ fault of the program, never a reason to widen a bound.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from ghlin import (
     perturbation_from_descriptor,
     solve_conjugacy,
     solve_inverse_conjugacy,
+    verify_conjugacy,
 )
 from ghlin.conjugacy import _conjugate_checks
 from ghlin.linearize import _default_certificate
@@ -72,4 +74,16 @@ def test_certified_checks_meet_their_bounds(instance, seed):
     assert (h_fwd <= GAMMA + fwd.certified_error).all()
     cert = certificate(op, beta, 0.9)
     if cert is not None:
-        assert empirical_holder(bwd, cert, sample_pairs(rng, op, 5, 0.9, beta)).passed
+        assert empirical_holder(bwd, cert, *sample_pairs(rng, op, 5, 0.9, beta)).passed
+
+
+@pytest.mark.xfail(strict=True, reason="the forward certified error assumes an exact float orbit")
+def test_forward_check_meets_its_bound_on_a_drawn_non_normal_matrix():
+    # a draw of the fuzz above: K 30, depth 3, residual 2.76e-5 against the bound 2.30e-5
+    op = make_matrix_operator([[-0.4375, 0.0, 0.0], [0.0, -0.125, 0.0], [1.0, 1.0, -0.6875]])
+    descriptor = {"kind": "sine", "amplitude": 0.0037548416339312695, "frequency": 1.0,
+                  "window": [0, 2]}
+    beta = perturbation_from_descriptor(descriptor, op.norm_kind)
+    fwd = solve_conjugacy(op, beta, GAMMA, POLICY, PICARD_TOL)
+    report = verify_conjugacy(fwd, sample_points(np.random.default_rng(0), op, 5, beta))
+    assert report.max_residual <= report.certified_bound
