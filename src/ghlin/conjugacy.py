@@ -44,12 +44,16 @@ source beta.  Both displacements land in the subspace M + T^{-1}(N) term by
 term.
 
 The lattice runs on a batch of points at once (``vectors.Batch``).  The
-orbit is one array of shape (orbit index, N, columns): the orbit of T is
-the operator's ``orbit`` (one accumulate per side on the shift, stacked
-products of both sides on a matrix, with no step call per index), and the
-orbit of T + beta is stepped an index at a time, each step mapping every
-row.  Each level is one row-batch call of the source and one
-``orbit_sweep``.  Every entry is computed as the single-point lattice
+orbit of T is one array of shape (orbit index, N, columns), the
+operator's ``orbit`` (one accumulate per side on the shift, stacked
+products of both sides on a matrix, with no step call per index), and
+each level is one row-batch call of the source and one ``orbit_sweep``.
+The orbit of T + beta is one kernel too (``_perturbed_orbit``): one
+masked inverse solve of every row per backward index, T x + beta(x) per
+forward index, and the orbit of T, checked by one beta call, over a run
+of backward indices where beta vanishes.  It keeps beta at each of its
+points, which the one level of the backward map takes as its sources.
+Every entry is computed as the single-point lattice
 computes it, so a point gets the same value in any
 batch: bit for bit on the shift, and up to the rounding of a matrix
 product (gemm against gemv) on the dense backend.  Sparse columns are the
@@ -90,13 +94,8 @@ import numpy as np
 
 from .operators import CertificationError, GHOperator, MatrixOperator, admissible_eps
 from .operators import _reach, _stepped_orbit
-from .perturbations import (
-    Perturbation,
-    _require_contraction,
-    perturbed_apply,
-    solve_perturbed_inverse,
-)
-from .vectors import Batch, StateVector, merge_rows, pack, row_norms, zero_rows
+from .perturbations import Perturbation, _require_contraction, _solve_rows, perturbed_apply
+from .vectors import Batch, StateVector, merge_rows, pack, row_norms, stack, zero_rows
 from .vectors import _at_point, _row_wise
 
 __all__ = [
@@ -194,9 +193,12 @@ def _picard_lattice(op, orbit, source, x: Batch, terms, depth, window=None) -> B
     ``source`` maps batches to batches, and ``orbit(x, back, ahead, within)``
     returns R^-back x, ..., R^ahead x as one (orbit index, N, columns) batch
     kept on the columns of ``within``: the operator's ``orbit`` for R = T, a
-    ``_stepped_orbit`` of R and its inverse otherwise.  A side takes
-    k = K + 1 sources when its projection is nontrivial and none when it is
-    trivial.  Level l uses the sources at orbit indices
+    ``_stepped_orbit`` of R and its inverse otherwise.  A depth-1 orbit
+    builder may return a pair instead, the list of the orbit's 2-d points
+    and the source at each but the last (``_perturbed_orbit``, whose inverse
+    solves have residuals for depth 1 only): the one level sweeps those
+    values, with the source at the last point when it is one.  A side takes k = K + 1 sources when its projection is nontrivial and
+    none when it is trivial.  Level l uses the sources at orbit indices
     [-(depth - l + 1) k_M, (depth - l + 1)(k_N - 1)] and covers
     [-(depth - l) k_M, (depth - l)(k_N - 1)]; the bare orbit, built only as
     far as those sources reach, is level 0.  ``window`` = (lo, hi), the
@@ -206,6 +208,10 @@ def _picard_lattice(op, orbit, source, x: Batch, terms, depth, window=None) -> B
     m_count = 0 if op.m_is_trivial else terms + 1
     n_count = 0 if op.n_is_trivial else terms + 1
     orbit = orbit(x, depth * m_count, depth * max(n_count - 1, 0), window)  # none ahead if N = {0}
+    if isinstance(orbit, tuple):  # depth 1 on the builder's sources, and the last point's
+        points, known = orbit  # when it is one: unless N = {0}
+        last = [source(points[-1])] if n_count else []
+        return op.orbit_sweep(stack(known + last), m_count, n_count)[0]
     values = None  # phi_{l-1} on the source range of level l
     for level in range(1, depth + 1):
         start = (level - 1) * m_count
@@ -216,6 +222,43 @@ def _picard_lattice(op, orbit, source, x: Batch, terms, depth, window=None) -> B
             _on_rows(source, points), m_count, n_count, window if level < depth else None
         )
     return values[0]
+
+
+def _perturbed_orbit(op, beta, tols, x: Batch, back: int, ahead: int, within=None) -> tuple:
+    """The orbit of S = T + beta for ``_picard_lattice``, and beta along it.
+
+    Returns the list of the 2-d batches S^-back x, ..., S^ahead x, bit for
+    bit those of ``_stepped_orbit`` with ``perturbed_apply`` forward and
+    inverse solves to the residuals ``tols[j]`` back, in orbit order, and
+    the list of beta(S^j x) at every index but the last, each as its step
+    computed it: the solve's beta at the point it returns, the forward
+    step's beta at the point it maps.  After a solve whose beta is exactly
+    0 on every row, the next points come from one ``op.orbit`` of its
+    point and one beta call on them, while beta is +-0 on every row and the
+    point is finite: the solve of each would return T^{-1} y at once.  The
+    first point where beta lives resumes the solves.  ``within`` is a
+    layout hint and is ignored: the points are kept apart, not laid out on
+    one array.
+    """
+    points, values = [x], []
+    while len(points) <= back:
+        p, b = _solve_rows(op, beta, points[-1], tols[len(points) - 1])
+        points.append(p)
+        values.append(b)
+        if len(points) <= back and not b.rows.any():  # beta vanished: go on with T's orbit
+            steps = op.orbit(p, back + 1 - len(points), 0)[-2::-1]  # T^-1 p, T^-2 p, ...
+            zeros = _on_rows(beta.batch, steps)
+            dead = ~zeros.rows.any(axis=(1, 2)) & np.isfinite(steps.rows).all(axis=(1, 2))
+            run = len(dead) if dead.all() else int(np.argmin(dead))
+            points += [steps[j] for j in range(run)]
+            values += [zeros[j] for j in range(run)]
+    points.reverse()
+    values.reverse()
+    for _ in range(ahead):
+        b = beta.batch(points[-1])
+        points.append(op.step(points[-1]) + b)  # perturbed_apply
+        values.append(b)
+    return points, values
 
 
 def _on_rows(source, points: Batch) -> Batch:
@@ -240,7 +283,10 @@ class ConjugacyMap:
 
     Evaluation is pure and the map keeps no values.  On the shift every
     batch computes identical values; on the dense backend two batches may
-    differ in the last bits, both within ``certified_error``.
+    differ in the last bits, both within ``certified_error``.  The backward
+    orbit of a batch is one kernel, ``_perturbed_orbit``, whose beta values
+    along the orbit are the sources: beta is taken row by row, so this
+    holds as long as beta maps each row alone.
     """
 
     op: GHOperator
@@ -306,13 +352,8 @@ class ConjugacyMap:
         if self.direction == FORWARD:  # source beta on the orbit of T
             return _picard_lattice(op, op.orbit, beta.batch, x, self.terms, self.depth,
                                    beta.window)
-        inverse_tols = iter(self.inverse_tols)
-
-        def r_invert(p: Batch) -> Batch:
-            return solve_perturbed_inverse(op, beta, p, next(inverse_tols))
-
-        # source -beta on the orbit of T + beta, stepped; negating the value is exact
-        orbit = partial(_stepped_orbit, partial(perturbed_apply, op, beta), r_invert)
+        # source -beta on the orbit of T + beta, with beta along it; negating the value is exact
+        orbit = partial(_perturbed_orbit, op, beta, self.inverse_tols)
         return -_picard_lattice(op, orbit, beta.batch, x, self.terms, self.depth, beta.window)
 
     def report(self) -> dict:

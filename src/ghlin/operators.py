@@ -338,6 +338,14 @@ class ShiftOperator:
         b = _sparse_batch(b)
         return Batch(b.rows / self._weight(b.cols + 1), b.cols + 1)
 
+    def _steps_over(self, cols: np.ndarray):
+        """T^{-1} from rows over ``cols`` to rows over cols + 1 and T back, on bare arrays.
+
+        Both round as ``step_inverse`` and ``step`` do; the weights are read once.
+        """
+        w = self._weight(cols + 1)
+        return (lambda rows: rows / w), (lambda rows: rows * w)
+
     def orbit(self, x: Batch, back: int, ahead: int, within=None) -> Batch:
         """T^-back x, ..., x, ..., T^ahead x, bit for bit the ``_stepped_orbit`` of T.
 
@@ -347,25 +355,32 @@ class ShiftOperator:
         in the order ``step`` and ``step_inverse`` do; the chains are then laid
         out over the columns they reach, those of ``within`` if it is given.
         Column c reaches (lo, hi) = ``within`` only if lo - back <= c <= hi +
-        ahead, so the other columns get no chain.
+        ahead, so the other columns get no chain, and no column is in it past
+        hi - min c steps back or max c - lo ahead, so the chains stop there:
+        a kept entry is the same prefix of its accumulate.
         """
         cols = _sparse_batch(x).cols
+        reach_back, reach_ahead = back, ahead
         if within is not None:
             keep = (cols >= within[0] - back) & (cols <= within[1] + ahead)
             x, cols = Batch(x.rows[..., keep], cols[keep]), cols[keep]
-        chains = np.empty((back + ahead + 1,) + x.rows.shape)
-        chains[back] = x.rows
-        chains[:back] = self._weight(cols + np.arange(back, 0, -1)[:, None])[:, None]
-        chains[back + 1 :] = self._weight(cols - np.arange(ahead)[:, None])[:, None]
-        np.divide.accumulate(chains[back::-1], axis=0, out=chains[back::-1])
-        np.multiply.accumulate(chains[back:], axis=0, out=chains[back:])
-        keys = cols - np.arange(-back, ahead + 1)[:, None]  # the columns of each T^i x
+            if len(cols):
+                reach_back = min(back, max(within[1] - int(cols[0]), 0))
+                reach_ahead = min(ahead, max(int(cols[-1]) - within[0], 0))
+        chains = np.empty((reach_back + reach_ahead + 1,) + x.rows.shape)
+        chains[reach_back] = x.rows
+        chains[:reach_back] = self._weight(cols + np.arange(reach_back, 0, -1)[:, None])[:, None]
+        chains[reach_back + 1 :] = self._weight(cols - np.arange(reach_ahead)[:, None])[:, None]
+        np.divide.accumulate(chains[reach_back::-1], axis=0, out=chains[reach_back::-1])
+        np.multiply.accumulate(chains[reach_back:], axis=0, out=chains[reach_back:])
+        keys = cols - np.arange(-reach_back, reach_ahead + 1)[:, None]  # the columns of T^i x
         lo, hi = (-np.inf, np.inf) if within is None else within
         index, p = np.nonzero((keys >= lo) & (keys <= hi))
         out_cols = _reach(cols, ahead, back)
         out_cols = out_cols[(out_cols >= lo) & (out_cols <= hi)]
-        out = np.zeros(chains.shape[:2] + out_cols.shape)
-        out[index, :, np.searchsorted(out_cols, keys[index, p])] = chains[index, :, p]
+        out = np.zeros((back + ahead + 1, len(x)) + out_cols.shape)
+        at = np.searchsorted(out_cols, keys[index, p])
+        out[index + back - reach_back, :, at] = chains[index, :, p]
         return Batch(out, out_cols)
 
     def project_M(self, x: SparseVector) -> SparseVector:
@@ -547,6 +562,13 @@ class MatrixOperator:
     def step_inverse(self, b: Batch) -> Batch:
         """T^{-1} on every row at once."""
         return Batch(self._dense_batch(b).rows @ self.matrix_inv.T)
+
+    def _steps_over(self, cols=None):
+        """T^{-1} and T on bare arrays of rows, rounding as ``step_inverse`` and ``step`` do.
+
+        ``cols`` is a sparse layout and is ignored.
+        """
+        return (lambda rows: rows @ self.matrix_inv.T), (lambda rows: rows @ self.matrix.T)
 
     def orbit(self, x: Batch, back: int, ahead: int, within=None) -> Batch:
         """T^-back x, ..., x, ..., T^ahead x, bit for bit the ``_stepped_orbit`` of its steps.

@@ -43,7 +43,7 @@ from .vectors import (
     row_norms,
     zero_rows,
 )
-from .vectors import _at_point, _number, _required, _window, vector_from_json
+from .vectors import _at_point, _number, _required, _same, _window, vector_from_json
 
 __all__ = [
     "Perturbation",
@@ -308,12 +308,15 @@ def solve_perturbed_inverse(
     Runs the contraction iteration x <- T^{-1}(y - beta(x)) from T^{-1} y.
     Since T x + beta(x) - y = T(x - x_next) for the next iterate, the
     residual of the current point is exact and checked directly; the
-    contraction factor is q = Lip(beta) * |T^{-1}|, required < 1.  A batch
-    of points is solved as a masked batch: each row stops at its own
-    residual test, so it takes the iterations it would take alone.  Sparse
-    rows keep one column layout for the solve, y's columns and those of
-    beta's first value, widened on an iteration whose beta value has a
-    column off it.  A batch of no rows is returned at once.  Raises
+    contraction factor is q = Lip(beta) * |T^{-1}|, required < 1.  When
+    beta(T^{-1} y) is exactly +-0 on every row and T^{-1} y is finite, that
+    residual is 0, and T^{-1} y is returned as ``step_inverse`` makes it,
+    after one beta call.  Otherwise a batch of points is solved as a masked
+    batch: each row stops at its own residual test, so it takes the
+    iterations it would take alone.  Sparse rows keep one column layout,
+    y's columns and those of beta's first value, widened on an iteration
+    whose beta value has a column off it; the steps' weights are read once
+    per layout.  A batch of no rows is returned at once.  Raises
     ``IterationLimitError`` after ``INVERSE_MAX_ITER`` iterations, or at
     the first iteration where a row still iterating has a residual that is
     not finite (a NaN value of beta), which never meets ``tol``.
@@ -322,45 +325,64 @@ def solve_perturbed_inverse(
         raise ValueError(f"tol must be positive, got {tol}")
     _require_contraction(op, beta)
     if not isinstance(y, Batch):
-        return _at_point(lambda b: _solve_rows(op, beta, b, tol), y)
-    return _solve_rows(op, beta, y, tol)
+        return _at_point(lambda b: _solve_rows(op, beta, b, tol)[0], y)
+    return _solve_rows(op, beta, y, tol)[0]
 
 
-def _solve_rows(op: GHOperator, beta: Perturbation, y: Batch, tol: float) -> Batch:
+def _solve_rows(op: GHOperator, beta: Perturbation, y: Batch, tol: float) -> tuple[Batch, Batch]:
+    # ``solve_perturbed_inverse`` at the rows of y, and beta at the point returned for each row
     x = op.step_inverse(y)
     if beta.is_zero or not len(y):
-        return x
-    pending = np.arange(len(y))  # original row of each row still iterating
-    solved = []
+        return x, zero_rows(x)
+    b = beta.batch(x)
+    if not b.rows.any() and np.isfinite(x.rows).all():  # T^{-1} y has a zero residual
+        return x, b
+    pending, out = np.arange(len(y)), None  # original row of each row still iterating
     # y's rows lie over the layout cols, x's over cols + 1, beta's columns at ``at`` in cols
-    cols, rows, seen, at = y.cols, y.rows, None, slice(None)
+    cols, rows, seen, at = y.cols, y.rows, None, None
+    inverse, forward = op._steps_over(cols)
     for iteration in range(1, INVERSE_MAX_ITER + 1):
-        b = beta.batch(x)
+        if iteration > 1:  # beta at the new iterate; the first value is taken above
+            b = beta.batch(x)
         if b.cols is not seen:
             seen, wide = b.cols, np.union1d(cols, b.cols)
             if len(wide) > len(cols):
                 cols, rows, x = wide, Batch(rows, cols).on(wide).rows, x.on(wide + 1)
+                inverse, forward = op._steps_over(cols)
             at = np.searchsorted(cols, b.cols)
-        r = rows.copy()
-        r[..., at] -= b.rows  # y - beta(x) entry by entry, as Batch.__sub__ computes it
-        x_next = op.step_inverse(Batch(r, cols))
-        residuals = row_norms(op.step(Batch(x.rows - x_next.rows, x_next.cols)), op.norm_kind)
-        done = residuals <= tol  # False at a residual that is not finite
-        finished = np.count_nonzero(done)
-        if finished == len(done):  # the rows solved before, if any, and these
-            return merge_rows(solved + [(pending, x)], len(y)) if solved else x
+        if at is None:  # y - beta(x) entry by entry, as Batch.__sub__ computes it
+            r = rows - b.rows
+        else:
+            r = rows.copy()
+            r[..., at] -= b.rows
+        x_next = inverse(r)
+        residuals = row_norms(Batch(forward(x.rows - x_next)), op.norm_kind)
         peak = residuals.max()  # NaN if any residual is NaN
+        if peak <= tol:  # every row: these, and the rows written to out before
+            return (x, b) if out is None else (_put(out[0], pending, x), _put(out[1], pending, b))
         if not peak < math.inf:  # it never meets tol: say so now, not after the cap
             raise IterationLimitError(f"perturbed inverse stopped at iteration {iteration}: a "
                                       f"residual is not finite ({peak})")
-        if finished:
-            left = ~done
-            solved.append((pending[done], x[done]))
+        (done,) = (residuals <= tol).nonzero()
+        if len(done):  # write them into the result, every row while none was written
+            out = out or (x, Batch(b.rows.copy(), b.cols))
+            out = _put(out[0], pending[done], x[done]), _put(out[1], pending[done], b[done])
+            (left,) = (residuals > tol).nonzero()
             pending, rows, x_next = pending[left], rows[left], x_next[left]
-        x = x_next
+        x = Batch(x_next, x.cols)
     raise IterationLimitError(
         f"perturbed inverse did not reach residual {tol} within {INVERSE_MAX_ITER} iterations"
     )
+
+
+def _put(out: Batch, index: np.ndarray, part: Batch) -> Batch:
+    # out with the rows of part written to its rows ``index``, in place unless part has a
+    # column off out's layout; then both are laid out over the union of their columns
+    if part.cols is not None and not _same(out.cols, part.cols):
+        cols = np.union1d(out.cols, part.cols)
+        out, part = out.on(cols), part.on(cols)
+    out.rows[index] = part.rows
+    return out
 
 
 def perturbation_from_descriptor(obj: dict, norm_kind: NormKind = SUP_NORM) -> Perturbation:

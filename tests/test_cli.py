@@ -478,10 +478,12 @@ def test_conjugate_runs_the_backward_map_once(tmp_path, monkeypatch):
 def lattice_array_sizes(monkeypatch) -> list[int]:
     """A list that receives the byte size of every orbit array and sweep buffer.
 
-    A stepped orbit is ``stack``'s array.  The orbit kernels (the shift's
-    accumulate buffer and its laid-out orbit, the dense backend's orbit) and
-    both sweeps allocate theirs with ``np.empty`` or ``np.zeros`` in
-    ``operators``, whose numpy is swapped for one that records each array
+    A stepped orbit is ``stack``'s array in ``operators``; the backward orbit
+    kernel keeps its points apart and ``stack``s beta along them in
+    ``conjugacy``, an array of the orbit's size.  The orbit kernels of T (the
+    shift's accumulate buffer and its laid-out orbit, the dense backend's
+    orbit) and both sweeps allocate theirs with ``np.empty`` or ``np.zeros``
+    in ``operators``, whose numpy is swapped for one that records each array
     those two make.
     """
     sizes, stack = [], operators.stack
@@ -506,6 +508,7 @@ def lattice_array_sizes(monkeypatch) -> list[int]:
             return getattr(np, name)
 
     monkeypatch.setattr(operators, "stack", spy_stack)
+    monkeypatch.setattr(conjugacy, "stack", spy_stack)
     monkeypatch.setattr(operators, "np", RecordingNumpy())
     return sizes
 
@@ -528,26 +531,32 @@ def test_readme_conjugate_chunks_fit_the_chunk_budget(tmp_path, monkeypatch, bud
     assert 0 < max(sizes) <= conjugacy.CHUNK_BYTES
 
 
-@pytest.mark.parametrize("beta, tol, picard_tol, calls", [
+@pytest.mark.parametrize("beta, tol, picard_tol, calls, backward_calls", [
     # one forward call: the orbit kernel builds chains only for the columns that reach the
     # sine's window
-    (perturbations.sine_perturbation(0.05, 1.0, window=[-1, 1]), 1e-5, 5e-4, [100]),
+    (perturbations.sine_perturbation(0.05, 1.0, window=[-1, 1]), 1e-5, 5e-4, [100], [100]),
     # K 15, depth 3: a chunk's orbit spans the union of its rows' columns, each spread by the
-    # lattice's reach, so the points run in chunks of 7
-    (perturbations.saturating_perturbation(0.02, 1.0), 1e-6, 1e-4, [7] * 14 + [2]),
+    # lattice's reach, so the points run in chunks of 7; the backward map, depth 1, in 23
+    (perturbations.saturating_perturbation(0.02, 1.0), 1e-6, 1e-4, [7] * 14 + [2],
+     [23] * 4 + [8]),
 ], ids=["windowed", "windowless"])
-def test_far_apart_points_fit_the_chunk_budget(monkeypatch, beta, tol, picard_tol, calls):
+def test_far_apart_points_fit_the_chunk_budget(monkeypatch, beta, tol, picard_tol, calls,
+                                               backward_calls):
     # 100 points with disjoint 5-column supports over [-2000, 1964]
     op = operators.make_shift(operators.WeightSpec(0.5, 2.0), t=0.55)
     fwd = conjugacy.solve_conjugacy(op, beta, 0.2, conjugacy.SeriesPolicy(tol=tol),
                                     picard_tol=picard_tol)
+    bwd = conjugacy.solve_inverse_conjugacy(op, beta, conjugacy.SeriesPolicy(tol=tol))
     rng = np.random.default_rng(5)
     points = [vectors.SparseVector(dict(zip(range(lo, lo + 5), rng.uniform(-0.5, 0.5, 5))))
               for lo in range(-2000, 1961, 40)]
-    got, sizes = lattice_calls(monkeypatch), lattice_array_sizes(monkeypatch)
-    values = fwd.displacements(points)
-    assert got == [("forward", n) for n in calls] and 0 < max(sizes) <= conjugacy.CHUNK_BYTES
-    assert [v.memo_key() for v in values] == [fwd.displacement(x).memo_key() for x in points]
+    for cmap, counts in ((fwd, calls), (bwd, backward_calls)):
+        got, sizes = lattice_calls(monkeypatch), lattice_array_sizes(monkeypatch)
+        values = cmap.displacements(points)
+        assert got == [(cmap.direction, n) for n in counts]
+        assert 0 < max(sizes) <= conjugacy.CHUNK_BYTES
+        assert [v.memo_key() for v in values] == [cmap.displacement(x).memo_key() for x in points]
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("name", ["shift-conjugate", "matrix-conjugate"])

@@ -9,6 +9,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ghlin
 from ghlin import (
@@ -38,10 +40,12 @@ from ghlin import (
     zero_perturbation,
 )
 from ghlin import cli, conjugacy, linearize, operator_from_descriptor, perturbation_from_descriptor
+from ghlin import operators
 from ghlin.conjugacy import InversePairReport
 from ghlin.linearize import make_holder_certificate
-from ghlin.perturbations import IterationLimitError, perturbed_apply, solve_perturbed_inverse
-from ghlin.vectors import _row_wise
+from ghlin.perturbations import CutoffProfile, IterationLimitError, cutoff, perturbed_apply
+from ghlin.perturbations import solve_perturbed_inverse
+from ghlin.vectors import Batch, _row_wise
 from conftest import lattice_calls, nan_far_out, random_sparse
 
 POLICY = SeriesPolicy(tol=1e-10)
@@ -347,8 +351,9 @@ def test_an_inverse_pair_with_a_nan_residual_fails():
 @pytest.mark.parametrize("backend", ["shift", "dense"])
 def test_the_forward_lattice_makes_no_per_index_step(rng, monkeypatch, backend):
     # the forward orbit is one kernel (an accumulate on the shift, stacked products on a
-    # non-normal matrix); the backward map still steps T + beta and solves its inverse one
-    # orbit index at a time
+    # non-normal matrix); the backward orbit of T + beta takes one forward step per index and
+    # one step_inverse per inverse solve, its first iterate (the solves' iterations run on
+    # bare arrays), and T's orbit where beta vanishes
     if backend == "shift":
         op = make_shift(WeightSpec(0.5, 2.0, core={0: 0.3, 1: 2.5}), t=0.55)
         points = [random_sparse(rng) for _ in range(4)]
@@ -373,8 +378,92 @@ def test_the_forward_lattice_makes_no_per_index_step(rng, monkeypatch, backend):
         monkeypatch.setattr(type(op), name, counted(name))
     fwd.displacements(points)
     assert calls == []
+    solves, solve = [], conjugacy._solve_rows
+    monkeypatch.setattr(conjugacy, "_solve_rows", lambda *args: solves.append(1) or solve(*args))
     bwd.displacements(points)
-    assert calls.count("step") >= bwd.terms and calls.count("step_inverse") > bwd.terms
+    assert calls.count("step") == bwd.terms and calls.count("step_inverse") == len(solves)
+    assert 0 < len(solves) <= bwd.terms + 1
+
+
+def stepped_backward(cmap, x: Batch) -> Batch:
+    """The backward displacements at the rows of x from the orbit of T + beta stepped an index
+    at a time: ``perturbed_apply`` forward, ``solve_perturbed_inverse`` to the map's residuals
+    back, and beta on the whole orbit in one call."""
+    op, beta, tols = cmap.op, cmap.beta, iter(cmap.inverse_tols)
+    step = functools.partial(perturbed_apply, op, beta)
+    orbit = functools.partial(operators._stepped_orbit, step,
+                              lambda p: solve_perturbed_inverse(op, beta, p, next(tols)))
+    return -conjugacy._picard_lattice(op, orbit, beta.batch, x, cmap.terms, 1, beta.window)
+
+
+def square_rows(b: Batch) -> Batch:
+    return Batch(b.rows * b.rows)
+
+
+def square_cutoff(slope: float):
+    """T = [[slope]] and the cutoff at radius 0.01 of x -> x^2: N = {0} at 0.5, M = {0} at 2.0."""
+    beta = cutoff(square_rows, 0.04, CutoffProfile(0.01), zero=DenseVector([0.0]))
+    return make_matrix_operator([[slope]], t=0.6), beta
+
+
+BACKWARD_CASES = {
+    # the inverse steps of points left of the window reach it only after zero-beta steps
+    "resumed sine": (make_shift(WeightSpec(0.5, 2.0), t=0.55),
+                     sine_perturbation(0.05, 1.0, [-2, -1, 0])),
+    # every solve widens its layout by a column per iteration
+    "windowless saturating": (make_shift(WeightSpec(0.5, 2.0), t=0.55),
+                              saturating_perturbation(0.02, 1.0)),
+    "negative core": (make_shift(WeightSpec(0.5, 2.0, core={0: -0.3, 1: -2.5})),
+                      sine_perturbation(0.05, 1.0, [-2, -1, 0, 1, 2])),
+    "non-normal 3x3": (make_matrix_operator([[0.5, 0.3, 0.0], [0.0, 2.0, 0.4], [0.0, 0.0, 3.0]]),
+                       sine_perturbation(0.01, 1.0, [0, 1, 2])),
+    "cutoff N = {0}": square_cutoff(0.5),
+    "cutoff M = {0}": square_cutoff(2.0),
+}
+
+
+@st.composite
+def backward_inputs(draw):
+    """A case of ``BACKWARD_CASES`` and a batch of 1-4 rows of its backend, zeros of either sign
+    included; sparse rows lie on up to 6 columns in [-8, 8], left of the window in [-14, -3]
+    for the resumed sine."""
+    name = draw(st.sampled_from(sorted(BACKWARD_CASES)))
+    op = BACKWARD_CASES[name][0]
+    scale = 0.03 if name.startswith("cutoff") else 2.0
+    entry = st.sampled_from([0.0, -0.0]) | st.floats(-scale, scale)
+    if op.__class__.__name__ == "MatrixOperator":
+        cols, width = None, op.dim
+    else:
+        lo, hi = (-14, -3) if name == "resumed sine" else (-8, 8)
+        cols = np.array(sorted(draw(st.sets(st.integers(lo, hi), min_size=1, max_size=6))))
+        width = len(cols)
+    n = draw(st.integers(1, 4))
+    return name, Batch(np.array([[draw(entry) for _ in range(width)] for _ in range(n)]), cols)
+
+
+def rows_at(cols, rows) -> Batch:
+    return Batch(np.array(rows, dtype=float), None if cols is None else np.array(cols))
+
+
+@settings(max_examples=40, deadline=None)
+@example(inputs=("resumed sine", rows_at([-12, -9, -4], [[1.5, -0.0, 0.25], [0.0, 2.0, -1.0]])))
+@example(inputs=("resumed sine", rows_at([2, 5], [[1.0, -2.0], [0.5, 0.0]])))  # never back in it
+@example(inputs=("windowless saturating", rows_at([-3, 0, 4], [[1.0, -0.0, 2.0], [0.0, 0.5, 0.0]])))
+@example(inputs=("negative core", rows_at([-2, 1, 3], [[-0.0, 1.0, 0.0], [2.0, -0.0, -1.5]])))
+@example(inputs=("non-normal 3x3", rows_at(None, [[0.0, -0.0, 0.0], [1.5, -2.0, 0.25]])))
+@example(inputs=("cutoff N = {0}", rows_at(None, [[0.004], [-0.0], [0.015], [0.0]])))
+@example(inputs=("cutoff N = {0}", rows_at(None, [[0.5], [-0.03]])))  # outside the cutoff ball
+@example(inputs=("cutoff M = {0}", rows_at(None, [[0.004], [-0.0], [0.03]])))
+@given(inputs=backward_inputs())
+def test_backward_orbit_kernel_equals_the_stepped_orbit_bitwise(inputs):
+    # the kernel's masked solves, its zero-beta tail and the beta values it keeps give the
+    # displacements of the stepped orbit with beta taken on it afresh, bit for bit
+    name, x = inputs
+    op, beta = BACKWARD_CASES[name]
+    bwd = solve_inverse_conjugacy(op, beta, SeriesPolicy(tol=1e-8))
+    got, want = bwd._values(x), stepped_backward(bwd, x)
+    assert got.rows.shape == want.rows.shape and got.rows.tobytes() == want.rows.tobytes()
+    assert (got.cols is None and want.cols is None) or np.array_equal(got.cols, want.cols)
 
 
 def test_verify_inverse_pair_makes_three_lattice_calls(rng, monkeypatch):
@@ -756,20 +845,29 @@ def test_one_sided_lattice_equals_two_sided(rng, monkeypatch, rows):
 
 
 def test_backward_map_with_trivial_M_never_inverts(monkeypatch):
-    op, _, _, bwd = _one_sided_maps([[2.0]])
-    calls = []
+    # no inverse solve and no orbit of T; beta is taken once per forward step and at the last
+    # orbit point, a source of the N series
+    op, beta, _, _ = _one_sided_maps([[2.0]])
+    calls, beta_rows = [], []
+    counting = Perturbation(lambda b: beta_rows.append(len(b)) or beta.batch(b), beta.sup_bound,
+                            beta.lip_bound)
+    bwd = solve_inverse_conjugacy(op, counting, POLICY)
 
-    def counted(*args):
+    def forbidden(*args):
         calls.append(args)
-        return solve_perturbed_inverse(*args)
+        raise AssertionError("an inverse step with M = {0}")
 
-    monkeypatch.setattr(conjugacy, "solve_perturbed_inverse", counted)
+    monkeypatch.setattr(conjugacy, "_solve_rows", forbidden)
+    monkeypatch.setattr(op, "orbit", forbidden)
+    monkeypatch.setattr(op, "step_inverse", forbidden)
     bwd.displacement(DenseVector([0.4]))
     assert op.m_is_trivial and bwd.terms > 0
-    assert calls == []
+    assert calls == [] and beta_rows == [1] * (bwd.terms + 1)
 
 
 def test_backward_map_with_trivial_N_never_steps_forward(monkeypatch):
+    # every source is beta at a point some inverse solve returned: no beta call outside the
+    # solves (x itself, the last orbit point, is no source with N = {0}) and no forward step
     op, beta, _, _ = _one_sided_maps([[0.5]])
     inside_solver = []
     outside_calls = []
@@ -779,20 +877,22 @@ def test_backward_map_with_trivial_N_never_steps_forward(monkeypatch):
             outside_calls.append(x)
         return beta(x)
 
+    solve = conjugacy._solve_rows
+
     def solver(*args):
         inside_solver.append(True)
         try:
-            return solve_perturbed_inverse(*args)
+            return solve(*args)
         finally:
             inside_solver.pop()
 
     def forward_step(*args):
-        raise AssertionError("perturbed_apply called with N = {0}")
+        raise AssertionError("a forward step with N = {0}")
 
     counting = Perturbation(_row_wise(counted_beta), beta.sup_bound, beta.lip_bound)
     bwd = solve_inverse_conjugacy(op, counting, POLICY)
-    monkeypatch.setattr(conjugacy, "solve_perturbed_inverse", solver)
-    monkeypatch.setattr(conjugacy, "perturbed_apply", forward_step)
+    monkeypatch.setattr(conjugacy, "_solve_rows", solver)
+    monkeypatch.setattr(op, "step", forward_step)
     bwd.displacement(DenseVector([0.4]))
-    assert op.n_is_trivial
-    assert len(outside_calls) == bwd.terms + 1
+    assert op.n_is_trivial and bwd.terms > 0
+    assert outside_calls == []

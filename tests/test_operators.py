@@ -262,6 +262,10 @@ DENSE_ROWS = Batch(np.array([[1.5, -0.0, 0.25], [-2.0, 0.75, 3.0]]))
 @example(inputs=(make_shift(SWEEP_WEIGHTS), EMPTY_POINT), back=7, ahead=5, within=None)
 @example(inputs=(make_shift(SWEEP_WEIGHTS), ONE_ROW), back=60, ahead=60, within=None)
 @example(inputs=(make_shift(SWEEP_WEIGHTS), ONE_ROW), back=9, ahead=0, within=(-2, 3))
+# window [-2, 1]: no column is in it past 4 steps back or 6 ahead, so those chains stop there
+@example(inputs=(make_shift(SWEEP_WEIGHTS), ONE_ROW), back=20, ahead=0, within=(-2, 3))
+@example(inputs=(make_shift(SWEEP_WEIGHTS), ONE_ROW), back=0, ahead=20, within=(-2, 3))
+@example(inputs=(make_shift(SWEEP_WEIGHTS), ONE_ROW), back=3, ahead=3, within=(40, 5))  # none
 @example(inputs=(make_matrix_operator(NON_NORMAL), DENSE_ROWS), back=0, ahead=9, within=None)
 @example(inputs=(make_matrix_operator(NON_NORMAL), DENSE_ROWS), back=9, ahead=0, within=None)
 @example(inputs=(make_matrix_operator(NON_NORMAL), DENSE_ROWS), back=13, ahead=4, within=None)

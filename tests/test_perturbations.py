@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ghlin import (
     ContractionError,
+    IterationLimitError,
     CutoffProfile,
     DenseVector,
     NormKind,
@@ -34,7 +35,7 @@ from ghlin import (
     zero_perturbation,
 )
 from ghlin.vectors import Batch, _row_wise, pack, row_norms
-from conftest import banded_points, cut_at_point, random_sparse
+from conftest import banded_points, cut_at_point, nan_far_out, random_sparse
 
 
 def test_constant_perturbation_bounds():
@@ -303,6 +304,41 @@ def test_perturbed_inverse_of_no_rows_returns_at_once():
     beta = dataclasses.replace(saturating, batch=lambda b: calls.append(len(b)) or saturating.batch(b))
     x = solve_perturbed_inverse(op, beta, Batch(np.zeros((0, 2))), tol=1e-12)
     assert x.rows.shape == (0, 2) and calls == []
+
+
+def counted(beta: Perturbation, calls: list) -> Perturbation:
+    return dataclasses.replace(beta, batch=lambda b: calls.append(len(b)) or beta.batch(b))
+
+
+@pytest.mark.parametrize("op, beta, y", [
+    # T^{-1} y lies right of the sine's window: every beta entry is +0
+    (make_shift(WeightSpec(0.5, 2.0), t=0.55), sine_perturbation(0.05, 1.0, window=[-2, 0]),
+     Batch(np.array([[1.5, -2.0, 0.0], [-0.0, 0.25, 3.0]]), np.array([1, 4, 7]))),
+    # rows of +-0 on a matrix: tanh keeps each sign, so beta is +-0 entry by entry
+    (make_matrix_operator([[0.5, 0.3], [0.0, 3.0]]), saturating_perturbation(0.01, 1.0),
+     Batch(np.array([[0.0, -0.0], [-0.0, -0.0]]))),
+], ids=["shift", "dense"])
+def test_perturbed_inverse_returns_the_plain_inverse_where_beta_vanishes(op, beta, y):
+    # T^{-1} y then has a zero residual, so the solve returns it as step_inverse makes it,
+    # after one beta call
+    calls = []
+    x = solve_perturbed_inverse(op, counted(beta, calls), y, tol=1e-12)
+    want = op.step_inverse(y)
+    assert calls == [len(y)] and x.rows.tobytes() == want.rows.tobytes()
+    assert (x.cols is None and want.cols is None) or np.array_equal(x.cols, want.cols)
+
+
+@pytest.mark.parametrize("op, beta, y", [
+    # 0 below -1000, so beta(-inf) = 0 at T^{-1} y = -inf
+    (make_matrix_operator([[0.5]], t=0.6), nan_far_out(value=0.0), Batch(np.array([[-math.inf]]))),
+    # a NaN off the sine's window, where beta reads nothing
+    (make_shift(WeightSpec(0.5, 2.0), t=0.55), sine_perturbation(0.05, 1.0, window=[-2, 0]),
+     Batch(np.array([[math.nan, 1.0]]), np.array([3, 4]))),
+], ids=["inf", "nan"])
+def test_a_zero_beta_at_a_point_that_is_not_finite_still_raises(op, beta, y):
+    # the zero exit needs a finite T^{-1} y: here x - x_next is NaN, which never meets tol
+    with np.errstate(invalid="ignore"), pytest.raises(IterationLimitError, match="not finite"):
+        solve_perturbed_inverse(op, beta, y, tol=1e-12)
 
 
 def test_perturbed_inverse_rejects_nan_tol():
