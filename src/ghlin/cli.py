@@ -242,12 +242,13 @@ def _cmd_holder_probe(config: dict, prefix: str, rng) -> int:
     return 0 if report.passed else 1
 
 
+# each subcommand's handler and its line in ``ghlin --help``
 _COMMANDS = {
-    "gh-check": _cmd_gh_check,
-    "constants": _cmd_constants,
-    "conjugate": _cmd_conjugate,
-    "linearize": _cmd_linearize,
-    "holder-probe": _cmd_holder_probe,
+    "gh-check": (_cmd_gh_check, "weighted-shift splitting criterion"),
+    "constants": (_cmd_constants, "certified decay constants and admissible perturbation size"),
+    "conjugate": (_cmd_conjugate, "build and verify both conjugacies"),
+    "linearize": (_cmd_linearize, "fixed-point linearization workflow"),
+    "holder-probe": (_cmd_holder_probe, "empirical Holder ratios against the certificate"),
 }
 
 
@@ -260,7 +261,7 @@ def run(command: str, config: dict, prefix: str) -> int:
     config.setdefault("samples", DEFAULTS["samples"])
     config.setdefault("seed", DEFAULTS["seed"])
     rng = np.random.default_rng(_integer(config, "seed", 0))
-    return _COMMANDS[command](config, prefix, rng)
+    return _COMMANDS[command][0](config, prefix, rng)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -272,13 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("gh-check", "weighted-shift splitting criterion"),
-        ("constants", "certified decay constants and admissible perturbation size"),
-        ("conjugate", "build and verify both conjugacies"),
-        ("linearize", "fixed-point linearization workflow"),
-        ("holder-probe", "empirical Holder ratios against the certificate"),
-    ]:
+    for name, (_, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON config")
         cmd.add_argument("--out", default="ghlin-run", help="output path prefix")

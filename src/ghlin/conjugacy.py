@@ -23,7 +23,7 @@ index with k_M sources on its left and k_N on its right, sweeping each
 side that takes sources along the shorter axis of its (orbit index,
 column) plane.  A side takes k = K + 1 sources when its
 projection is nontrivial and none when it is trivial (M = {0} or N = {0}),
-whose series is exactly zero.
+whose series is exactly zero (``_counts``).
 
 Every value comes from one Picard orbit lattice for the self-referential
 equation phi = solution-of(source o (I + phi)) on the orbit of the
@@ -38,24 +38,26 @@ least the K + 1 nearest ones, so what it omits is part of the
 (K + 1)-term tail and the truncation certificate still bounds it.  A single
 series value (``intertwining_solution``) is the depth-1 lattice.  The
 forward conjugacy H = I + h with H o T = (T + beta) o H is the depth-d
-lattice with R = T and source beta; the backward conjugacy H' = I + h' with
-H' o (T + beta) = T o H' is minus the depth-1 lattice with R = T + beta and
-source beta.  Both displacements land in the subspace M + T^{-1}(N) term by
-term.
+lattice with R = T and source beta.  The backward conjugacy H' = I + h' with
+H' o (T + beta) = T o H' is no Picard iteration: it is minus one series,
+one sweep of beta along the orbit of R = T + beta, which is the value of the
+depth-1 lattice with that R and source beta.  Both displacements land in the
+subspace M + T^{-1}(N) term by term.
 
 The lattice runs on a batch of points at once (``vectors.Batch``).  The
 orbit of T is one array of shape (orbit index, N, columns), the
 operator's ``orbit`` (one accumulate per side on the shift, stacked
 products of both sides on a matrix, with no step call per index), and
 each level is one row-batch call of the source and one ``orbit_sweep``.
-The orbit of T + beta is one kernel too (``_perturbed_orbit``): one
-masked inverse solve of every row per backward index, T x + beta(x) per
-forward index, and the orbit of T, checked by one beta call, over a run
-of backward indices where beta vanishes.  It keeps beta at each of its
-points, which the one level of the backward map takes as its sources.
-Every entry is computed as the single-point lattice
-computes it, so a point gets the same value in any
-batch: bit for bit on the shift, and up to the rounding of a matrix
+That stacked orbit is the lattice's one orbit contract.  The backward map
+runs no lattice: one kernel (``_perturbed_orbit``) walks the orbit of
+T + beta, with one masked inverse solve of every row per backward index,
+T x + beta(x) per forward index, and the orbit of T, checked by one beta
+call, over a run of backward indices where beta vanishes.  It keeps only
+its current point and returns beta along the orbit, and one
+``orbit_sweep`` of those values is the map.  Every entry is computed as
+for a single point, so a point gets the same value in any batch: bit for
+bit on the shift, and up to the rounding of a matrix
 product (gemm against gemv) on the dense backend.  Sparse columns are the
 union of the rows' supports, and the sweep adds the runs its partial sums
 can reach, joined by zero-weight seams.
@@ -193,25 +195,16 @@ def _picard_lattice(op, orbit, source, x: Batch, terms, depth, window=None) -> B
     ``source`` maps batches to batches, and ``orbit(x, back, ahead, within)``
     returns R^-back x, ..., R^ahead x as one (orbit index, N, columns) batch
     kept on the columns of ``within``: the operator's ``orbit`` for R = T, a
-    ``_stepped_orbit`` of R and its inverse otherwise.  A depth-1 orbit
-    builder may return a pair instead, the list of the orbit's 2-d points
-    and the source at each but the last (``_perturbed_orbit``, whose inverse
-    solves have residuals for depth 1 only): the one level sweeps those
-    values, with the source at the last point when it is one.  A side takes k = K + 1 sources when its projection is nontrivial and
-    none when it is trivial.  Level l uses the sources at orbit indices
+    ``_stepped_orbit`` of R and its inverse otherwise.  Each side takes
+    ``_counts`` sources.  Level l uses the sources at orbit indices
     [-(depth - l + 1) k_M, (depth - l + 1)(k_N - 1)] and covers
     [-(depth - l) k_M, (depth - l)(k_N - 1)]; the bare orbit, built only as
     far as those sources reach, is level 0.  ``window`` = (lo, hi), the
     source's declared window, is the only span of columns that the orbit
     and the levels below the top keep.
     """
-    m_count = 0 if op.m_is_trivial else terms + 1
-    n_count = 0 if op.n_is_trivial else terms + 1
+    m_count, n_count = _counts(op, terms)
     orbit = orbit(x, depth * m_count, depth * max(n_count - 1, 0), window)  # none ahead if N = {0}
-    if isinstance(orbit, tuple):  # depth 1 on the builder's sources, and the last point's
-        points, known = orbit  # when it is one: unless N = {0}
-        last = [source(points[-1])] if n_count else []
-        return op.orbit_sweep(stack(known + last), m_count, n_count)[0]
     values = None  # phi_{l-1} on the source range of level l
     for level in range(1, depth + 1):
         start = (level - 1) * m_count
@@ -224,41 +217,43 @@ def _picard_lattice(op, orbit, source, x: Batch, terms, depth, window=None) -> B
     return values[0]
 
 
-def _perturbed_orbit(op, beta, tols, x: Batch, back: int, ahead: int, within=None) -> tuple:
-    """The orbit of S = T + beta for ``_picard_lattice``, and beta along it.
+def _counts(op, terms: int) -> tuple[int, int]:
+    # the sources (k_M, k_N) of each series: K + 1 on a nontrivial side, none on a trivial one
+    return 0 if op.m_is_trivial else terms + 1, 0 if op.n_is_trivial else terms + 1
 
-    Returns the list of the 2-d batches S^-back x, ..., S^ahead x, bit for
-    bit those of ``_stepped_orbit`` with ``perturbed_apply`` forward and
-    inverse solves to the residuals ``tols[j]`` back, in orbit order, and
-    the list of beta(S^j x) at every index but the last, each as its step
-    computed it: the solve's beta at the point it returns, the forward
-    step's beta at the point it maps.  After a solve whose beta is exactly
-    0 on every row, the next points come from one ``op.orbit`` of its
-    point and one beta call on them, while beta is +-0 on every row and the
-    point is finite: the solve of each would return T^{-1} y at once.  The
-    first point where beta lives resumes the solves.  ``within`` is a
-    layout hint and is ignored: the points are kept apart, not laid out on
-    one array.
+
+def _perturbed_orbit(op, beta, tols, x: Batch, terms: int) -> list:
+    """beta along the orbit of S = T + beta: the sources of the backward map's one sweep.
+
+    Returns beta(S^j x) for j = -k_M, ..., k_N - 1 in orbit order (``_counts``),
+    bit for bit beta on the ``_stepped_orbit`` of ``perturbed_apply`` forward
+    and inverse solves to the residuals ``tols[j]`` back: the solve's beta at
+    the point it returns, the forward step's beta at the point it maps, and
+    one more call at the last point when N is nontrivial.  After a solve
+    whose beta is exactly 0 on every row, the next points come from one
+    ``op.orbit`` of its point and one beta call on them, while beta is +-0 on
+    every row and the point is finite: the solve of each would return
+    T^{-1} y at once.  The first point where beta lives resumes the solves.
+    Only the current point of each direction is kept.
     """
-    points, values = [x], []
-    while len(points) <= back:
-        p, b = _solve_rows(op, beta, points[-1], tols[len(points) - 1])
-        points.append(p)
+    m_count, n_count = _counts(op, terms)
+    point, values = x, []
+    while len(values) < m_count:
+        point, b = _solve_rows(op, beta, point, tols[len(values)])
         values.append(b)
-        if len(points) <= back and not b.rows.any():  # beta vanished: go on with T's orbit
-            steps = op.orbit(p, back + 1 - len(points), 0)[-2::-1]  # T^-1 p, T^-2 p, ...
+        if len(values) < m_count and not b.rows.any():  # beta vanished: go on with T's orbit
+            steps = op.orbit(point, m_count - len(values), 0)[-2::-1]  # T^-1 p, T^-2 p, ...
             zeros = _on_rows(beta.batch, steps)
             dead = ~zeros.rows.any(axis=(1, 2)) & np.isfinite(steps.rows).all(axis=(1, 2))
             run = len(dead) if dead.all() else int(np.argmin(dead))
-            points += [steps[j] for j in range(run)]
             values += [zeros[j] for j in range(run)]
-    points.reverse()
+            point = steps[run - 1] if run else point
     values.reverse()
-    for _ in range(ahead):
-        b = beta.batch(points[-1])
-        points.append(op.step(points[-1]) + b)  # perturbed_apply
-        values.append(b)
-    return points, values
+    point = x
+    for _ in range(max(n_count - 1, 0)):
+        values.append(beta.batch(point))
+        point = op.step(point) + values[-1]  # perturbed_apply
+    return values + [beta.batch(point)] if n_count else values
 
 
 def _on_rows(source, points: Batch) -> Batch:
@@ -284,8 +279,8 @@ class ConjugacyMap:
     Evaluation is pure and the map keeps no values.  On the shift every
     batch computes identical values; on the dense backend two batches may
     differ in the last bits, both within ``certified_error``.  The backward
-    orbit of a batch is one kernel, ``_perturbed_orbit``, whose beta values
-    along the orbit are the sources: beta is taken row by row, so this
+    map is one ``orbit_sweep`` of the beta values that ``_perturbed_orbit``
+    returns along the orbit of a batch: beta is taken row by row, so this
     holds as long as beta maps each row alone.
     """
 
@@ -352,9 +347,10 @@ class ConjugacyMap:
         if self.direction == FORWARD:  # source beta on the orbit of T
             return _picard_lattice(op, op.orbit, beta.batch, x, self.terms, self.depth,
                                    beta.window)
-        # source -beta on the orbit of T + beta, with beta along it; negating the value is exact
-        orbit = partial(_perturbed_orbit, op, beta, self.inverse_tols)
-        return -_picard_lattice(op, orbit, beta.batch, x, self.terms, self.depth, beta.window)
+        # one sweep of -beta along the orbit of T + beta, its list of values gone once stacked;
+        # negating the value is exact
+        sources = stack(_perturbed_orbit(op, beta, self.inverse_tols, x, self.terms))
+        return -op.orbit_sweep(sources, *_counts(op, self.terms))[0]
 
     def report(self) -> dict:
         keys = ("direction", "terms", "depth", "contraction", "certified_error", "error_budget",

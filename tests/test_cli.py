@@ -361,7 +361,7 @@ def test_iteration_limit_exits_with_check_failure(tmp_path, capsys, monkeypatch)
     def stalled(config, prefix, rng):
         raise IterationLimitError("perturbed inverse did not converge")
 
-    monkeypatch.setitem(cli._COMMANDS, "constants", stalled)
+    monkeypatch.setitem(cli._COMMANDS, "constants", (stalled, "help"))
     cfg = write_config(tmp_path, "c.json", {"operator": SHIFT})
     code = main(["constants", "--config", cfg, "--out", str(tmp_path / "run")])
     assert code == 1

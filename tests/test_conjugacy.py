@@ -466,6 +466,27 @@ def test_backward_orbit_kernel_equals_the_stepped_orbit_bitwise(inputs):
     assert (got.cols is None and want.cols is None) or np.array_equal(got.cols, want.cols)
 
 
+NO_TERMS_CASES = {
+    # the README example's shift and beta, and rows with zeros of either sign
+    "README shift": (make_shift(WeightSpec(0.5, 2.0), t=0.55),
+                     sine_perturbation(0.05, 1.0, range(-1, 2)),
+                     rows_at([-2, 0, 3], [[1.5, -0.0, 0.25], [0.0, 2.0, -1.0], [-0.5, 0.5, 0.0]])),
+    "non-normal 3x3": (*BACKWARD_CASES["non-normal 3x3"],
+                       rows_at(None, [[0.0, -0.0, 0.0], [1.5, -2.0, 0.25]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_TERMS_CASES))
+def test_backward_orbit_kernel_at_no_terms_equals_the_stepped_orbit_bitwise(name):
+    # at K = 0 the kernel makes no forward step, and beta at x is the N side's only source
+    op, beta, x = NO_TERMS_CASES[name]
+    bwd = solve_inverse_conjugacy(op, beta, SeriesPolicy(tol=1.0))
+    got, want = bwd._values(x), stepped_backward(bwd, x)
+    assert bwd.terms == 0 and got.rows.any()
+    assert got.rows.shape == want.rows.shape and got.rows.tobytes() == want.rows.tobytes()
+    assert (got.cols is None and want.cols is None) or np.array_equal(got.cols, want.cols)
+
+
 def test_verify_inverse_pair_makes_three_lattice_calls(rng, monkeypatch):
     # h_fwd at x; the backward map once at x and at x + h_fwd(x); the forward map at x + h_bwd(x)
     op = make_shift(WeightSpec(0.5, 2.0), t=0.55)
