@@ -23,19 +23,26 @@ index with k_M sources on its left and k_N on its right, sweeping each
 side that takes sources along the shorter axis of its (orbit index,
 column) plane.  A side takes k = K + 1 sources when its
 projection is nontrivial and none when it is trivial (M = {0} or N = {0}),
-whose series is exactly zero (``_counts``).
+whose series is exactly zero (the operator's ``series_counts``).
 
 Every value comes from one Picard orbit lattice for the self-referential
 equation phi = solution-of(source o (I + phi)) on the orbit of the
 evaluation point x under R: level l holds phi_l on a range of orbit indices
 and is one sweep over the sources source(R^j x + phi_{l-1}(j)), with
 phi_0 = 0.  The top level needs index 0 only, and each level below needs
-k_M more indices on the left and k_N - 1 more on the right.  The orbit is
-built only as far as those sources reach: it is never inverted when
-M = {0} and never stepped forward when N = {0}.  A value inside a level's
-range sums more than K + 1 terms of each series, but every value holds at
-least the K + 1 nearest ones, so what it omits is part of the
-(K + 1)-term tail and the truncation certificate still bounds it.  A single
+k_M more indices on the left and k_N - 1 more on the right, with its own
+counts.  A level below the top is read only by the source, so when the
+source declares a window [lo, hi] it takes only the sources whose terms
+land there: on the shift min(K + 1, min(hi, 0) - lo + 1) on M and
+min(K + 1, hi - max(lo, 1)) on N, at least 0 each, and every other term is
+an exact zero on the window.  On [-1, 1] that is 2 and 0, so each level adds 2
+orbit indices instead of 2K + 1; a matrix mixes coordinates and keeps
+K + 1.  The orbit is built only as far as the sources reach: it is never
+inverted when M = {0} and never stepped forward when N = {0}.  A value
+inside a level's range sums more than its count of terms of each series,
+but every value holds at least the K + 1 nearest ones where it is read,
+so what it omits is part of the (K + 1)-term tail and the truncation
+certificate still bounds it.  A single
 series value (``intertwining_solution``) is the depth-1 lattice.  The
 forward conjugacy H = I + h with H o T = (T + beta) o H is the depth-d
 lattice with R = T and source beta.  The backward conjugacy H' = I + h' with
@@ -63,8 +70,9 @@ union of the rows' supports, and the sweep adds the runs its partial sums
 can reach, joined by zero-weight seams.
 When the source declares an index window (``Perturbation.window``: it
 reads only the coordinates in [lo, hi]), the orbit and every level below
-the top keep only the columns in that window: M-side sums move left and
-N-side sums move right, so a column that leaves the window never returns.
+the top keep only the columns in that window, and those levels sweep
+exactly its columns: M-side sums move left and N-side sums move right, so a
+column that leaves the window never returns.
 ``ConjugacyMap.displacements`` runs its points in chunks sized so that the
 largest array of a call, the orbit or a sweep buffer, fits ``CHUNK_BYTES``;
 it is estimated from the orbit length, the widest point and the source's
@@ -154,13 +162,26 @@ def truncation_tail_bound(op: GHOperator, source_sup: float, terms: int) -> floa
 
 
 def truncation_terms(op: GHOperator, source_sup: float, policy: SeriesPolicy) -> int:
-    """Smallest K whose combined tail bound meets the policy tolerance, counted up from 0."""
-    for terms in range(TERMS_CAP + 1):
-        if truncation_tail_bound(op, source_sup, terms) <= policy.tol:
-            return terms
-    raise CertificationError(
-        f"series needs more than the cap of {TERMS_CAP} terms to reach tol={policy.tol}"
-    )
+    """Smallest K whose combined tail bound meets the policy tolerance, in O(log K) bounds.
+
+    The bound does not increase with K: it is the smaller of suffix sums of
+    the nonnegative power table and a decreasing envelope.  So K = 0, 1, 3,
+    7, ... brackets the smallest K and a bisection of that bracket finds it.
+    """
+    def meets(terms: int) -> bool:
+        return truncation_tail_bound(op, source_sup, terms) <= policy.tol
+
+    low, high = 0, 0  # no K below low meets the tolerance; high is the next candidate
+    while not meets(high):
+        if high == TERMS_CAP:
+            raise CertificationError(
+                f"series needs more than the cap of {TERMS_CAP} terms to reach tol={policy.tol}"
+            )
+        low, high = high + 1, min(2 * high + 1, TERMS_CAP)
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (low, mid) if meets(mid) else (mid + 1, high)
+    return high
 
 
 def intertwining_solution(
@@ -195,37 +216,41 @@ def _picard_lattice(op, orbit, source, x: Batch, terms, depth, window=None) -> B
     ``source`` maps batches to batches, and ``orbit(x, back, ahead, within)``
     returns R^-back x, ..., R^ahead x as one (orbit index, N, columns) batch
     kept on the columns of ``within``: the operator's ``orbit`` for R = T, a
-    ``_stepped_orbit`` of R and its inverse otherwise.  Each side takes
-    ``_counts`` sources.  Level l uses the sources at orbit indices
-    [-(depth - l + 1) k_M, (depth - l + 1)(k_N - 1)] and covers
-    [-(depth - l) k_M, (depth - l)(k_N - 1)]; the bare orbit, built only as
-    far as those sources reach, is level 0.  ``window`` = (lo, hi), the
-    source's declared window, is the only span of columns that the orbit
-    and the levels below the top keep.
+    ``_stepped_orbit`` of R and its inverse otherwise.  The top level takes
+    ``series_counts`` sources per side and covers index 0.  ``window`` =
+    (lo, hi), the source's declared window, is the only span of columns
+    that the orbit and the levels below the top keep, and since those levels
+    are read only there, each takes the counts of sources whose terms land
+    in it (``op.series_counts(terms, window)``).  A level with counts
+    (k_M, k_N) covering [a, b] uses the sources at [a - k_M, b + k_N - 1],
+    which the level below covers; the bare orbit over the first level's
+    sources is level 0.  Lower levels that take no source (a window of one
+    index right of 0) would add an exact zero where the source reads, so
+    they are not run.
     """
-    m_count, n_count = _counts(op, terms)
-    orbit = orbit(x, depth * m_count, depth * max(n_count - 1, 0), window)  # none ahead if N = {0}
+    low = op.series_counts(terms, window)
+    counts = [low] * (depth - 1 if any(low) else 0) + [op.series_counts(terms)]
+    spans = [(0, 0)]  # from the top level down, the indices each level covers
+    for m_count, n_count in reversed(counts):
+        spans.append((spans[-1][0] - m_count, spans[-1][1] + n_count - 1))
+    back = -spans[-1][0]
+    # as far ahead as any level reads: one with k_N = 0 reads less far than it covers
+    orbit = orbit(x, back, max(b for _, b in spans), window)  # none ahead if N = {0}
     values = None  # phi_{l-1} on the source range of level l
-    for level in range(1, depth + 1):
-        start = (level - 1) * m_count
-        points = orbit[start : start + (depth - level + 1) * (m_count + n_count - 1) + 1]
+    for level, ((m_count, n_count), (a, b)) in enumerate(zip(counts, spans[:0:-1]), 1):
+        points = orbit[a + back : b + back + 1]
         if values is not None:
             points = points + values
         values = op.orbit_sweep(
-            _on_rows(source, points), m_count, n_count, window if level < depth else None
+            _on_rows(source, points), m_count, n_count, window if level < len(counts) else None
         )
     return values[0]
-
-
-def _counts(op, terms: int) -> tuple[int, int]:
-    # the sources (k_M, k_N) of each series: K + 1 on a nontrivial side, none on a trivial one
-    return 0 if op.m_is_trivial else terms + 1, 0 if op.n_is_trivial else terms + 1
 
 
 def _perturbed_orbit(op, beta, tols, x: Batch, terms: int) -> list:
     """beta along the orbit of S = T + beta: the sources of the backward map's one sweep.
 
-    Returns beta(S^j x) for j = -k_M, ..., k_N - 1 in orbit order (``_counts``),
+    Returns beta(S^j x) for j = -k_M, ..., k_N - 1 in orbit order (``series_counts``),
     bit for bit beta on the ``_stepped_orbit`` of ``perturbed_apply`` forward
     and inverse solves to the residuals ``tols[j]`` back: the solve's beta at
     the point it returns, the forward step's beta at the point it maps, and
@@ -236,7 +261,7 @@ def _perturbed_orbit(op, beta, tols, x: Batch, terms: int) -> list:
     T^{-1} y at once.  The first point where beta lives resumes the solves.
     Only the current point of each direction is kept.
     """
-    m_count, n_count = _counts(op, terms)
+    m_count, n_count = op.series_counts(terms)
     point, values = x, []
     while len(values) < m_count:
         point, b = _solve_rows(op, beta, point, tols[len(values)])
@@ -324,7 +349,9 @@ class ConjugacyMap:
 
     def _chunk_size(self, x: Batch) -> int:
         # rows per lattice call, from a bound on the largest array of a call, the orbit or a
-        # sweep buffer, of at most L + 1 indices (L = depth (2K + 1) + 1) by these columns: a
+        # sweep buffer, of at most L + 1 indices (L = depth (2K + 1) + 1, the orbit length with
+        # K + 1 sources per side on every level, an upper bound when a window cuts the lower
+        # levels' counts) by these columns: a
         # dense point's; with a window, a sparse point's nonzeros and at least the window plus
         # the top sweep's reach of 2K + 1; without one, as a chunk's orbit spans the union of
         # its rows' columns, every column of x within 3L/2 of a nonzero (the orbit's spread
@@ -350,7 +377,7 @@ class ConjugacyMap:
         # one sweep of -beta along the orbit of T + beta, its list of values gone once stacked;
         # negating the value is exact
         sources = stack(_perturbed_orbit(op, beta, self.inverse_tols, x, self.terms))
-        return -op.orbit_sweep(sources, *_counts(op, self.terms))[0]
+        return -op.orbit_sweep(sources, *op.series_counts(self.terms))[0]
 
     def report(self) -> dict:
         keys = ("direction", "terms", "depth", "contraction", "certified_error", "error_budget",

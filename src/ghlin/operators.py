@@ -383,6 +383,19 @@ class ShiftOperator:
         out[index + back - reach_back, :, at] = chains[index, :, p]
         return Batch(out, out_cols)
 
+    def series_counts(self, terms: int, window: tuple[int, int] | None = None) -> tuple[int, int]:
+        """The sources (k_M, k_N) of each series whose terms can land in ``window``, at most K + 1.
+
+        For a source supported in [lo, hi], T^k P_M s lies in [lo - k, min(hi, 0) - k]
+        and T^-(k+1) P_N s in [max(lo, 1) + k + 1, hi + k + 1], so only k <= min(hi, 0) - lo
+        on M and k < hi - max(lo, 1) on N reach the window again.  Without a window every
+        term may land.
+        """
+        if window is None:
+            return terms + 1, terms + 1
+        lo, hi = window
+        return min(terms + 1, max(0, min(hi, 0) - lo + 1)), min(terms + 1, max(0, hi - max(lo, 1)))
+
     def project_M(self, x: SparseVector) -> SparseVector:
         return _sparse_raw({i: v for i, v in x.items() if i <= 0})
 
@@ -410,10 +423,10 @@ class ShiftOperator:
         T moves support {<= 0} into itself and T^{-1} moves {>= 1} into
         itself, so on these terms A_M and A_N are T and T^{-1} exactly.
 
-        With ``within`` = (lo, hi) the values are exact on the columns of
-        [lo, hi] and any hull of the sources, and may omit what lies off
-        it: M-side sums only move left and N-side sums only right, so what
-        leaves that range never comes back.
+        With ``within`` = (lo, hi) the sources lie in [lo, hi] and the
+        values are those on its columns, the columns of the result: M-side
+        sums only move left and N-side sums only right, so what leaves the
+        window never comes back.
 
         Entry p of S_j is w_{c_p + 1} S_{j-1}[p + 1] + s_j[p] and entry
         p + 1 of R_j is (R_{j+1}[p] + s_j[p]) / w_{c_p + 1}: each side fills
@@ -423,14 +436,14 @@ class ShiftOperator:
         s = _sparse_batch(sources).rows
         length, count = s.shape[0], s.shape[0] - m_count - n_count + 1
         m_steps, n_steps = length - n_count - 1, length - m_count
-        live = sources.cols[np.any(s != 0.0, axis=(0, 1))]
-        cols = np.union1d(
-            _reach(live[live <= 0], m_steps, 0) if m_count else live[:0],
-            _reach(live[live >= 1], 0, n_steps) if n_count else live[:0],
-        )
-        if within is not None and len(cols):
-            lo, hi = min(within[0], live[0]), max(within[1], live[-1])
-            cols = cols[(cols >= lo) & (cols <= hi)]
+        if within is None:  # the runs the partial sums can reach from the live columns
+            live = sources.cols[np.any(s != 0.0, axis=(0, 1))]
+            cols = np.union1d(
+                _reach(live[live <= 0], m_steps, 0) if m_count else live[:0],
+                _reach(live[live >= 1], 0, n_steps) if n_count else live[:0],
+            )
+        else:
+            cols = np.arange(within[0], within[1] + 1)
         s = sources.on(cols).rows
         z, width = int(np.searchsorted(cols, 1)), len(cols)  # columns [0, z) lie in M, [z, ..) in N
         # from column p to p + 1: weight w_{c_p + 1} on a run, a seam (0 on M, inf on N) off it
@@ -440,11 +453,11 @@ class ShiftOperator:
         # buf[r] holds S_{r-1} on the M columns and R_r on the N columns; row 0, row
         # `length` and column z (N's first, R_j[0] = 0, or a spare) stay zero
         buf = np.zeros((length + 1, s.shape[1], width + 1))
-        if z:  # S_j[p] = w S_{j-1}[p + 1] + s_j[p], columns counted from the right
+        if z and m_count:  # S_j[p] = w S_{j-1}[p + 1] + s_j[p], columns counted from the right
             _sweep_diagonals(buf[: length - n_count + 1, :, z::-1],
                              np.where(joined, weight, 0.0)[z - 1 :: -1],
                              s[: length - n_count, :, z - 1 :: -1], np.multiply, np.add)
-        if z < width:  # R_j[p + 1] = (R_{j+1}[p] + s_j[p]) / w, indices counted from the right
+        if z < width and n_count:  # R_j[p + 1] = (R_{j+1}[p] + s_j[p]) / w, from the right
             _sweep_diagonals(buf[m_count:][::-1, :, z:width], s[m_count:][::-1, :, z : width - 1],
                              np.where(joined, weight, np.inf)[z : width - 1], np.add, np.divide)
         rows = buf[m_count : m_count + count]
@@ -596,6 +609,14 @@ class MatrixOperator:
         if b.cols is not None or b.rows.shape[-1] != self.dim:
             raise ValueError(f"matrix operator needs dense vectors of dimension {self.dim}")
         return b
+
+    def series_counts(self, terms: int, window: tuple[int, int] | None = None) -> tuple[int, int]:
+        """The sources (k_M, k_N) of each series: K + 1 on a nontrivial side, none on a trivial one.
+
+        A trivial side's series is exactly zero.  T mixes coordinates, so no term misses a
+        ``window`` and it is ignored.
+        """
+        return 0 if self.m_is_trivial else terms + 1, 0 if self.n_is_trivial else terms + 1
 
     def project_M(self, x: DenseVector) -> DenseVector:
         return _dense_raw(self.proj_M_matrix @ x.array)

@@ -316,7 +316,13 @@ def solve_perturbed_inverse(
     iterations it would take alone.  Sparse rows keep one column layout,
     y's columns and those of beta's first value, widened on an iteration
     whose beta value has a column off it; the steps' weights are read once
-    per layout.  A batch of no rows is returned at once.  Raises
+    per layout.  A sparse iterate passes beta only its entries in beta's
+    window, at positions fixed once per layout.  When those entries equal the
+    previous iterate's byte for byte on every row still iterating, beta at
+    it is beta's previous value, so the next iterate is the same and the
+    residual 0: the solve returns it with no further beta call.  (Every
+    iterate that reaches this test is finite: a residual that is not finite
+    stops the solve first.)  A batch of no rows is returned at once.  Raises
     ``IterationLimitError`` after ``INVERSE_MAX_ITER`` iterations, or at
     the first iteration where a row still iterating has a residual that is
     not finite (a NaN value of beta), which never meets ``tol``.
@@ -334,21 +340,27 @@ def _solve_rows(op: GHOperator, beta: Perturbation, y: Batch, tol: float) -> tup
     x = op.step_inverse(y)
     if beta.is_zero or not len(y):
         return x, zero_rows(x)
-    b = beta.batch(x)
+    window = beta.window if y.cols is not None else None  # what beta reads of a sparse row
+    span = _span(window, x.cols)
+    b = beta.batch(_read(x, span))
     if not b.rows.any() and np.isfinite(x.rows).all():  # T^{-1} y has a zero residual
         return x, b
     pending, out = np.arange(len(y)), None  # original row of each row still iterating
-    # y's rows lie over the layout cols, x's over cols + 1, beta's columns at ``at`` in cols
-    cols, rows, seen, at = y.cols, y.rows, None, None
+    # y's rows lie over the layout cols, x's over cols + 1, beta's columns at ``at`` in cols;
+    # ``last`` holds the previous iterate's window entries on the pending rows
+    cols, rows, seen, at, last = y.cols, y.rows, None, None, None
     inverse, forward = op._steps_over(cols)
     for iteration in range(1, INVERSE_MAX_ITER + 1):
         if iteration > 1:  # beta at the new iterate; the first value is taken above
-            b = beta.batch(x)
+            if last is not None and x.rows[..., span].tobytes() == last.tobytes():
+                break  # beta(x) is b, as beta reads only its window: x_next = x, residual 0
+            b = beta.batch(_read(x, span))
         if b.cols is not seen:
             seen, wide = b.cols, np.union1d(cols, b.cols)
             if len(wide) > len(cols):
                 cols, rows, x = wide, Batch(rows, cols).on(wide).rows, x.on(wide + 1)
                 inverse, forward = op._steps_over(cols)
+                span = _span(window, x.cols)
             at = np.searchsorted(cols, b.cols)
         if at is None:  # y - beta(x) entry by entry, as Batch.__sub__ computes it
             r = rows - b.rows
@@ -359,7 +371,7 @@ def _solve_rows(op: GHOperator, beta: Perturbation, y: Batch, tol: float) -> tup
         residuals = row_norms(Batch(forward(x.rows - x_next)), op.norm_kind)
         peak = residuals.max()  # NaN if any residual is NaN
         if peak <= tol:  # every row: these, and the rows written to out before
-            return (x, b) if out is None else (_put(out[0], pending, x), _put(out[1], pending, b))
+            break
         if not peak < math.inf:  # it never meets tol: say so now, not after the cap
             raise IterationLimitError(f"perturbed inverse stopped at iteration {iteration}: a "
                                       f"residual is not finite ({peak})")
@@ -369,10 +381,28 @@ def _solve_rows(op: GHOperator, beta: Perturbation, y: Batch, tol: float) -> tup
             out = _put(out[0], pending[done], x[done]), _put(out[1], pending[done], b[done])
             (left,) = (residuals > tol).nonzero()
             pending, rows, x_next = pending[left], rows[left], x_next[left]
+            if span is not None:  # the exit compares these rows of x and returns their beta
+                x, b = x[left], b[left]
+        if span is not None:
+            last = x.rows[..., span]
         x = Batch(x_next, x.cols)
-    raise IterationLimitError(
-        f"perturbed inverse did not reach residual {tol} within {INVERSE_MAX_ITER} iterations"
-    )
+    else:
+        raise IterationLimitError(
+            f"perturbed inverse did not reach residual {tol} within {INVERSE_MAX_ITER} iterations"
+        )
+    return (x, b) if out is None else (_put(out[0], pending, x), _put(out[1], pending, b))
+
+
+def _span(window, cols) -> slice | None:
+    # the positions of beta's window in the sorted sparse layout ``cols``; None without a window
+    if window is None:
+        return None
+    return slice(*np.searchsorted(cols, [window[0], window[1] + 1]))
+
+
+def _read(x: Batch, span: slice | None) -> Batch:
+    # the entries of x that beta reads
+    return x if span is None else Batch(x.rows[..., span], x.cols[span])
 
 
 def _put(out: Batch, index: np.ndarray, part: Batch) -> Batch:

@@ -788,6 +788,77 @@ def test_sweep_matches_tree_within_certified_error_when_beta_sees_extra_terms(rn
     assert max(gaps) > 0.0
 
 
+# -- the lower levels on beta's window ---------------------------------------------
+
+
+def full_lattice(fwd, x: Batch) -> Batch:
+    """The forward displacements at the rows of x from the lattice with K + 1 sources per side
+    on every level, each orbit and sweep on every column it reaches."""
+    op, beta, depth, count = fwd.op, fwd.beta, fwd.depth, fwd.terms + 1
+    orbit = op.orbit(x, depth * count, depth * (count - 1))
+    values = None
+    for level in range(1, depth + 1):
+        start = (level - 1) * count
+        points = orbit[start : start + (depth - level + 1) * (2 * count - 1) + 1]
+        if values is not None:
+            points = points + values
+        values = op.orbit_sweep(conjugacy._on_rows(beta.batch, points), count, count)
+    return values[0]
+
+
+WINDOW_CORES = [{}, {0: -0.3, 1: -2.5}, {-1: -0.4, 0: 0.3, 1: -2.5, 2: -1.5}]
+
+
+@st.composite
+def windowed_forward_inputs(draw):
+    """A forward map of a shift (negative core weights among them) and a sine or saturating beta
+    on a window left of, across or right of 0, a single index among them, at K 0-5 and depth
+    1-4; and 1-5 rows on up to 6 columns within 12 of the window, zeros of either sign and a
+    row of -0 among them."""
+    op = make_shift(WeightSpec(0.5, 2.0, core=draw(st.sampled_from(WINDOW_CORES))), t=0.55)
+    lo = draw(st.integers(-8, 8))
+    hi = lo + draw(st.sampled_from([0, 1, 2, 3, 5, 9]))
+    make = draw(st.sampled_from([sine_perturbation, saturating_perturbation]))
+    beta = make(0.01, 1.0, range(lo, hi + 1))
+    terms, depth = draw(st.integers(0, 5)), draw(st.integers(1, 4))
+    fwd = conjugacy.ConjugacyMap(op, beta, "forward", terms, depth)
+    cols = np.array(sorted(draw(st.sets(st.integers(lo - 12, hi + 12), min_size=1, max_size=6))))
+    entry = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+    rows = [[draw(entry) for _ in cols] for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        rows.append([-0.0] * len(cols))
+    return fwd, Batch(np.array(rows), cols)
+
+
+def readme_forward(window):
+    op = make_shift(WeightSpec(0.5, 2.0), t=0.55)
+    beta = sine_perturbation(0.05, 1.0, window=range(window[0], window[1] + 1))
+    return solve_conjugacy(op, beta, 0.2, SeriesPolicy(tol=1e-5), picard_tol=5e-4)
+
+
+@settings(max_examples=60, deadline=None)
+@example(inputs=(readme_forward((-1, 1)), rows_at([-3, 0, 2], [[1.5, -0.0, 0.2], [0, 2, -1]])))
+@example(inputs=(readme_forward((1, 3)), rows_at([-2, 1, 5], [[0.5, -0.0, 1.0], [-0.0, 0, -0.0]])))
+@given(inputs=windowed_forward_inputs())
+def test_lower_levels_on_the_window_give_the_full_lattice_bitwise(inputs):
+    # below the top, a level sums only the terms that land in beta's window, on its columns:
+    # every other term is an exact zero where the next level reads
+    fwd, x = inputs
+    got, want = fwd._rows(x), full_lattice(fwd, x)
+    assert got.rows.shape == want.rows.shape and got.rows.tobytes() == want.rows.tobytes()
+    assert np.array_equal(got.cols, want.cols)
+
+
+def test_the_readme_lattice_builds_the_orbit_its_landing_terms_reach(monkeypatch):
+    # K = 13 and depth 4 on [-1, 1]: the top takes 14 sources per side, each level below 2 on
+    # M and none on N, so the orbit runs from -(14 + 3 * 2) to 13, 34 indices instead of 109
+    fwd = readme_forward((-1, 1))
+    lengths, orbit = [], fwd.op.orbit
+    monkeypatch.setattr(fwd.op, "orbit", lambda *a: lengths.append(len(orbit(*a))) or orbit(*a))
+    fwd.displacements([SparseVector({0: 0.5, 2: -1.0})])
+    assert (fwd.terms, fwd.depth) == (13, 4) and lengths == [34]
+
+
 # -- one-sided splittings ---------------------------------------------------------
 
 

@@ -195,7 +195,9 @@ def test_shift_sweep_matches_reference_bitwise_along_either_axis(
     rng, monkeypatch, terms, extra, window, within, wide
 ):
     op = make_shift(SWEEP_WEIGHTS)
-    sources = [[random_sparse(rng, window=window) for _ in range(3)]
+    # with a window the sources lie in it, and the values are exact on its columns
+    inside = [i for i in window if within is None or within[0] <= i <= within[1]]
+    sources = [[random_sparse(rng, window=inside) for _ in range(3)]
                for _ in range(2 * terms + 2 + extra)]
     planes = []  # (orbit indices + 1, rows, columns + 1) of each side's plane
     sweep = operators._sweep_diagonals
@@ -207,10 +209,7 @@ def test_shift_sweep_matches_reference_bitwise_along_either_axis(
     monkeypatch.setattr(operators, "_sweep_diagonals", spy)
     values = op.orbit_sweep(stack([pack(b) for b in sources]), terms + 1, terms + 1, within)
     assert len(planes) == 2 and all((a < b) == wide for a, _, b in planes)
-    # with a window the values are exact on it and on the sources' hull
-    live = [i for block in sources for s in block for i in s.support()]
-    lo, hi = (-np.inf, np.inf) if within is None else (min(within[0], *live),
-                                                       max(within[1], *live))
+    lo, hi = (-np.inf, np.inf) if within is None else within
 
     def bits(v):
         return [(i, x.hex()) for i, x in sorted(v.items()) if lo <= i <= hi]
@@ -219,6 +218,36 @@ def test_shift_sweep_matches_reference_bitwise_along_either_axis(
         want = reference_shift_sweep(op, [block[r] for block in sources], terms)
         got = [values[i].unpack()[r] for i in range(len(values))]
         assert [bits(v) for v in got] == [bits(v) for v in want]
+
+
+@pytest.mark.parametrize("window, counts", [
+    ((-4, -1), (4, 0)), ((-1, 1), (2, 0)), ((0, 0), (1, 0)), ((1, 4), (0, 3)), ((2, 2), (0, 0)),
+    ((-3, 5), (4, 4)),
+])
+def test_shift_series_counts_keep_the_terms_that_land_in_the_window(window, counts):
+    op = make_shift(SWEEP_WEIGHTS)
+    lo, hi = window
+    source = SparseVector({i: 1.0 for i in range(lo, hi + 1)})
+
+    def lands(v):
+        return any(lo <= i <= hi for i in v.support())
+
+    terms, m_term, n_term, landing = 13, op.project_M(source), op.project_N(source), [0, 0]
+    for _ in range(terms + 1):  # T^k P_M s for k = 0..K, T^-(k+1) P_N s for k = 0..K
+        n_term = op.apply_inverse(n_term)
+        landing = [landing[0] + lands(m_term), landing[1] + lands(n_term)]
+        m_term = op.apply(m_term)
+    assert op.series_counts(terms, window) == counts == tuple(landing)
+    # at most K + 1 per side, all of them without a window
+    assert op.series_counts(1, window) == tuple(min(2, c) for c in counts)
+    assert op.series_counts(terms) == (14, 14)
+
+
+def test_matrix_series_counts_ignore_a_window():
+    # T mixes coordinates, so every term may land anywhere; a trivial side takes none
+    assert make_matrix_operator([[0.5, 0.3], [0.0, 3.0]]).series_counts(5, (0, 0)) == (6, 6)
+    assert make_matrix_operator([[0.5]], t=0.6).series_counts(5, (0, 0)) == (6, 0)
+    assert make_matrix_operator([[2.0]], t=0.6).series_counts(5) == (0, 6)
 
 
 def test_shift_sweep_prunes_sums_that_cancel_to_zero():

@@ -34,6 +34,7 @@ from ghlin import (
     solve_perturbed_inverse,
     zero_perturbation,
 )
+from ghlin import perturbations
 from ghlin.vectors import Batch, _row_wise, pack, row_norms
 from conftest import banded_points, cut_at_point, nan_far_out, random_sparse
 
@@ -337,6 +338,75 @@ def test_perturbed_inverse_returns_the_plain_inverse_where_beta_vanishes(op, bet
 ], ids=["inf", "nan"])
 def test_a_zero_beta_at_a_point_that_is_not_finite_still_raises(op, beta, y):
     # the zero exit needs a finite T^{-1} y: here x - x_next is NaN, which never meets tol
+    with np.errstate(invalid="ignore"), pytest.raises(IterationLimitError, match="not finite"):
+        solve_perturbed_inverse(op, beta, y, tol=1e-12)
+
+
+def windowless(beta: Perturbation) -> Perturbation:
+    """beta declaring no window: the solve passes it whole iterates and never stops early."""
+    return dataclasses.replace(beta, window=None)
+
+
+def solve_both(op, beta, y, tol):
+    """``_solve_rows`` with beta as declared and with it windowless, and their beta calls."""
+    calls, plain_calls = [], []
+    got = perturbations._solve_rows(op, counted(beta, calls), y, tol)
+    want = perturbations._solve_rows(op, counted(windowless(beta), plain_calls), y, tol)
+    for g, w in zip(got, want):
+        assert g.rows.tobytes() == w.rows.tobytes() and np.array_equal(g.cols, w.cols)
+    return len(calls), len(plain_calls)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_a_windowed_solve_returns_once_its_iterate_is_still_on_the_window(data):
+    # once an iterate's window entries are those of the previous one, beta at it is beta's last
+    # value: the solve returns the loop's result bit for bit, one beta call before the loop
+    # would, and passes beta only its window's columns
+    op = make_shift(WeightSpec(0.5, 2.0, core={0: -0.3}), t=0.55)
+    beta = sine_perturbation(0.05, 1.0, window=range(-1, 2))
+    cols = np.array(sorted(data.draw(st.sets(st.integers(-4, 4), min_size=1, max_size=5))))
+    entry = st.sampled_from([0.0, -0.0]) | st.floats(-2.0, 2.0)
+    rows = [[data.draw(entry) for _ in cols] for _ in range(data.draw(st.integers(1, 4)))]
+    y, seen = Batch(np.array(rows), cols), []
+    perturbations._solve_rows(op, dataclasses.replace(
+        beta, batch=lambda b: seen.append(b.cols) or beta.batch(b)), y, 1e-12)
+    assert all(((c >= -1) & (c <= 1)).all() for c in seen)
+    calls, plain_calls = solve_both(op, beta, y, 1e-12)
+    assert calls in (plain_calls - 1, plain_calls)
+
+
+def test_a_windowed_solve_makes_one_beta_call_fewer_on_the_readme_shift():
+    op = make_shift(WeightSpec(0.5, 2.0), t=0.55)
+    beta = sine_perturbation(0.05, 1.0, window=range(-1, 2))
+    y = Batch(np.array([[0.3, -0.7, 1.1], [0.05, 0.0, -0.4]]), np.array([-1, 0, 1]))
+    calls, plain_calls = solve_both(op, beta, y, 1e-12)
+    assert calls == plain_calls - 1 and calls >= 2
+
+
+def test_an_iterate_that_changes_only_a_zero_sign_has_moved():
+    # x_2 differs from x_1 on the window only in the sign of x_2[2], and this beta reads that
+    # sign: the solve calls beta at x_2 and returns x_3 with beta(x_2), as the loop does
+    op = make_shift(WeightSpec(0.5, 2.0), t=0.55)
+    cols = np.array([1, 2, 3])
+
+    def batch(b: Batch) -> Batch:
+        x = b.on(cols).rows
+        h1 = np.where(x[:, 2] == 0.5, 0.0, -0.0)
+        h3 = np.where(x[:, 2] == 0.5, 0.1, 0.2) + np.where(np.signbit(x[:, 1]), 0.0, 0.4)
+        return Batch(np.stack([h1, np.full(len(x), 0.5), h3], axis=-1), cols)
+
+    beta = Perturbation(batch, 0.7, 0.01, window=(1, 3))
+    y = Batch(np.array([[-0.0, 1.0]]), np.array([1, 2]))
+    assert solve_both(op, beta, y, 1e-12) == (3, 4)
+    x, _ = perturbations._solve_rows(op, beta, y, 1e-12)
+    assert not np.signbit(x.on(np.array([2])).rows).any()
+
+
+def test_a_nan_on_the_window_still_raises():
+    op = make_shift(WeightSpec(0.5, 2.0), t=0.55)
+    beta = sine_perturbation(0.05, 1.0, window=range(-1, 2))
+    y = Batch(np.array([[math.nan, 1.0], [0.5, -0.0]]), np.array([-1, 0]))
     with np.errstate(invalid="ignore"), pytest.raises(IterationLimitError, match="not finite"):
         solve_perturbed_inverse(op, beta, y, tol=1e-12)
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from ghlin import (
     DenseVector,
+    NormKind,
     SeriesPolicy,
     WeightSpec,
     intertwining_solution,
@@ -25,7 +26,9 @@ from ghlin import (
     truncation_tail_bound,
     truncation_terms,
 )
-from ghlin.operators import POWER_TABLE_FLOOR
+from ghlin import conjugacy
+from ghlin.conjugacy import TERMS_CAP
+from ghlin.operators import POWER_TABLE_FLOOR, CertificationError
 from conftest import hyperbolic_matrices, shifts
 
 #: rounding room of a float table entry against the same norm computed another way
@@ -144,6 +147,40 @@ def test_doubling_k_stays_within_the_tail_bound_on_matrix_conjugate(rng):
     points = [DenseVector(rng.uniform(-1, 1, 6)) for _ in range(20)]
     beta = saturating_perturbation(0.002, 1.0)
     assert check_doubling_k(op, beta, points, SeriesPolicy(tol=1e-6)) == 23
+
+
+def counted_up_terms(op, source_sup, policy):
+    """The smallest K meeting the policy, counted up from 0; None past ``TERMS_CAP``."""
+    for terms in range(TERMS_CAP + 1):
+        if truncation_tail_bound(op, source_sup, terms) <= policy.tol:
+            return terms
+    return None
+
+
+NORMS = {"sup": NormKind.sup(), "l1": NormKind.lp(1), "l2": NormKind.lp(2)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), dense=st.booleans(), kind=st.sampled_from(sorted(NORMS)),
+       sup=st.floats(0.0, 10.0), tol=st.floats(1e-14, 1.0))
+def test_truncation_search_finds_the_counted_up_terms(data, dense, kind, sup, tol):
+    # the tail bound does not increase with K, so doubling and bisection reach the same
+    # smallest K as counting up, in O(log K) bound evaluations
+    if dense:
+        op = make_matrix_operator(data.draw(hyperbolic_matrices()), NORMS[kind])
+    else:
+        op = make_shift(data.draw(shifts()), NORMS[kind])
+    policy = SeriesPolicy(tol=tol)
+    want, calls = counted_up_terms(op, sup, policy), []
+    bound = conjugacy.truncation_tail_bound
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(conjugacy, "truncation_tail_bound", lambda *a: calls.append(1) or bound(*a))
+        if want is None:
+            with pytest.raises(CertificationError, match="cap"):
+                truncation_terms(op, sup, policy)
+            return
+        assert truncation_terms(op, sup, policy) == want
+    assert len(calls) <= 2 * (want + 1).bit_length()
 
 
 def test_table_ends_at_the_floor_past_the_window():
