@@ -228,14 +228,8 @@ def _picard_lattice(op, orbit, source, x: Batch, terms, depth, window=None) -> B
     index right of 0) would add an exact zero where the source reads, so
     they are not run.
     """
-    low = op.series_counts(terms, window)
-    counts = [low] * (depth - 1 if any(low) else 0) + [op.series_counts(terms)]
-    spans = [(0, 0)]  # from the top level down, the indices each level covers
-    for m_count, n_count in reversed(counts):
-        spans.append((spans[-1][0] - m_count, spans[-1][1] + n_count - 1))
-    back = -spans[-1][0]
-    # as far ahead as any level reads: one with k_N = 0 reads less far than it covers
-    orbit = orbit(x, back, max(b for _, b in spans), window)  # none ahead if N = {0}
+    counts, spans, (back, ahead) = _levels(op, terms, depth, window)
+    orbit = orbit(x, back, ahead, window)  # none ahead if N = {0}
     values = None  # phi_{l-1} on the source range of level l
     for level, ((m_count, n_count), (a, b)) in enumerate(zip(counts, spans[:0:-1]), 1):
         points = orbit[a + back : b + back + 1]
@@ -245,6 +239,19 @@ def _picard_lattice(op, orbit, source, x: Batch, terms, depth, window=None) -> B
             _on_rows(source, points), m_count, n_count, window if level < len(counts) else None
         )
     return values[0]
+
+
+def _levels(op, terms: int, depth: int, window=None) -> tuple[list, list, tuple[int, int]]:
+    """The lattice's shape: its levels' counts from the first level up, the index range each
+    level covers from the top level down to the first level's sources, and the orbit's reach
+    (back, ahead) over them (``_picard_lattice``)."""
+    low = op.series_counts(terms, window)
+    counts = [low] * (depth - 1 if any(low) else 0) + [op.series_counts(terms)]
+    spans = [(0, 0)]
+    for m_count, n_count in reversed(counts):
+        spans.append((spans[-1][0] - m_count, spans[-1][1] + n_count - 1))
+    # as far ahead as any level reads: one with k_N = 0 reads less far than it covers
+    return counts, spans, (-spans[-1][0], max(b for _, b in spans))
 
 
 def _perturbed_orbit(op, beta, tols, x: Batch, terms: int) -> list:
@@ -349,14 +356,14 @@ class ConjugacyMap:
 
     def _chunk_size(self, x: Batch) -> int:
         # rows per lattice call, from a bound on the largest array of a call, the orbit or a
-        # sweep buffer, of at most L + 1 indices (L = depth (2K + 1) + 1, the orbit length with
-        # K + 1 sources per side on every level, an upper bound when a window cuts the lower
-        # levels' counts) by these columns: a
+        # sweep buffer, of at most L + 1 indices (L the lattice's orbit length, ``_levels``;
+        # the backward map's orbit is the depth-1 lattice's) by these columns: a
         # dense point's; with a window, a sparse point's nonzeros and at least the window plus
         # the top sweep's reach of 2K + 1; without one, as a chunk's orbit spans the union of
         # its rows' columns, every column of x within 3L/2 of a nonzero (the orbit's spread
         # and the lower sweeps' reach)
-        length = self.depth * (2 * self.terms + 1) + 1
+        back, ahead = _levels(self.op, self.terms, max(self.depth, 1), self.beta.window)[2]
+        length = back + ahead + 1
         if x.cols is None:
             span = x.rows.shape[-1]
         elif self.beta.window is None:

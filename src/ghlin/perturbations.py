@@ -21,6 +21,10 @@ the origin into a globally small bounded Lipschitz map that agrees with it
 on an inner ball, and the perturbed-inverse solver inverts T + beta by
 contraction iteration with an exact a-posteriori residual certificate, on
 all rows of a batch at once and over one sparse column layout per solve.
+On dense rows every second iterate from the third on is Aitken's
+extrapolation of the two plain steps before it; sparse rows keep the plain
+iteration, which on a windowed shift reaches its float fixed point within
+the window's width, where an extrapolated iterate would only delay that.
 """
 
 from __future__ import annotations
@@ -178,8 +182,10 @@ def sine_perturbation(
 ) -> Perturbation:
     """Coordinatewise x -> a*sin(omega*x_n) on the given index window.
 
-    Certified bounds: sup a (times |W|^(1/p) for an l^p ambient norm) and
-    Lipschitz constant a*omega.
+    ``window`` lists the indices: [-1, 1] is the two indices -1 and 1, while
+    a config's "window": [lo, hi] is the range lo..hi (``range(lo, hi + 1)``
+    here).  Certified bounds: sup a (times |W|^(1/p) for an l^p ambient
+    norm) and Lipschitz constant a*omega.
     """
     return _coordinatewise("sine", math.sin, float(amplitude), float(frequency), window, norm_kind)
 
@@ -192,9 +198,10 @@ def saturating_perturbation(
 ) -> Perturbation:
     """Coordinatewise saturating map x -> a*tanh(s*x_n), slope a*s at the origin.
 
-    Without a window the map acts on every coordinate, which is fine for the
-    sup norm; an l^p ambient norm on the sparse backend needs a window for
-    the sup bound to exist.
+    ``window`` lists the indices, as for ``sine_perturbation``, while a
+    config's "window": [lo, hi] is a range.  Without a window the map acts
+    on every coordinate, which is fine for the sup norm; an l^p ambient norm
+    on the sparse backend needs a window for the sup bound to exist.
     """
     if window is None and not norm_kind.is_sup:
         raise ValueError(
@@ -305,27 +312,40 @@ def solve_perturbed_inverse(
 ) -> StateVector | Batch:
     """Solve (T + beta)(x) = y to residual |T x + beta(x) - y| <= tol.
 
-    Runs the contraction iteration x <- T^{-1}(y - beta(x)) from T^{-1} y.
-    Since T x + beta(x) - y = T(x - x_next) for the next iterate, the
-    residual of the current point is exact and checked directly; the
-    contraction factor is q = Lip(beta) * |T^{-1}|, required < 1.  When
-    beta(T^{-1} y) is exactly +-0 on every row and T^{-1} y is finite, that
-    residual is 0, and T^{-1} y is returned as ``step_inverse`` makes it,
-    after one beta call.  Otherwise a batch of points is solved as a masked
-    batch: each row stops at its own residual test, so it takes the
-    iterations it would take alone.  Sparse rows keep one column layout,
-    y's columns and those of beta's first value, widened on an iteration
-    whose beta value has a column off it; the steps' weights are read once
-    per layout.  A sparse iterate passes beta only its entries in beta's
-    window, at positions fixed once per layout.  When those entries equal the
-    previous iterate's byte for byte on every row still iterating, beta at
-    it is beta's previous value, so the next iterate is the same and the
-    residual 0: the solve returns it with no further beta call.  (Every
-    iterate that reaches this test is finite: a residual that is not finite
-    stops the solve first.)  A batch of no rows is returned at once.  Raises
-    ``IterationLimitError`` after ``INVERSE_MAX_ITER`` iterations, or at
-    the first iteration where a row still iterating has a residual that is
-    not finite (a NaN value of beta), which never meets ``tol``.
+    Runs the contraction iteration x <- g(x) = T^{-1}(y - beta(x)) from
+    T^{-1} y.  Since T x + beta(x) - y = T(x - g(x)), the residual of the
+    current point is exact and checked directly; the contraction factor is
+    q = Lip(beta) * |T^{-1}|, required < 1.  When beta(T^{-1} y) is exactly
+    +-0 on every row and T^{-1} y is finite, that residual is 0, and
+    T^{-1} y is returned as ``step_inverse`` makes it, after one beta call.
+    Otherwise a batch of points is solved as a masked batch: each row stops
+    at its own residual test, so it takes the iterations it would take
+    alone.  Sparse rows keep one column layout, y's columns and those of
+    beta's first value, widened on an iteration whose beta value has a
+    column off it; the steps' weights are read once per layout.  A sparse
+    iterate passes beta only its entries in beta's window, at positions
+    fixed once per layout.  When those entries equal the previous iterate's
+    byte for byte on every row still iterating, beta at it is beta's
+    previous value, so the next iterate is the same and the residual 0: the
+    solve returns it with no further beta call.  (Every iterate that reaches
+    this test is finite: a residual that is not finite stops the solve
+    first.)  A batch of no rows is returned at once.
+
+    The plain iteration needs about log(tol) / log(q) steps.  On dense rows
+    each iterate that follows two plain steps (the third, fifth, seventh,
+    ...) is Aitken's delta-squared extrapolation, entry by entry:
+    g(x) - d2^2 / (d2 - d1) with d1 = x - x_prev and d2 = g(x) - x, where
+    |d2| < |d1| and that value is finite, and g(x) elsewhere.  The residual
+    test is unchanged, so every row still returns a point whose own residual
+    meets ``tol``, and a solve that meets it within three beta calls is the
+    plain one bit for bit.  Sparse rows keep the plain iteration: a shift's
+    T^{-1} moves every coordinate one index, so on a windowed beta it
+    reaches its float fixed point, and the exit above, within the window's
+    width, which an extrapolated iterate would only delay.
+
+    Raises ``IterationLimitError`` after ``INVERSE_MAX_ITER`` iterations, or
+    at the first iteration where a row still iterating has a residual that
+    is not finite (a NaN value of beta), which never meets ``tol``.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -349,6 +369,8 @@ def _solve_rows(op: GHOperator, beta: Perturbation, y: Batch, tol: float) -> tup
     # y's rows lie over the layout cols, x's over cols + 1, beta's columns at ``at`` in cols;
     # ``last`` holds the previous iterate's window entries on the pending rows
     cols, rows, seen, at, last = y.cols, y.rows, None, None, None
+    # dense rows: ``prev`` holds the previous iterate, for the Aitken step on odd iterations
+    prev = x.rows if y.cols is None else None
     inverse, forward = op._steps_over(cols)
     for iteration in range(1, INVERSE_MAX_ITER + 1):
         if iteration > 1:  # beta at the new iterate; the first value is taken above
@@ -383,14 +405,30 @@ def _solve_rows(op: GHOperator, beta: Perturbation, y: Batch, tol: float) -> tup
             pending, rows, x_next = pending[left], rows[left], x_next[left]
             if span is not None:  # the exit compares these rows of x and returns their beta
                 x, b = x[left], b[left]
+            elif prev is not None:  # the Aitken step reads these rows of x and prev
+                x, prev = x[left], prev[left]
         if span is not None:
             last = x.rows[..., span]
+        if prev is not None:
+            if iteration % 2 and iteration > 1:  # two plain steps since the last Aitken step
+                x_next = _aitken(prev, x.rows, x_next)
+            prev = x.rows
         x = Batch(x_next, x.cols)
     else:
         raise IterationLimitError(
             f"perturbed inverse did not reach residual {tol} within {INVERSE_MAX_ITER} iterations"
         )
     return (x, b) if out is None else (_put(out[0], pending, x), _put(out[1], pending, b))
+
+
+def _aitken(before: np.ndarray, x: np.ndarray, after: np.ndarray) -> np.ndarray:
+    # Aitken's delta-squared step on the plain steps before -> x -> after, entry by entry:
+    # after - d2^2 / (d2 - d1) with d1 = x - before and d2 = after - x where |d2| < |d1| (so
+    # d2 != d1) and that value is finite, after everywhere else
+    d1, d2 = x - before, after - x
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # entries not taken
+        hat = after - d2 * d2 / (d2 - d1)
+    return np.where((np.abs(d2) < np.abs(d1)) & np.isfinite(hat), hat, after)
 
 
 def _span(window, cols) -> slice | None:

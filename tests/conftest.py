@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from ghlin import ConjugacyMap, DenseVector, Perturbation, SparseVector, WeightSpec, norm
 from ghlin import zero_like
+from ghlin.perturbations import INVERSE_MAX_ITER
 from ghlin.vectors import Batch
 
 
@@ -20,6 +21,17 @@ def lattice_calls(monkeypatch) -> list[tuple[str, int]]:
         ConjugacyMap, "_values", lambda m, xs: calls.append((m.direction, len(xs))) or values(m, xs)
     )
     return calls
+
+
+def reference_inverse(op, beta, y, tol):
+    """The contraction iteration for one point in vector arithmetic, with no column layout."""
+    x = op.apply_inverse(y)
+    for _ in range(INVERSE_MAX_ITER):
+        x_next = op.apply_inverse(y - beta(x))
+        if norm(op.apply(x - x_next), op.norm_kind) <= tol:
+            return x
+        x = x_next
+    raise AssertionError("the reference iteration did not converge")
 
 
 def nan_far_out(limit: float = -1000.0, value: float = math.nan) -> Perturbation:

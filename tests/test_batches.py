@@ -27,10 +27,10 @@ from ghlin import (
     verify_conjugacy,
 )
 from ghlin import vectors
-from ghlin.perturbations import INVERSE_MAX_ITER
 from ghlin.cli import _problem_from_descriptor
 from ghlin.sampling import sample_points
 from ghlin.vectors import pack
+from conftest import reference_inverse
 
 POLICY = SeriesPolicy(tol=1e-5)
 L2 = NormKind.lp(2)
@@ -177,17 +177,6 @@ def test_masked_inverse_rows_take_their_own_iteration_counts():
     assert len(set(counts)) > 2
     # the k-th beta call of the batch sees exactly the rows that iterate k times alone
     assert active == [sum(c > k for c in counts) for k in range(max(counts))]
-
-
-def reference_inverse(op, beta, y, tol):
-    """The contraction iteration for one point in vector arithmetic, with no column layout."""
-    x = op.apply_inverse(y)
-    for _ in range(INVERSE_MAX_ITER):
-        x_next = op.apply_inverse(y - beta(x))
-        if norm(op.apply(x - x_next), op.norm_kind) <= tol:
-            return x
-        x = x_next
-    raise AssertionError("the reference iteration did not converge")
 
 
 INVERSE_CASES = {

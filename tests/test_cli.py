@@ -1,6 +1,7 @@
 """Command-line interface: configs, reports, CSV output and exit codes."""
 
 import csv
+import dataclasses
 import importlib
 import json
 import math
@@ -531,10 +532,24 @@ def test_readme_conjugate_chunks_fit_the_chunk_budget(tmp_path, monkeypatch, bud
     assert 0 < max(sizes) <= conjugacy.CHUNK_BYTES
 
 
+def test_readme_conjugate_at_1000_samples_makes_one_lattice_call_per_map_call(tmp_path,
+                                                                                monkeypatch):
+    # the chunk size takes the orbit length from the lattice's own level ranges: 34 indices at
+    # K = 13 and depth 4, where K + 1 sources on every level would make it 109 and split each
+    # forward call into chunks of 922 rows
+    calls, sizes = lattice_calls(monkeypatch), lattice_array_sizes(monkeypatch)
+    config = {"operator": SHIFT, "perturbation": SINE, "gamma": 0.2, "tol": 1e-5,
+              "picard_tol": 5e-4, "samples": 1000, "seed": 7}
+    assert main(["conjugate", "--config", write_config(tmp_path, "c.json", config),
+                 "--out", str(tmp_path / "run")]) == 0
+    assert calls == [("forward", 2000), ("backward", 3000), ("forward", 1000)]
+    assert 0 < max(sizes) <= conjugacy.CHUNK_BYTES
+
+
 @pytest.mark.parametrize("beta, tol, picard_tol, calls, backward_calls", [
     # one forward call: the orbit kernel builds chains only for the columns that reach the
     # sine's window
-    (perturbations.sine_perturbation(0.05, 1.0, window=[-1, 1]), 1e-5, 5e-4, [100], [100]),
+    (perturbations.sine_perturbation(0.05, 1.0, window=range(-1, 2)), 1e-5, 5e-4, [100], [100]),
     # K 15, depth 3: a chunk's orbit spans the union of its rows' columns, each spread by the
     # lattice's reach, so the points run in chunks of 7; the backward map, depth 1, in 23
     (perturbations.saturating_perturbation(0.02, 1.0), 1e-6, 1e-4, [7] * 14 + [2],
@@ -557,6 +572,29 @@ def test_far_apart_points_fit_the_chunk_budget(monkeypatch, beta, tol, picard_to
         assert 0 < max(sizes) <= conjugacy.CHUNK_BYTES
         assert [v.memo_key() for v in values] == [cmap.displacement(x).memo_key() for x in points]
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name, most", [
+    # dense solves take Aitken steps: 54 beta calls with the plain iteration here
+    ("quad-linearize", 40),
+    ("matrix-conjugate", 44),
+    # sparse solves stay plain
+    ("shift-conjugate", 37),
+])
+def test_the_workloads_inverse_solves_take_few_beta_calls(tmp_path, monkeypatch, name, most):
+    # every beta call inside the masked inverse solves of a run at seed 61
+    monkeypatch.syspath_prepend(str(BENCH))
+    workload = importlib.import_module("workloads").WORKLOADS[name]
+    calls, solve = [], perturbations._solve_rows
+
+    def counted(op, beta, y, tol):
+        spy = dataclasses.replace(beta, batch=lambda b: calls.append(len(b)) or beta.batch(b))
+        return solve(op, spy, y, tol)
+
+    monkeypatch.setattr(conjugacy, "_solve_rows", counted)
+    monkeypatch.setattr(perturbations, "_solve_rows", counted)
+    cli.run(workload.command, workload.config_for(61), str(tmp_path / "run"))
+    assert 0 < len(calls) <= most
 
 
 @pytest.mark.parametrize("name", ["shift-conjugate", "matrix-conjugate"])

@@ -360,7 +360,7 @@ def test_the_forward_lattice_makes_no_per_index_step(rng, monkeypatch, backend):
     else:
         op = make_matrix_operator([[0.5, 0.3, 0.0], [0.0, 2.0, 0.4], [0.0, 0.0, 3.0]])
         points = [DenseVector(rng.uniform(-1.0, 1.0, 3)) for _ in range(4)]
-    beta = sine_perturbation(0.01, 1.0, window=[-2, 2])
+    beta = sine_perturbation(0.01, 1.0, window=range(-2, 3))
     fwd = solve_conjugacy(op, beta, 0.2, POLICY, picard_tol=1e-6)
     bwd = solve_inverse_conjugacy(op, beta, POLICY)
     calls = []
@@ -490,7 +490,7 @@ def test_backward_orbit_kernel_at_no_terms_equals_the_stepped_orbit_bitwise(name
 def test_verify_inverse_pair_makes_three_lattice_calls(rng, monkeypatch):
     # h_fwd at x; the backward map once at x and at x + h_fwd(x); the forward map at x + h_bwd(x)
     op = make_shift(WeightSpec(0.5, 2.0), t=0.55)
-    beta = sine_perturbation(0.05, 1.0, window=[-1, 1])
+    beta = sine_perturbation(0.05, 1.0, window=range(-1, 2))
     fwd = solve_conjugacy(op, beta, 0.2, SeriesPolicy(tol=1e-5), picard_tol=5e-4)
     bwd = solve_inverse_conjugacy(op, beta, SeriesPolicy(tol=1e-5))
     points = [random_sparse(rng, window=range(-3, 4)) for _ in range(5)]

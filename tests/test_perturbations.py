@@ -36,7 +36,8 @@ from ghlin import (
 )
 from ghlin import perturbations
 from ghlin.vectors import Batch, _row_wise, pack, row_norms
-from conftest import banded_points, cut_at_point, nan_far_out, random_sparse
+from conftest import (banded_points, cut_at_point, hyperbolic_matrices, nan_far_out,
+                      random_sparse, reference_inverse)
 
 
 def test_constant_perturbation_bounds():
@@ -434,6 +435,43 @@ def test_perturbed_inverse_increments_contract(rng):
             if gap == 0.0:
                 break
             prev_gap, x = gap, x_next
+
+
+@st.composite
+def slow_dense_solves(draw):
+    """A 1-4-dimensional hyperbolic matrix, a saturating beta at q up to 0.95, and points y."""
+    if draw(st.booleans()):
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        op = make_matrix_operator([[sign * draw(st.floats(0.1, 0.8) | st.floats(1.25, 4.0))]])
+    else:
+        op = make_matrix_operator(draw(hyperbolic_matrices()))
+    q, scale = draw(st.floats(0.05, 0.95)), draw(st.floats(0.5, 2.0))
+    beta = saturating_perturbation(q / (scale * op.norm_Tinv), scale)
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=op.dim, max_size=op.dim)
+    return op, beta, [DenseVector(draw(coords)) for _ in range(draw(st.integers(1, 3)))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=slow_dense_solves())
+def test_the_accelerated_dense_solve_meets_its_residual_near_the_plain_iterate(case):
+    # the Aitken steps leave the residual test as it is: each returned point meets tol, so it
+    # lies within 2 tol Lip((T + beta)^{-1}) of the plain iteration's point
+    op, beta, ys = case
+    tol = 1e-9
+    lip_inv = op.norm_Tinv / (1.0 - op.norm_Tinv * beta.lip_bound)
+    for x, y in zip(solve_perturbed_inverse(op, beta, pack(ys), tol).unpack(), ys):
+        assert norm(perturbed_apply(op, beta, x) - y, op.norm_kind) <= tol
+        assert norm(x - reference_inverse(op, beta, y, tol), op.norm_kind) <= 2.0 * tol * lip_inv
+
+
+def test_a_slow_dense_contraction_takes_few_beta_calls(rng):
+    # q = 0.45 * 2 = 0.9: the plain iteration takes over 200 beta calls on these rows
+    op = make_matrix_operator([[0.5]])
+    calls = []
+    beta = counted(saturating_perturbation(0.45, 1.0), calls)
+    y = Batch(rng.uniform(-2.0, 2.0, (50, 1)))
+    solve_perturbed_inverse(op, beta, y, 1e-12)
+    assert len(calls) <= 20
 
 
 # -- descriptors ---------------------------------------------------------------
