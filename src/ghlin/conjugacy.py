@@ -19,11 +19,14 @@ c * d * |source|_inf * t^(K+1) * (1 + t) / (1 - t) of its decay constants.
 
 The series is summed in one place, the operator's ``orbit_sweep``: given
 source values on a run of orbit indices, it returns the series at every
-index with k_M sources on its left and k_N on its right, sweeping each
-side that takes sources along the shorter axis of its (orbit index,
-column) plane.  A side takes k = K + 1 sources when its
-projection is nontrivial and none when it is trivial (M = {0} or N = {0}),
-whose series is exactly zero (the operator's ``series_counts``).
+index with k_M sources on its left and k_N on its right.  On the shift it
+sweeps each side that takes sources along the shorter axis of its (orbit
+index, column) plane; on a matrix each side's partial sums are a prefix
+scan, ceil(log2 n) rounds over its n sources with one stacked product of
+both sides per round (on the matrix workload, 29 products for the five
+sweeps of a run where stepping took 428).  A side takes k = K + 1 sources
+when its projection is nontrivial and none when it is trivial (M = {0} or
+N = {0}), whose series is exactly zero (the operator's ``series_counts``).
 
 Every value comes from one Picard orbit lattice for the self-referential
 equation phi = solution-of(source o (I + phi)) on the orbit of the
@@ -76,7 +79,8 @@ column that leaves the window never returns.
 ``ConjugacyMap.displacements`` runs its points in chunks sized so that the
 largest array of a call, the orbit or a sweep buffer, fits ``CHUNK_BYTES``;
 it is estimated from the orbit length, the widest point and the source's
-window.  The checks are batch expressions too, with no loop over points.
+window, and on a matrix from the scan's buffer, which stacks both sides'
+sources.  The checks are batch expressions too, with no loop over points.
 
 Every map is immutable and keeps no values; it carries a certified
 worst-case evaluation error, and verification routines compare observed
@@ -358,14 +362,15 @@ class ConjugacyMap:
         # rows per lattice call, from a bound on the largest array of a call, the orbit or a
         # sweep buffer, of at most L + 1 indices (L the lattice's orbit length, ``_levels``;
         # the backward map's orbit is the depth-1 lattice's) by these columns: a
-        # dense point's; with a window, a sparse point's nonzeros and at least the window plus
+        # dense point's, where the sweep stacks both sides' sources, up to L - K - 1 each;
+        # with a window, a sparse point's nonzeros and at least the window plus
         # the top sweep's reach of 2K + 1; without one, as a chunk's orbit spans the union of
         # its rows' columns, every column of x within 3L/2 of a nonzero (the orbit's spread
         # and the lower sweeps' reach)
         back, ahead = _levels(self.op, self.terms, max(self.depth, 1), self.beta.window)[2]
         length = back + ahead + 1
         if x.cols is None:
-            span = x.rows.shape[-1]
+            length, span = max(length, 2 * (length - self.terms - 1)), x.rows.shape[-1]
         elif self.beta.window is None:
             reach = (3 * length + 1) // 2
             span = len(_reach(_own_columns(x).cols, reach, reach))

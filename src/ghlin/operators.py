@@ -39,12 +39,14 @@ A_N = T^{-1} P_N keeps partial sums on their side of the splitting.  Each
 value holds at least the K + 1 nearest terms of every nontrivial series, so
 its omitted tail lies inside the (K + 1)-term tail.
 
-The dense backend steps all N rows at once, ``acc @ A_M.T``, and builds an
-orbit with one stacked product of T^-1 and T per index while both sides run,
-each slice rounding as a step.  On the shift, T moves a row one column to
-the left, so ``step`` only relabels the columns and multiplies by one weight
-array, and ``orbit`` is one multiplying and one dividing accumulate along
-the orbit axis, rounding as the steps do.  The sweep lays its rows over the
+The dense backend sums each side as a prefix scan, in ceil(log2 n) rounds
+over its n sources instead of n steps, with one stacked product of both
+sides per round, and builds an orbit with one stacked product of T^-1 and T
+per index while both sides run, each slice rounding as a step.  On the
+shift, T moves a row one column to the left, so ``step`` only relabels the
+columns and multiplies by one weight array, and ``orbit`` is one
+multiplying and one dividing accumulate along the orbit axis, rounding as
+the steps do.  The sweep lays its rows over the
 columns the sources can reach: a union of runs [i - steps, i] for each
 source column i <= 0 and [i, i + steps] for each i >= 1.  Neighbouring runs
 are joined by a seam, a zero weight, and no partial sum ever reaches one,
@@ -639,27 +641,42 @@ class MatrixOperator:
 
         Same contract as ``ShiftOperator.orbit_sweep`` (``within`` is a
         sparse layout hint and is ignored); an unswept side is an exact zero
-        vector, so with M = {0} the value is 0 - S_N.  Stepping with A_M and
-        A_N instead of T and T^{-1} keeps rounding in a partial sum from
-        leaking into the other side, where the powers of T would amplify it.
+        vector, so with M = {0} the value is 0 - S_N.
+
+        Each side is a linear recurrence with one matrix, S_j = p_j + A S_{j-1}
+        over its projected sources in sweep order (left to right on M with
+        A = A_M, right to left on N with A = A_N), so its partial sums are a
+        prefix scan: round r adds, at every position, the sum 2^r positions
+        back times A^(2^r), and after ceil(log2 n) rounds on n positions
+        position j holds sum_k A^k p_{j-k}, the finite series the step-by-step
+        sweep sums.  Both sides run in one stacked product per round, each
+        side's state a (coordinate, position * N) block, so a round is one
+        BLAS product per side.  The N sums then take one trailing A_N.
+        Stepping with A_M and A_N, never T and T^{-1}, keeps rounding in a
+        partial sum from leaking into the other side, where the powers of T
+        would amplify it.
         """
         s = self._dense_batch(sources).rows
-        length, count = s.shape[0], s.shape[0] - m_count - n_count + 1
-        out = np.zeros((count,) + s.shape[1:])
-        if m_count:
-            projected = s[: length - n_count] @ self.proj_M_matrix.T
-            acc = np.zeros(s.shape[1:])
-            for j, p in enumerate(projected):
-                acc = p + acc @ self.a_M.T
-                if j >= m_count - 1:
-                    out[j - m_count + 1] = acc
+        length, rows, dim = s.shape
+        count = length - m_count - n_count + 1
+        sides = [(s[: length - n_count], self.proj_M_matrix, self.a_M)] if m_count else []
         if n_count:
-            projected = s[m_count:] @ self.proj_N_matrix.T
-            acc = np.zeros(s.shape[1:])
-            for j in reversed(range(length - m_count)):
-                acc = (projected[j] + acc) @ self.a_N.T
-                if j < count:
-                    out[j] -= acc
+            sides.append((s[m_count:][::-1], self.proj_N_matrix, self.a_N))
+        n = max((len(p) for p, _, _ in sides), default=0)
+        sums = np.zeros((len(sides), dim, n * rows))  # (side, coordinate, position * N + row)
+        for side, (p, proj, _) in zip(sums, sides):
+            np.matmul(proj, p.reshape(-1, dim).T, out=side[:, : len(p) * rows])
+        power, shift = np.array([a for _, _, a in sides]), 1
+        while shift < n:
+            sums[..., shift * rows :] += power @ sums[..., : (n - shift) * rows]
+            power, shift = power @ power, 2 * shift
+        out = np.empty((count, rows, dim))
+        value = sums[0].reshape(dim, n, rows)[:, m_count - 1 : length - n_count] if m_count else 0.0
+        if n_count:  # R_j = A_N S_{last-1-j}: N positions run from the right
+            last = length - m_count
+            tail = self.a_N @ sums[-1, :, (last - count) * rows : last * rows]
+            value = value - tail.reshape(dim, count, rows)[:, ::-1]
+        np.moveaxis(out, -1, 0)[...] = value
         return Batch(out)
 
     def _power_norms(self, count: int):

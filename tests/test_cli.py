@@ -483,9 +483,9 @@ def lattice_array_sizes(monkeypatch) -> list[int]:
     kernel keeps its points apart and ``stack``s beta along them in
     ``conjugacy``, an array of the orbit's size.  The orbit kernels of T (the
     shift's accumulate buffer and its laid-out orbit, the dense backend's
-    orbit) and both sweeps allocate theirs with ``np.empty`` or ``np.zeros``
-    in ``operators``, whose numpy is swapped for one that records each array
-    those two make.
+    orbit) and both sweeps (the dense one's stacked scan buffer too) allocate
+    theirs with ``np.empty`` or ``np.zeros`` in ``operators``, whose numpy is
+    swapped for one that records each array those two make.
     """
     sizes, stack = [], operators.stack
 
@@ -572,6 +572,28 @@ def test_far_apart_points_fit_the_chunk_budget(monkeypatch, beta, tol, picard_to
         assert 0 < max(sizes) <= conjugacy.CHUNK_BYTES
         assert [v.memo_key() for v in values] == [cmap.displacement(x).memo_key() for x in points]
         monkeypatch.undo()
+
+
+def test_dense_chunks_fit_the_chunk_budget(monkeypatch):
+    # the dense sweep stacks its two sides' sources, 2 (L - K - 1) positions: on the first of
+    # the matrix workload's two forward levels (K = 23, an orbit of L = 95 indices) that is 142,
+    # half as much again as the orbit, and the chunk size counts it
+    monkeypatch.syspath_prepend(str(BENCH))
+    config = importlib.import_module("workloads").WORKLOADS["matrix-conjugate"].config
+    op = operators.operator_from_descriptor(config["operator"])
+    beta = perturbations.perturbation_from_descriptor(config["perturbation"])
+    policy = conjugacy.SeriesPolicy(tol=config["tol"])
+    fwd = conjugacy.solve_conjugacy(op, beta, config["gamma"], policy,
+                                    picard_tol=config["picard_tol"])
+    bwd = conjugacy.solve_inverse_conjugacy(op, beta, policy)
+    assert (fwd.terms, fwd.depth) == (23, 2)
+    points = vectors.Batch(np.random.default_rng(5).uniform(-0.5, 0.5, (100, 6))).unpack()
+    monkeypatch.setattr(conjugacy, "CHUNK_BYTES", 1 << 17)
+    for cmap in (fwd, bwd):
+        calls, sizes = lattice_calls(monkeypatch), lattice_array_sizes(monkeypatch)
+        cmap.displacements(points)
+        assert len(calls) > 1
+        assert 0 < max(sizes) <= conjugacy.CHUNK_BYTES
 
 
 @pytest.mark.parametrize("name, most", [

@@ -45,7 +45,7 @@ from ghlin.conjugacy import InversePairReport
 from ghlin.linearize import make_holder_certificate
 from ghlin.perturbations import CutoffProfile, IterationLimitError, cutoff, perturbed_apply
 from ghlin.perturbations import solve_perturbed_inverse
-from ghlin.vectors import Batch, _row_wise
+from ghlin.vectors import Batch, _row_wise, pack, stack
 from conftest import lattice_calls, nan_far_out, random_sparse
 
 POLICY = SeriesPolicy(tol=1e-10)
@@ -863,18 +863,9 @@ def test_the_readme_lattice_builds_the_orbit_its_landing_terms_reach(monkeypatch
 
 
 def two_sided_sweep(op, sources, terms):
-    """The dense sweep with K + 1 sources on both sides, whatever the splitting."""
-    acc = np.zeros(op.dim)
-    sums_m = []
-    for s in sources[: len(sources) - terms - 1]:
-        acc = op.proj_M_matrix @ s.array + op.a_M @ acc
-        sums_m.append(acc)
-    acc = np.zeros(op.dim)
-    sums_n = []
-    for s in reversed(sources[terms + 1 :]):
-        acc = op.a_N @ (op.proj_N_matrix @ s.array + acc)
-        sums_n.append(acc)
-    return [DenseVector(s_m - s_n) for s_m, s_n in zip(sums_m[terms:], reversed(sums_n))]
+    """The dense sweep forced through K + 1 sources on both sides, whatever the splitting."""
+    values = op.orbit_sweep(stack([pack([s]) for s in sources]), terms + 1, terms + 1)
+    return Batch(values.rows[:, 0]).unpack()
 
 
 def two_sided_displacement(cmap, x):

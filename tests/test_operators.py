@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -248,6 +249,112 @@ def test_matrix_series_counts_ignore_a_window():
     assert make_matrix_operator([[0.5, 0.3], [0.0, 3.0]]).series_counts(5, (0, 0)) == (6, 6)
     assert make_matrix_operator([[0.5]], t=0.6).series_counts(5, (0, 0)) == (6, 0)
     assert make_matrix_operator([[2.0]], t=0.6).series_counts(5) == (0, 6)
+
+
+def stepped_dense_sweep(op, s, m_count, n_count):
+    """The dense sweep one orbit index at a time: S_j = P_M s_j + A_M S_{j-1} left to right,
+    R_j = A_N (P_N s_j + R_{j+1}) right to left, then S_M - S_N, on the rows of s."""
+    length, count = len(s), len(s) - m_count - n_count + 1
+    out = np.zeros((count,) + s.shape[1:])
+    if m_count:
+        acc = np.zeros(s.shape[1:])
+        for j, p in enumerate(s[: length - n_count] @ op.proj_M_matrix.T):
+            acc = p + acc @ op.a_M.T
+            if j >= m_count - 1:
+                out[j - m_count + 1] = acc
+    if n_count:
+        acc = np.zeros(s.shape[1:])
+        projected = s[m_count:] @ op.proj_N_matrix.T
+        for j in reversed(range(length - m_count)):
+            acc = (projected[j] + acc) @ op.a_N.T
+            if j < count:
+                out[j] -= acc
+    return out
+
+
+def exact_dense_sweep(op, s, m_count, n_count):
+    """The same finite series in 200-bit arithmetic on the operator's float matrices, every
+    source on each swept side, rounded to floats at the end."""
+    length, count = len(s), len(s) - m_count - n_count + 1
+    with mpmath.workprec(200):
+        def mat(a):
+            return [[mpmath.mpf(float(v)) for v in row] for row in a]
+
+        def apply(a, v):
+            return [mpmath.fdot(row, v) for row in a]
+
+        proj_m, a_m, proj_n, a_n = map(mat, (op.proj_M_matrix, op.a_M, op.proj_N_matrix, op.a_N))
+        out = np.zeros((count,) + s.shape[1:])
+        for r in range(s.shape[1]):
+            sources = mat(s[:, r])
+            value = [[mpmath.mpf(0)] * op.dim for _ in range(count)]
+            acc = [mpmath.mpf(0)] * op.dim
+            for j in range(length - n_count if m_count else 0):
+                acc = [p + q for p, q in zip(apply(proj_m, sources[j]), apply(a_m, acc))]
+                if j >= m_count - 1:
+                    value[j - m_count + 1] = acc
+            acc = [mpmath.mpf(0)] * op.dim
+            for j in reversed(range(m_count, length) if n_count else []):
+                acc = apply(a_n, [p + q for p, q in zip(apply(proj_n, sources[j]), acc)])
+                if j - m_count < count:
+                    value[j - m_count] = [v - q for v, q in zip(value[j - m_count], acc)]
+            out[:, r] = [[float(v) for v in row] for row in value]
+    return out
+
+
+@st.composite
+def dense_sweep_inputs(draw):
+    """A 1-6-d hyperbolic matrix with M, N or both nontrivial, and sources for one sweep.
+
+    The matrix is diagonal or non-normal upper triangular (strictly upper entries in
+    [-2, 2]) under an exact permutation similarity.  The swept sides take K + 1 sources
+    (``series_counts``, so M = {0} sweeps with m_count = 0), and each has n positions, where
+    n - 1 is a power of two (the scan's last round adds one position) or n is any length.
+    """
+    dim = draw(st.integers(1, 6))
+    sides = draw(st.sampled_from(["M", "N"] + (["both"] if dim > 1 else [])))
+    if sides == "both":
+        stable = [True, False] + draw(st.lists(st.booleans(), min_size=dim - 2, max_size=dim - 2))
+    else:
+        stable = [sides == "M"] * dim
+    moduli = [draw(st.floats(0.1, 0.8) if s else st.floats(1.25, 4.0)) for s in stable]
+    a = np.diag([draw(st.sampled_from([-1.0, 1.0])) * m for m in moduli])
+    if draw(st.booleans()):
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                a[i, j] = draw(st.floats(-2.0, 2.0))
+    perm = draw(st.permutations(range(dim)))
+    op = make_matrix_operator(a[np.ix_(perm, perm)])
+    n = draw(st.sampled_from([2, 3, 5, 9, 17, 33]) | st.integers(1, 33))
+    m_count, n_count = op.series_counts(draw(st.integers(0, n - 1)))
+    rows = draw(st.integers(1, 9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    s = np.random.default_rng(seed).uniform(-5.0, 5.0, (n + min(m_count, n_count), rows, dim))
+    return op, s, m_count, n_count
+
+
+@settings(max_examples=40, deadline=None)
+@example(inputs=(make_matrix_operator([[2.0, 0.3], [0.0, 3.0]]), np.linspace(
+    -1.0, 1.0, 17 * 3 * 2).reshape(17, 3, 2), 0, 5))
+@given(inputs=dense_sweep_inputs())
+def test_dense_sweep_is_within_rounding_of_the_exact_series(inputs):
+    # the scan sums in another order than the steps, so it is held, with the stepped sweep,
+    # to the rounding bound 8 d n u (sum_k |A^k P|) max |s| of the 200-bit series, summed over
+    # the swept sides' k = 0..n
+    op, s, m_count, n_count = inputs
+    n = len(s) - min(m_count, n_count)
+    gain = 0.0
+    sides = ((m_count, op.a_M, op.proj_M_matrix), (n_count, op.a_N, op.proj_N_matrix))
+    for swept, a, proj in sides:
+        term = proj
+        for _ in range(n + 1 if swept else 0):
+            gain, term = gain + np.linalg.norm(term, np.inf), a @ term
+    bound = 8 * op.dim * n * np.finfo(float).eps / 2 * gain * np.abs(s).max()
+    exact = exact_dense_sweep(op, s, m_count, n_count)
+    got = op.orbit_sweep(Batch(s), m_count, n_count).rows
+    assert got.shape == exact.shape
+    assert np.abs(got - exact).max(initial=0.0) <= bound
+    assert np.abs(stepped_dense_sweep(op, s, m_count, n_count) - exact).max(initial=0.0) <= bound
 
 
 def test_shift_sweep_prunes_sums_that_cancel_to_zero():
